@@ -20,8 +20,9 @@ generate the rewrite graph: a rotation at any internal edge of the tree
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .limits import check_cap
 from .nestedsets import Chain, NestedSet, is_full_chain
@@ -80,11 +81,27 @@ class RewriteGraph:
     vertices: tuple[Bracketing, ...]
     edges: frozenset[tuple[int, int, str]]
 
+    @cached_property
+    def _degree_counts(self) -> tuple[Counter, Counter]:
+        """Edges at each vertex and at each (vertex, kind), in one pass.
+
+        Memoized in the instance ``__dict__``, which the dataclass ``==`` and
+        ``hash`` ignore.
+        """
+        total: Counter = Counter()
+        by_kind: Counter = Counter()
+        for a, b, kind in self.edges:
+            total[a] += 1
+            total[b] += 1
+            by_kind[a, kind] += 1
+            by_kind[b, kind] += 1
+        return total, by_kind
+
     def degree(self, i: int) -> int:
-        return sum(1 for a, b, _ in self.edges if i in (a, b))
+        return self._degree_counts[0][i]
 
     def kind_degree(self, i: int, kind: str) -> int:
-        return sum(1 for a, b, k in self.edges if k == kind and i in (a, b))
+        return self._degree_counts[1][i, kind]
 
     def adjacency(self) -> list[list[int]]:
         adj: list[list[int]] = [[] for _ in self.vertices]

@@ -14,6 +14,7 @@ import os
 import sys
 import tempfile
 from fractions import Fraction
+from functools import lru_cache
 
 from .brackets import (
     BracketSyntaxError,
@@ -30,7 +31,7 @@ from .geometry import (
     realization_report,
     vertex_coordinates,
 )
-from .limits import ResourceCapError
+from .limits import ResourceCapError, resource_cap
 from .nestedsets import Chain, enumerate_vertices, faces
 
 EXIT_OK = 0
@@ -237,6 +238,7 @@ class UsageError(ValueError):
     pass
 
 
+@lru_cache(maxsize=1)
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pa",
@@ -299,6 +301,7 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        resource_cap(args.max_n)  # a bad --max-n or PA_MAX_N fails every subcommand
         return args.func(args)
     except BracketSyntaxError as exc:
         print(f"pa: parse error: {exc}", file=sys.stderr)

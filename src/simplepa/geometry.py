@@ -11,7 +11,8 @@ The second summand is a sub-unit fractional offset; it is exactly what makes
 a vertex meet its own n facets and clear every other facet strictly, so the
 whole module works in exact arithmetic (unbounded ints and Fraction) and
 never touches floating point.  Vertices are computed by fraction-free
-elimination over the integers with a rational back-substitution.
+elimination over the integers with a rational back-substitution, and checked
+against each facet by one integer comparison after clearing denominators.
 """
 
 from __future__ import annotations
@@ -20,6 +21,8 @@ from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
+from operator import mul
 
 from .limits import check_cap
 from .nestedsets import (
@@ -66,10 +69,6 @@ class Hyperplane:
 
     def tight(self, point: Sequence[Fraction]) -> bool:
         return self.value(point) == self.rhs
-
-    def satisfied(self, point: Sequence[Fraction]) -> bool:
-        value = self.value(point)
-        return value == self.rhs if self.relation == EQ else value >= self.rhs
 
 
 def facet_inequality(chain: Chain, n: int) -> Hyperplane:
@@ -202,9 +201,21 @@ def verify_vertex(
     else:
         table = dict(facets)
         point = _solve_vertex(v, n, table)
-    tight = frozenset(c for c, h in table.items() if h.tight(point))
-    strict_ok = all(h.value(point) > h.rhs for c, h in table.items() if c not in v)
-    return VertexReport(point, tight, strict_ok, len(tight) == n)
+    # Clear denominators once: with d = lcm of the point's denominators and
+    # X = d*x integral, a.x vs p/q compares exactly as (a.X)*q vs p*d.
+    scale = lcm(*(x.denominator for x in point))
+    scaled = [x.numerator * (scale // x.denominator) for x in point]
+    tight = []
+    strict_ok = True
+    for c, h in table.items():
+        lhs = sum(map(mul, h.coeffs, scaled)) * h.rhs.denominator
+        bound = h.rhs.numerator * scale
+        if lhs <= bound:
+            if lhs == bound:
+                tight.append(c)
+            if c not in v:
+                strict_ok = False
+    return VertexReport(point, frozenset(tight), strict_ok, len(tight) == n)
 
 
 def affine_dimension(points: Sequence[Point], stop_at: int | None = None) -> int:

@@ -25,13 +25,25 @@ class ResourceCapError(RuntimeError):
 
 
 def resource_cap(max_n: int | None = None) -> int:
-    """The effective cap: explicit argument, else environment, else default."""
+    """The effective cap: explicit argument, else environment, else default.
+
+    Raises ValueError, naming the source, when the cap is not an integer of
+    at least 1.
+    """
     if max_n is not None:
-        return max_n
-    value = os.environ.get(ENV_VAR)
-    if value is not None:
-        return int(value)
-    return DEFAULT_MAX_N
+        source, cap = "max_n", max_n
+    else:
+        value = os.environ.get(ENV_VAR)
+        if value is None:
+            return DEFAULT_MAX_N
+        try:
+            cap = int(value)
+        except ValueError:
+            raise ValueError(f"{ENV_VAR} must be an integer, got {value!r}") from None
+        source = ENV_VAR
+    if cap < 1:
+        raise ValueError(f"{source} must be at least 1, got {cap}")
+    return cap
 
 
 def check_cap(n: int, max_n: int | None = None) -> None:

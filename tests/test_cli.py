@@ -1,4 +1,6 @@
 import json
+import subprocess
+import sys
 
 from simplepa.cli import main
 
@@ -165,3 +167,35 @@ def test_identical_runs_are_byte_identical(tmp_path):
     run(["generate", "--n", "2", "--hrep", str(first)])
     run(["generate", "--n", "2", "--hrep", str(second)])
     assert first.read_bytes() == second.read_bytes()
+
+
+def test_resource_cap_rejects_bad_settings(monkeypatch, capsys):
+    for value in ("abc", "0", "-1"):
+        monkeypatch.setenv("PA_MAX_N", value)
+        assert run(["check", "--n", "2"]) == 2
+        err = capsys.readouterr().err
+        assert "PA_MAX_N" in err and err.count("\n") == 1
+    monkeypatch.delenv("PA_MAX_N")
+    for value in ("0", "-2"):
+        assert run(["bracketing", "--n", "2", "--max-n", value, "--parse", "(0*(1*2))"]) == 2
+        err = capsys.readouterr().err
+        assert "max_n" in err and err.count("\n") == 1
+
+
+def test_repeated_main_calls_match_fresh_processes(capsys):
+    calls = [
+        ["bracketing", "--n", "3", "--parse", "((2*3)*(0*1))"],
+        ["bracketing", "--n", "3", "--parse", "((2*3)*(0*1)"],
+        ["check", "--n", "2"],
+    ]
+    in_process = []
+    for argv in calls:
+        code = run(argv)
+        captured = capsys.readouterr()
+        in_process.append((code, captured.out, captured.err))
+    assert [code for code, _, _ in in_process] == [0, 2, 0]
+    for argv, seen in zip(calls, in_process):
+        alone = subprocess.run(
+            [sys.executable, "-m", "simplepa.cli", *argv], capture_output=True, text=True
+        )
+        assert seen == (alone.returncode, alone.stdout, alone.stderr)

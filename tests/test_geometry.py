@@ -5,6 +5,7 @@ import pytest
 
 from conftest import chain_of
 from simplepa import (
+    ALPHA,
     SIGMA,
     Chain,
     Hyperplane,
@@ -122,6 +123,55 @@ def test_verify_vertex_negative_control():
     table[target] = Hyperplane(h.coeffs, h.rhs - 1, h.relation)
     reports = [verify_vertex(v, 2, facets=table) for v in enumerate_vertices(2)]
     assert any(not r.strict_ok for r in reports)
+
+
+def _fraction_verdict(v, table, point):
+    """verify_vertex's tight set and strictness, recomputed with the
+    Fraction forms Hyperplane.tight and Hyperplane.value."""
+    tight = frozenset(c for c, h in table.items() if h.tight(point))
+    strict_ok = all(h.value(point) > h.rhs for c, h in table.items() if c not in v)
+    return tight, strict_ok
+
+
+def test_verify_vertex_agrees_with_fraction_oracle():
+    for n in (1, 2, 3):
+        table = _facet_table(n)
+        for v in enumerate_vertices(n):
+            report = verify_vertex(v, n)
+            assert (report.tight, report.strict_ok) == _fraction_verdict(v, table, report.vertex)
+            assert report.multiplicity_ok == (len(report.tight) == n)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("shift", [1, -1, Fraction(1, 7), -Fraction(1, 7)])
+def test_verify_vertex_agrees_with_fraction_oracle_on_shifted_tables(n, shift):
+    # a shift by 1/7 gives vertex denominators that do not divide 2(3^n - n - 1)
+    base = _facet_table(n)
+    chains = list(base)
+    for target in (chains[0], chains[-1]):
+        table = dict(base)
+        h = table[target]
+        table[target] = Hyperplane(h.coeffs, h.rhs + shift, h.relation)
+        for v in enumerate_vertices(n):
+            report = verify_vertex(v, n, facets=table)
+            assert all(isinstance(x, Fraction) for x in report.vertex)
+            assert (report.tight, report.strict_ok) == _fraction_verdict(v, table, report.vertex)
+
+
+def test_verify_vertex_flags_a_facet_moved_onto_an_outside_vertex():
+    n = 3
+    base = _facet_table(n)
+    target = list(base)[-1]
+    outside = next(v for v in enumerate_vertices(n) if target not in v)
+    h = base[target]
+    table = dict(base)
+    table[target] = Hyperplane(h.coeffs, h.value(vertex_coordinates(outside, n)), h.relation)
+    report = verify_vertex(outside, n, facets=table)
+    assert report.tight == outside | {target}
+    assert not report.strict_ok and not report.multiplicity_ok
+    for v in enumerate_vertices(n):
+        report = verify_vertex(v, n, facets=table)
+        assert (report.tight, report.strict_ok) == _fraction_verdict(v, table, report.vertex)
 
 
 def test_vertex_denominators_divide_twice_offset_denominator():
@@ -265,6 +315,24 @@ def test_polytope_graph_is_a_cycle_for_n2():
 def test_polytope_graph_equals_rewrite_graph():
     for n in (1, 2, 3):
         assert polytope_graph(n) == build_graph(n)
+
+
+def test_graph_degrees_match_an_edge_scan():
+    for n in (1, 2, 3):
+        for g in (build_graph(n), polytope_graph(n)):
+            for i in range(len(g.vertices)):
+                assert g.degree(i) == sum(1 for a, b, _ in g.edges if i in (a, b))
+                for kind in (ALPHA, SIGMA):
+                    scan = sum(1 for a, b, k in g.edges if k == kind and i in (a, b))
+                    assert g.kind_degree(i, kind) == scan
+
+
+def test_graph_degree_memo_leaves_equality_and_hash_alone():
+    g = build_graph(3)
+    before = hash(g)
+    assert g.degree(0) == 3
+    assert hash(g) == before
+    assert g == polytope_graph(3)
 
 
 def test_f_vector():

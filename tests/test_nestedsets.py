@@ -195,3 +195,16 @@ def test_resource_cap_env_override(monkeypatch):
         enumerate_vertices(3)
     monkeypatch.setenv("PA_MAX_N", "3")
     assert len(enumerate_vertices(3)) == 120
+
+
+def test_resource_cap_rejects_bad_settings(monkeypatch):
+    monkeypatch.setenv("PA_MAX_N", "abc")
+    with pytest.raises(ValueError, match="PA_MAX_N"):
+        enumerate_vertices(2)
+    for value in ("0", "-1"):
+        monkeypatch.setenv("PA_MAX_N", value)
+        with pytest.raises(ValueError, match="PA_MAX_N must be at least 1"):
+            enumerate_vertices(2)
+    monkeypatch.delenv("PA_MAX_N")
+    with pytest.raises(ValueError, match="max_n must be at least 1"):
+        enumerate_vertices(2, max_n=0)
