@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 from .limits import check_cap
-from .nestedsets import Chain, NestedSet, is_full_chain
+from .nestedsets import Chain, NestedSet, enumerate_vertices, is_full_chain
 
 ALPHA = "alpha"
 SIGMA = "sigma"
@@ -200,25 +200,28 @@ def parse_bracketing(text: str, n: int) -> Bracketing:
             raise BracketSyntaxError(f"expected {what}", tok[2])
         return tok
 
-    def atom():
+    def atom(depth: int):
         kind, value, at = peek()
         if kind == "int":
             advance()
             leaves.append((value, at))
             return len(leaves) - 1
         if kind == "(":
+            # no valid tree over 0..n nests deeper; this also bounds the recursion
+            if depth == n:
+                raise BracketSyntaxError(f"parentheses nest deeper than {n}", at)
             advance()
-            left = atom()
+            left = atom(depth + 1)
             expect("op", "'*'")
-            right = atom()
+            right = atom(depth + 1)
             expect(")", "')'")
             return (left, right)
         raise BracketSyntaxError("expected '(' or a label", at)
 
-    tree = atom()
+    tree = atom(0)
     if peek()[0] == "op":  # outermost parentheses were omitted
         advance()
-        tree = (tree, atom())
+        tree = (tree, atom(0))
     kind, _, at = peek()
     if kind != "end":
         raise BracketSyntaxError("unexpected trailing input", at)
@@ -317,6 +320,15 @@ def _tree_from_spans(spans: set[tuple[int, int]], n: int) -> "int | tuple":
         return (build(lo, mid), build(mid + 1, hi))
 
     return build(0, n)
+
+
+def vertices_in_printed_order(n: int, max_n: int | None = None) -> list[tuple[Bracketing, NestedSet]]:
+    """Every vertex as a (bracketing, maximal nested set) pair, sorted by the
+    printed bracketing.  The bracketings come from :func:`from_nested`, so a
+    polytope graph built on this order also tests the bijection."""
+    pairs = [(from_nested(v), v) for v in enumerate_vertices(n, max_n=max_n)]
+    pairs.sort(key=lambda pair: print_bracketing(pair[0]))
+    return pairs
 
 
 # ---------------------------------------------------------------------------

@@ -19,20 +19,21 @@ from functools import lru_cache
 from .brackets import (
     BracketSyntaxError,
     RewriteGraph,
-    from_nested,
     parse_bracketing,
     print_bracketing,
     to_nested,
+    vertices_in_printed_order,
 )
 from .classify import boundary_cycle, classify_2_face, diagram_census
 from .geometry import (
+    f_vector,
     h_representation,
     normalization_map,
     realization_report,
     vertex_coordinates,
 )
-from .limits import ResourceCapError, resource_cap
-from .nestedsets import Chain, enumerate_vertices, faces
+from .limits import ResourceCapError, check_cap
+from .nestedsets import Chain, enumerate_chains, faces
 
 EXIT_OK = 0
 EXIT_VERIFICATION = 1
@@ -91,25 +92,16 @@ def render_ine(n: int) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _vertex_records(n: int, max_n: int | None):
-    records = []
-    for v in enumerate_vertices(n, max_n=max_n):
-        b = from_nested(v)
-        point = vertex_coordinates(v, n)
-        records.append(
-            {
-                "bracketing": print_bracketing(b),
-                "permutation": list(b.perm),
-                "coordinates": [_fmt_rational(x) for x in point],
-                "chains": [_chain_record(c) for c in sorted(v, key=Chain.sort_key)],
-            }
-        )
-    records.sort(key=lambda r: r["bracketing"])
-    return records
-
-
 def render_vrep(n: int, max_n: int | None = None) -> str:
-    records = _vertex_records(n, max_n)
+    records = [
+        {
+            "bracketing": print_bracketing(b),
+            "permutation": list(b.perm),
+            "coordinates": [_fmt_rational(x) for x in vertex_coordinates(v, n)],
+            "chains": [_chain_record(c) for c in sorted(v, key=Chain.sort_key)],
+        }
+        for b, v in vertices_in_printed_order(n, max_n=max_n)
+    ]
     return _dump_json({"n": n, "count": len(records), "vertices": records})
 
 
@@ -162,13 +154,8 @@ def render_off(n: int, max_n: int | None = None) -> str:
     if n != 3:
         raise ValueError("OFF export is only defined for n = 3")
     chart = normalization_map(n)
-    verts = enumerate_vertices(n, max_n=max_n)
-    order = sorted(verts, key=lambda v: print_bracketing(from_nested(v)))
+    order = [v for _, v in vertices_in_printed_order(n, max_n=max_n)]
     index = {v: i for i, v in enumerate(order)}
-
-    from .geometry import f_vector
-    from .nestedsets import enumerate_chains
-
     fv = f_vector(n, max_n=max_n)
     lines = ["OFF", f"{fv[0]} {fv[2]} {fv[1]}"]
     for v in order:
@@ -238,9 +225,16 @@ class UsageError(ValueError):
     pass
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a bad command line as a :class:`UsageError`: one stderr line."""
+
+    def error(self, message):
+        raise UsageError(message)
+
+
 @lru_cache(maxsize=1)
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="pa",
         description="Construct, verify and export simple permutoassociahedra.",
     )
@@ -298,18 +292,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
-        resource_cap(args.max_n)  # a bad --max-n or PA_MAX_N fails every subcommand
+        args = _build_parser().parse_args(argv)
+        check_cap(args.n, args.max_n)  # every subcommand refuses n above the cap
         return args.func(args)
     except BracketSyntaxError as exc:
         print(f"pa: parse error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except ResourceCapError as exc:
-        print(f"pa: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (UsageError, ValueError) as exc:
+    except (ValueError, ResourceCapError) as exc:
         print(f"pa: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except OSError as exc:

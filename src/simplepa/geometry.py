@@ -20,8 +20,8 @@ from __future__ import annotations
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from math import lcm
+from functools import cache, lru_cache, partial
+from math import lcm, prod
 from operator import mul
 
 from .limits import check_cap
@@ -196,18 +196,17 @@ def verify_vertex(
     """
     v = frozenset(v)
     if facets is None:
-        table = _facet_table(n)
+        facets = _facet_table(n)
         point = _vertex_point(v, n)
     else:
-        table = dict(facets)
-        point = _solve_vertex(v, n, table)
+        point = _solve_vertex(v, n, facets)
     # Clear denominators once: with d = lcm of the point's denominators and
     # X = d*x integral, a.x vs p/q compares exactly as (a.X)*q vs p*d.
     scale = lcm(*(x.denominator for x in point))
     scaled = [x.numerator * (scale // x.denominator) for x in point]
     tight = []
     strict_ok = True
-    for c, h in table.items():
+    for c, h in facets.items():
         lhs = sum(map(mul, h.coeffs, scaled)) * h.rhs.denominator
         bound = h.rhs.numerator * scale
         if lhs <= bound:
@@ -359,17 +358,15 @@ def polytope_graph(n: int, max_n: int | None = None):
     """The graph of the polytope, built from face combinatorics alone:
     vertices are maximal nested sets, edges join pairs sharing n-1 chains.
     Must coincide with the rewrite graph under the bracketing bijection."""
-    from .brackets import ALPHA, SIGMA, RewriteGraph, from_nested, print_bracketing
+    from .brackets import ALPHA, SIGMA, RewriteGraph, vertices_in_printed_order
 
-    verts = enumerate_vertices(n, max_n=max_n)
-    bracketing_of = {v: from_nested(v) for v in verts}
-    order = sorted(verts, key=lambda v: print_bracketing(bracketing_of[v]))
-    index = {v: i for i, v in enumerate(order)}
+    order = vertices_in_printed_order(n, max_n=max_n)
+    index = {v: i for i, (_, v) in enumerate(order)}
 
     buckets: dict[NestedSet, list[int]] = {}
-    for v in verts:
+    for v, i in index.items():
         for chain in v:
-            buckets.setdefault(v - {chain}, []).append(index[v])
+            buckets.setdefault(v - {chain}, []).append(i)
     edges = set()
     for edge_face, pair in buckets.items():
         if len(pair) != 2:
@@ -377,7 +374,7 @@ def polytope_graph(n: int, max_n: int | None = None):
         i, j = sorted(pair)
         kind = ALPHA if any(is_full_chain(c, n) for c in edge_face) else SIGMA
         edges.add((i, j, kind))
-    return RewriteGraph(tuple(bracketing_of[v] for v in order), frozenset(edges))
+    return RewriteGraph(tuple(b for b, _ in order), frozenset(edges))
 
 
 def f_vector(n: int, max_n: int | None = None) -> tuple[int, ...]:
@@ -401,6 +398,10 @@ def realization_report(n: int, perturb: bool = False, max_n: int | None = None) 
     polytope graph equals the rewrite graph (connected, n-regular, one sigma
     edge per vertex); the face counts satisfy the Euler relation.
 
+    The checks form one ordered table.  Each check is a generator yielding a
+    ``(report_key, message)`` pair per failure; a key's flag in the report is
+    true when the key never failed, and ``ok`` when nothing failed.
+
     ``perturb`` lowers one facet's right-hand side by 1 before checking, as a
     negative control: the report must then flag failures.
     """
@@ -416,101 +417,95 @@ def realization_report(n: int, perturb: bool = False, max_n: int | None = None) 
         table[target] = Hyperplane(h.coeffs, h.rhs - 1, h.relation)
 
     verts = enumerate_vertices(n, max_n=max_n)
-    failures: list[str] = []
-
-    def record(message: str) -> None:
-        if len(failures) < _MAX_REPORTED_FAILURES:
-            failures.append(message)
-        elif len(failures) == _MAX_REPORTED_FAILURES:
-            failures.append("... more failures suppressed")
-
+    points: list[Point] = []
     tight_points: dict[Chain, list[Point]] = {c: [] for c in table}
-    points = []
-    all_tight_match = True
-    all_strict = True
-    all_simple = True
-    for v in verts:
-        label = print_bracketing(from_nested(v))
-        report = verify_vertex(v, n, facets=table)
-        points.append(report.vertex)
-        for chain in report.tight:
-            tight_points[chain].append(report.vertex)
-        if report.tight != v:
-            all_tight_match = False
-            record(f"vertex {label}: tight facets differ from its own chains")
-        if not report.strict_ok:
-            all_strict = False
-            record(f"vertex {label}: some outside facet is not strict")
-        if not report.multiplicity_ok:
-            all_simple = False
-            record(f"vertex {label}: tight on {len(report.tight)} facets, expected {n}")
 
-    vertices_distinct = len(set(points)) == len(points)
-    if not vertices_distinct:
-        record("vertex coordinates collide")
+    # shared by several checks; built once, by the first check that runs
+    rewrite = cache(partial(build_graph, n, max_n=max_n))
+    fv = cache(partial(f_vector, n, max_n=max_n))
 
-    irredundant = True
-    for chain, pts in tight_points.items():
-        if affine_dimension(pts, stop_at=n - 1) < n - 1:
-            irredundant = False
-            record(f"facet {chain!r} is not facet-defining (affine dimension < {n - 1})")
+    def vertices():
+        for v in verts:
+            report = verify_vertex(v, n, facets=table)
+            points.append(report.vertex)
+            for chain in report.tight:
+                tight_points[chain].append(report.vertex)
+            problems = []
+            if report.tight != v:
+                problems.append(("tight_sets_match", "tight facets differ from its own chains"))
+            if not report.strict_ok:
+                problems.append(("strict_inequalities", "some outside facet is not strict"))
+            if not report.multiplicity_ok:
+                problems.append(("simple", f"tight on {len(report.tight)} facets, expected {n}"))
+            if problems:  # the label is printed only for a vertex that fails
+                label = print_bracketing(from_nested(v))
+                for key, problem in problems:
+                    yield key, f"vertex {label}: {problem}"
 
-    rewrite = build_graph(n, max_n=max_n)
-    polytope = polytope_graph(n, max_n=max_n)
-    graphs_equal = rewrite == polytope
-    if not graphs_equal:
-        record("polytope graph differs from the rewrite graph")
-    graph_connected = rewrite.is_connected()
-    if not graph_connected:
-        record("rewrite graph is not connected")
-    degrees_ok = all(rewrite.degree(i) == n for i in range(len(rewrite.vertices)))
-    sigma_ok = all(rewrite.kind_degree(i, SIGMA) == 1 for i in range(len(rewrite.vertices)))
-    if not degrees_ok:
-        record("rewrite graph is not n-regular")
-    if not sigma_ok:
-        record("some vertex does not have exactly one sigma edge")
+    def distinct():
+        if len(set(points)) != len(points):
+            yield "vertices_distinct", "vertex coordinates collide"
 
-    fv = f_vector(n, max_n=max_n)
-    euler_ok = sum((-1) ** k * fv[k] for k in range(n)) == 1 - (-1) ** n
-    if not euler_ok:
-        record(f"Euler relation fails for f-vector {fv}")
+    def irredundant():
+        for chain, pts in tight_points.items():
+            if affine_dimension(pts, stop_at=n - 1) < n - 1:
+                yield "facets_irredundant", (
+                    f"facet {chain!r} is not facet-defining (affine dimension < {n - 1})"
+                )
 
-    expected_vertices = 1
-    for i in range(n + 1, 2 * n + 1):
-        expected_vertices *= i
-    count_ok = len(verts) == expected_vertices and fv[0] == expected_vertices
-    if not count_ok:
-        record(f"vertex count {len(verts)} differs from (2n)!/n! = {expected_vertices}")
+    def graphs_equal():
+        if rewrite() != polytope_graph(n, max_n=max_n):
+            yield "graphs_equal", "polytope graph differs from the rewrite graph"
 
-    ok = (
-        all_tight_match
-        and all_strict
-        and all_simple
-        and vertices_distinct
-        and irredundant
-        and graphs_equal
-        and graph_connected
-        and degrees_ok
-        and sigma_ok
-        and euler_ok
-        and count_ok
+    def connected():
+        if not rewrite().is_connected():
+            yield "graph_connected", "rewrite graph is not connected"
+
+    def regular():
+        if any(rewrite().degree(i) != n for i in range(len(rewrite().vertices))):
+            yield "graph_regular", "rewrite graph is not n-regular"
+
+    def one_sigma_edge():
+        if any(rewrite().kind_degree(i, SIGMA) != 1 for i in range(len(rewrite().vertices))):
+            yield "sigma_degree_ok", "some vertex does not have exactly one sigma edge"
+
+    def euler():
+        if sum((-1) ** k * fv()[k] for k in range(n)) != 1 - (-1) ** n:
+            yield "euler_ok", f"Euler relation fails for f-vector {fv()}"
+
+    def vertex_count():
+        expected = prod(range(n + 1, 2 * n + 1))
+        if len(verts) != expected or fv()[0] != expected:
+            yield None, f"vertex count {len(verts)} differs from (2n)!/n! = {expected}"
+
+    checks = (
+        (("tight_sets_match", "strict_inequalities", "simple"), vertices),
+        (("vertices_distinct",), distinct),
+        (("facets_irredundant",), irredundant),
+        (("graphs_equal",), graphs_equal),
+        (("graph_connected",), connected),
+        (("graph_regular",), regular),
+        (("sigma_degree_ok",), one_sigma_edge),
+        (("euler_ok",), euler),
+        ((), vertex_count),
     )
+    failures: list[str] = []
+    failed = set()
+    for _, check in checks:
+        for key, message in check():
+            failed.add(key)
+            if len(failures) < _MAX_REPORTED_FAILURES:
+                failures.append(message)
+            elif len(failures) == _MAX_REPORTED_FAILURES:
+                failures.append("... more failures suppressed")
+
     return {
         "n": n,
         "perturbed": perturb,
         "vertex_count": len(verts),
         "facet_count": len(table),
-        "f_vector": list(fv),
-        "euler_ok": euler_ok,
-        "tight_sets_match": all_tight_match,
-        "strict_inequalities": all_strict,
-        "simple": all_simple,
-        "vertices_distinct": vertices_distinct,
-        "facets_irredundant": irredundant,
-        "graphs_equal": graphs_equal,
-        "graph_connected": graph_connected,
-        "graph_regular": degrees_ok,
-        "sigma_degree_ok": sigma_ok,
+        "f_vector": list(fv()),
+        **{key: key not in failed for keys, _ in checks for key in keys},
         "failures": failures,
-        "ok": ok,
+        "ok": not failed,
     }

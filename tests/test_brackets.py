@@ -68,6 +68,15 @@ def test_parse_rejects_malformed_input(text, n):
     assert 0 <= err.value.position <= len(text)
 
 
+def test_parse_bounds_the_nesting_depth_by_n():
+    # the deepest valid tree over 0..4 nests four pairs of parentheses
+    assert print_bracketing(parse_bracketing("((((0*1)*2)*3)*4)", 4)) == "((((0*1)*2)*3)*4)"
+    for text, n, position in (("(" * 3000, 1, 1), ("(((((0*1)*2)*3)*4)", 3, 3), ("0*((", 1, 3)):
+        with pytest.raises(BracketSyntaxError, match="deeper") as err:
+            parse_bracketing(text, n)
+        assert err.value.position == position
+
+
 def test_roundtrip_on_all_canonical_strings():
     for n in (1, 2):
         for b in all_bracketings(n):

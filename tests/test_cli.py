@@ -2,6 +2,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from simplepa.cli import main
 
 EXPECTED_INE_N1 = """H-representation
@@ -117,8 +119,66 @@ def test_bracketing_record(capsys):
 
 
 def test_bracketing_parse_error(capsys):
-    assert run(["bracketing", "--n", "3", "--parse", "((2*3)*(0*1)"]) == 2
-    assert "position" in capsys.readouterr().err
+    # the second input nests far deeper than any tree over 0..1
+    for n, text in (("3", "((2*3)*(0*1)"), ("1", "(" * 3000)):
+        assert run(["bracketing", "--n", n, "--parse", text]) == 2
+        err = capsys.readouterr().err
+        assert "position" in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check"],
+        ["bogus"],
+        [],
+        ["check", "--n", "two"],
+        ["faces", "--n", "3"],
+    ],
+)
+def test_usage_errors_take_one_stderr_line(argv, capsys):
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("pa: ") and captured.err.count("\n") == 1
+
+
+def test_help_still_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        run(["check", "--help"])
+    assert exit_info.value.code == 0
+    assert "--perturb" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["generate", "--hrep", "unused.ine"],
+        ["check"],
+        ["faces", "--dim", "0"],
+        ["graph", "--dot", "unused.dot"],
+        ["bracketing", "--parse", "(0*1)"],
+        ["export", "--off", "unused.off"],
+    ],
+)
+def test_every_subcommand_refuses_n_above_the_cap(argv, monkeypatch, capsys, tmp_path):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("PA_MAX_N", raising=False)
+    assert run([*argv, "--n", "7"]) == 2
+    err = capsys.readouterr().err
+    assert "cap 6" in err and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_max_n_lifts_the_cap_for_bracketing_and_hrep(monkeypatch, capsys, tmp_path):
+    monkeypatch.setenv("PA_MAX_N", "2")
+    out = tmp_path / "n3.ine"
+    assert run(["bracketing", "--n", "3", "--parse", "((2*3)*(0*1))"]) == 2
+    assert run(["generate", "--n", "3", "--hrep", str(out)]) == 2
+    assert "cap 2" in capsys.readouterr().err
+    assert run(["bracketing", "--n", "3", "--max-n", "3", "--parse", "((2*3)*(0*1))"]) == 0
+    assert run(["generate", "--n", "3", "--max-n", "3", "--hrep", str(out)]) == 0
+    assert out.read_text().splitlines()[3] == "63 5 rational"  # 62 facets plus the ambient row
 
 
 def test_export_off_n3(tmp_path):

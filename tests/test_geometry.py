@@ -31,7 +31,9 @@ from simplepa import (
     vertex_coordinates,
     verify_vertex,
 )
-from simplepa.geometry import GE, _facet_table
+from simplepa import geometry
+from simplepa.brackets import from_nested, print_bracketing
+from simplepa.geometry import GE, VertexReport, _facet_table
 
 
 def test_facet_rhs_values():
@@ -354,3 +356,51 @@ def test_realization_report_clean_and_perturbed():
     assert not bad["ok"]
     assert not bad["strict_inequalities"]
     assert bad["failures"]
+
+    keys = {
+        "n", "perturbed", "vertex_count", "facet_count", "f_vector", "euler_ok",
+        "tight_sets_match", "strict_inequalities", "simple", "vertices_distinct",
+        "facets_irredundant", "graphs_equal", "graph_connected", "graph_regular",
+        "sigma_degree_ok", "failures", "ok",
+    }
+    assert set(report) == set(bad) == keys
+
+
+def test_realization_report_interleaves_vertex_failures_and_caps_them(monkeypatch):
+    def nothing_tight(v, n, facets=None):
+        return VertexReport(vertex_coordinates(v, n), frozenset(), False, False)
+
+    monkeypatch.setattr(geometry, "verify_vertex", nothing_tight)
+    report = realization_report(3)
+    label = print_bracketing(from_nested(enumerate_vertices(3)[0]))
+    assert report["failures"][:3] == [
+        f"vertex {label}: tight facets differ from its own chains",
+        f"vertex {label}: some outside facet is not strict",
+        f"vertex {label}: tight on 0 facets, expected 3",
+    ]
+    assert len(report["failures"]) == 21
+    assert report["failures"][-1] == "... more failures suppressed"
+    assert not (report["tight_sets_match"] or report["strict_inequalities"] or report["simple"])
+    assert not report["facets_irredundant"]
+    assert not report["ok"]
+
+
+def test_realization_report_flags_a_wrong_f_vector(monkeypatch):
+    monkeypatch.setattr(geometry, "f_vector", lambda n, max_n=None: (121, 180, 62))
+    report = realization_report(3)
+    assert report["failures"] == [
+        "Euler relation fails for f-vector (121, 180, 62)",
+        "vertex count 120 differs from (2n)!/n! = 120",
+    ]
+    assert not report["euler_ok"]
+    assert not report["ok"]
+    flags = [key for key, value in report.items() if value is True]
+    assert len(flags) == 9 and "euler_ok" not in flags
+
+    # Euler holds for this one, so only the vertex count, which has no flag
+    # of its own, can make the report fail
+    monkeypatch.setattr(geometry, "f_vector", lambda n, max_n=None: (121, 181, 62))
+    report = realization_report(3)
+    assert report["failures"] == ["vertex count 120 differs from (2n)!/n! = 120"]
+    assert report["euler_ok"]
+    assert not report["ok"]
