@@ -24,7 +24,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
-from .limits import check_cap
+from .limits import check_cap, check_n
 from .nestedsets import Chain, NestedSet, enumerate_vertices, is_full_chain
 
 ALPHA = "alpha"
@@ -179,8 +179,7 @@ def parse_bracketing(text: str, n: int) -> Bracketing:
     syntax error, non-binary product, or leaf multiset that is not exactly
     a permutation of 0..n.
     """
-    if n < 1:
-        raise ValueError(f"n must be at least 1, got {n}")
+    check_n(n)
     tokens = _tokenize(text)
     pos = 0
     leaves: list[tuple[int, int]] = []  # (label, source position)
@@ -394,8 +393,7 @@ def _all_bracketings(n: int) -> tuple[Bracketing, ...]:
 
 def all_bracketings(n: int, max_n: int | None = None) -> list[Bracketing]:
     """Every bracketing of every permutation of 0..n, sorted by printed string."""
-    if n < 1:
-        raise ValueError(f"n must be at least 1, got {n}")
+    check_n(n)
     check_cap(n, max_n)
     return list(_all_bracketings(n))
 

@@ -19,8 +19,9 @@ alpha edges, the dodecagon alternates alpha and sigma all the way round.
 
 from __future__ import annotations
 
+from collections import Counter
 from collections.abc import Iterable, Mapping
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 from .nestedsets import (
@@ -146,10 +147,12 @@ def boundary_cycle(f: Iterable[Chain], n: int, max_n: int | None = None) -> list
 @dataclass(frozen=True)
 class DiagramCensus:
     """Counts of 2-face diagram types; the polytope body (only a 2-face when
-    n = 2) is tallied separately rather than classified."""
+    n = 2) is tallied separately rather than classified.  ``faces`` pairs each
+    2-face, in canonical order, with the type it was counted under (or None)."""
 
     counts: Mapping[DiagramType, int]
     body_faces: int
+    faces: tuple[tuple[NestedSet, DiagramType | None], ...] = field(default=(), repr=False)
 
     @property
     def total(self) -> int:
@@ -157,15 +160,9 @@ class DiagramCensus:
 
 
 def diagram_census(n: int, max_n: int | None = None) -> DiagramCensus:
-    """Classify every 2-face and tally the counts per diagram type."""
-    if n < 2:
-        raise ValueError("the census needs n >= 2")
-    counts: dict[DiagramType, int] = {}
-    body = 0
-    for f in faces(n, 2, max_n=max_n):
-        if not f:
-            body += 1
-            continue
-        kind = classify_2_face(f, n)
-        counts[kind] = counts.get(kind, 0) + 1
-    return DiagramCensus(counts, body)
+    """Classify every 2-face once and tally the counts per diagram type
+    (n >= 2: PA_1 has no 2-faces, and ``faces`` rejects dim 2 there)."""
+    labelled = tuple((f, classify_2_face(f, n) if f else None) for f in faces(n, 2, max_n=max_n))
+    counts = Counter(kind for _, kind in labelled)
+    body = counts.pop(None, 0)
+    return DiagramCensus(dict(counts), body, labelled)

@@ -24,7 +24,7 @@ from .brackets import (
     to_nested,
     vertices_in_printed_order,
 )
-from .classify import boundary_cycle, classify_2_face, diagram_census
+from .classify import boundary_cycle, diagram_census
 from .geometry import (
     f_vector,
     h_representation,
@@ -116,18 +116,22 @@ def render_dot(graph: RewriteGraph) -> str:
 
 
 def render_faces(n: int, dim: int, classify: bool, max_n: int | None = None) -> str:
-    payload: dict = {"n": n, "dim": dim}
-    face_list = faces(n, dim, max_n=max_n)
-    payload["count"] = len(face_list)
-    entries = []
-    for f in face_list:
-        entry: dict = {"chains": [_chain_record(c) for c in sorted(f, key=Chain.sort_key)]}
-        if classify and dim == 2 and f:
-            entry["type"] = classify_2_face(f, n).value
-        entries.append(entry)
-    payload["faces"] = entries
-    if classify and dim == 2:
+    if classify:
+        if dim != 2:
+            raise ValueError("--classify only applies to --dim 2")
         census = diagram_census(n, max_n=max_n)
+        labelled = census.faces
+    else:
+        labelled = [(f, None) for f in faces(n, dim, max_n=max_n)]
+    records = {c: _chain_record(c) for c in enumerate_chains(n)}
+    entries = []
+    for f, kind in labelled:
+        entry: dict = {"chains": [records[c] for c in sorted(f, key=Chain.sort_key)]}
+        if kind is not None:
+            entry["type"] = kind.value
+        entries.append(entry)
+    payload = {"n": n, "dim": dim, "count": len(entries), "faces": entries}
+    if classify:
         payload["census"] = {kind.value: count for kind, count in sorted(census.counts.items())}
         payload["body_faces"] = census.body_faces
     return _dump_json(payload)
@@ -190,8 +194,6 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_faces(args) -> int:
-    if args.classify and args.dim != 2:
-        raise UsageError("--classify only applies to --dim 2")
     text = render_faces(args.n, args.dim, args.classify, args.max_n)
     if args.out:
         _write_atomic(args.out, text)

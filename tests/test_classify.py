@@ -127,3 +127,14 @@ def test_diagram_census_n3():
 def test_diagram_census_validation():
     with pytest.raises(ValueError):
         diagram_census(1)
+
+
+def test_diagram_census_carries_each_face_with_its_type():
+    for n in (2, 3, 4):
+        census = diagram_census(n)
+        assert [f for f, _ in census.faces] == faces(n, 2)
+        assert all(kind == (classify_2_face(f, n) if f else None) for f, kind in census.faces)
+        assert census.total + census.body_faces == len(census.faces)
+        assert repr(census) == (
+            f"DiagramCensus(counts={census.counts!r}, body_faces={census.body_faces})"
+        )

@@ -80,6 +80,26 @@ def test_check_perturbed_fails(capsys):
     assert report["failures"]
 
 
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_check_perturbed_fails_from_n2(n, capsys):
+    assert run(["check", "--n", str(n), "--perturb"]) == 1
+    assert json.loads(capsys.readouterr().out)["ok"] is False
+
+
+@pytest.mark.parametrize(
+    ("argv", "message"),
+    [
+        (["check", "--n", "1", "--perturb"], "perturb needs n >= 2"),
+        (["faces", "--n", "0", "--dim", "0"], "n must be at least 1, got 0"),
+    ],
+)
+def test_degenerate_n_is_refused_in_one_stderr_line(argv, message, capsys):
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"pa: {message}") and captured.err.count("\n") == 1
+
+
 def test_faces_census(tmp_path):
     out = tmp_path / "faces.json"
     assert run(["faces", "--n", "3", "--dim", "2", "--classify", "--out", str(out)]) == 0

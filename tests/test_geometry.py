@@ -366,6 +366,13 @@ def test_realization_report_clean_and_perturbed():
     assert set(report) == set(bad) == keys
 
 
+def test_realization_report_refuses_perturb_at_n1():
+    # at n = 1 the lowered bound still leaves a valid segment: nothing could fail
+    with pytest.raises(ValueError, match="n >= 2"):
+        realization_report(1, perturb=True)
+    assert realization_report(1)["ok"]
+
+
 def test_realization_report_interleaves_vertex_failures_and_caps_them(monkeypatch):
     def nothing_tight(v, n, facets=None):
         return VertexReport(vertex_coordinates(v, n), frozenset(), False, False)

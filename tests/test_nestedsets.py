@@ -152,6 +152,13 @@ def test_faces_rejects_bad_dimension():
         faces(2, -1)
 
 
+@pytest.mark.parametrize("route", [faces, faces_via_cliques])
+@pytest.mark.parametrize("dim", [0, 1])
+def test_faces_reject_n_below_one_before_the_dimension(route, dim):
+    with pytest.raises(ValueError, match="n must be at least 1, got 0"):
+        route(0, dim)
+
+
 def test_faces_agree_with_clique_route():
     for n in (1, 2, 3):
         for dim in range(n + 1):

@@ -1,0 +1,79 @@
+"""Byte-identity pins: the sha256 of each small ``pa`` output.
+
+Every case runs through :func:`simplepa.cli.main` in this process.  A case
+that writes a file (``--hrep``, ``--vrep``, ``--dot``, ``--off``) is pinned by
+the file's bytes, any other by its stdout; the exit code is pinned too.  A
+refactor that changes any of these bytes fails here, so "same outputs" is
+checked on every run instead of by hand.
+"""
+
+import hashlib
+
+import pytest
+
+from simplepa import classify, cli
+from simplepa.cli import main, render_faces
+from simplepa.nestedsets import faces
+
+_FILE_FLAGS = ("--hrep", "--vrep", "--dot", "--off")
+
+# (command line, exit code, sha256 of the output)
+PINNED = [
+    ("generate --n 1 --hrep", 0, "0c9d15cc99edd7ba296dd989ba15c2a2cc698e7a695a808cbc4c97929d86968b"),
+    ("generate --n 1 --vrep", 0, "a0f276e0c62268fdb4a3cc02b36e7a17140f0b37a9dfc799400fd6c90657e952"),
+    ("graph --n 1 --dot", 0, "f3a170c523dd022554517fa75673315d1524a149d966fcd6458961b5075ae46d"),
+    ("faces --n 1 --dim 0", 0, "b8718ab119008530d6556e26008f63eda8339156671e774d396b49d5736f918d"),
+    ("faces --n 1 --dim 1", 0, "2e0287f7784b76840d73f20364a14a3e25b5d14d53fab5f907dcec3eda16c6df"),
+    ("check --n 1", 0, "33dfc9f262c8aa34945ba0d2bf56145dc0621be0f5ef0f7f4c4476d245227c63"),
+    ("generate --n 2 --hrep", 0, "b44a090932daddb17bd78c482d53c7ee10312444778b191638875bc145c3b000"),
+    ("generate --n 2 --vrep", 0, "3fab6acdfaa8d821bba73231b01f2c522ca59eee0e0bc519244e9f5181d71e82"),
+    ("graph --n 2 --dot", 0, "0f8f77c8c30b34bd4eefc4524996eb9d74f8a074f4770224bb54942d1a582605"),
+    ("faces --n 2 --dim 0", 0, "842be44c6cf5effbfde3fafa861ef1a7cb34ed75cdd99e3d367d918704510d45"),
+    ("faces --n 2 --dim 1", 0, "fda6484be4e2145a11d6d6e196d7f4a8d47a4590616db88ba6fc55e0b5575a8d"),
+    ("faces --n 2 --dim 2", 0, "702746a8504aa54aedbbe19bc635a3e928076c630a577c6087f408ba38352e12"),
+    ("check --n 2", 0, "1c99c226f09cb1fb838a2b3cfa0facfd233d215a71cbb406acdd690ceca5f2b7"),
+    ("check --n 2 --perturb", 1, "8cae3c0e0a983228b544afd9f8e34157bdd5e504a3d8bd1ea6d5b8da786584f4"),
+    ("generate --n 3 --hrep", 0, "b3f7cdf0b582b41d4114f9e76397f3f2d2af95bf6d48cc1405f6a9c146eb9b93"),
+    ("generate --n 3 --vrep", 0, "dfbe1a968d0a804ded824675170f6e36649180c35f1aa16d3d61899f013ffe8f"),
+    ("graph --n 3 --dot", 0, "0752744be2e131be95d3caff8b0b3993fa3927351e90efda29e21932dabb8f86"),
+    ("faces --n 3 --dim 0", 0, "8b07ee3ea271992507897fd0a95c9a1055f7b5ad364593e1813d6ed6f445e0b6"),
+    ("faces --n 3 --dim 1", 0, "35d7c89bf0ea5ff0cb5c3c220a075642716f3e16bce3924e6c89d5b6baec7d28"),
+    ("faces --n 3 --dim 2", 0, "0222dcf89179415579e2759c7d4ecbed82b4d1ac13884978f71086da115ef240"),
+    ("faces --n 3 --dim 3", 0, "1a57be89e083427db9792af85ae61a830ffb0255c2c5eb1e74d750757cd90079"),
+    ("check --n 3", 0, "e91ac20e349f002f83393efd07217ae4d5e294e34b14a4ed1825f1901b3b8d15"),
+    ("check --n 3 --perturb", 1, "596fc946ca4787e01726b617a0113d51c3dac39cb216ddafb8b84d4e67838930"),
+    ("faces --n 2 --dim 2 --classify", 0, "0ba2a8efda0f82c301a0c38b077002837ded60ff4759c3509b0e810cdcf510fb"),
+    ("faces --n 3 --dim 2 --classify", 0, "8b52f7a7a0569f7fa13a768c3c1acc5c1aae6fad46dad677014af60c7cdc12cc"),
+    ("faces --n 4 --dim 2 --classify", 0, "b06e365a01ec4890162e2ece94f74534ee84ffa8ceb1faf30be9fbb9b48fd887"),
+    ("export --n 3 --off", 0, "b99d776f9c5de7b2ed74605c697f822bdf77b1708a9afa462009e319748101ae"),
+]
+
+
+@pytest.mark.parametrize(("argv", "code", "digest"), PINNED, ids=[row[0] for row in PINNED])
+def test_output_is_byte_identical(argv, code, digest, tmp_path, capsys):
+    args = argv.split()
+    out = tmp_path / "out"
+    if args[-1] in _FILE_FLAGS:
+        args.append(str(out))
+    assert main(args) == code
+    captured = capsys.readouterr()
+    data = out.read_bytes() if out.exists() else captured.out.encode()
+    assert captured.err == ""
+    assert hashlib.sha256(data).hexdigest() == digest
+
+
+def test_classified_faces_classify_each_face_once(monkeypatch):
+    calls = []
+    original = classify.classify_2_face
+
+    def counting(f, n):
+        calls.append(f)
+        return original(f, n)
+
+    # count a classifier bound in cli too, so a second classification pass
+    # there would show up as extra calls
+    monkeypatch.setattr(classify, "classify_2_face", counting)
+    monkeypatch.setattr(cli, "classify_2_face", counting, raising=False)
+    render_faces(4, 2, True)
+    assert len(faces(4, 2)) == len(calls) == 2020
+    assert len(set(calls)) == len(calls)
