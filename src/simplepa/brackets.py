@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 from .limits import check_cap, check_n
-from .nestedsets import Chain, NestedSet, enumerate_vertices, is_full_chain
+from .nestedsets import Chain, NestedSet, enumerate_vertices, is_full_chain, suffix_interval
 
 ALPHA = "alpha"
 SIGMA = "sigma"
@@ -281,18 +281,12 @@ def from_nested(v: NestedSet) -> Bracketing:
         raise ValueError(f"labels of {anchor} do not cover 0..{n} minus one")
     perm = (missing.pop(), *tail)
 
-    suffixes = [frozenset(perm[j:]) for j in range(n + 1)]
     spans = set()
     for c in chains:
-        indices = []
-        for s in c.sets():
-            j = n + 1 - len(s)
-            if j < 1 or suffixes[j] != s:
-                raise ValueError(f"{c} is not derived from the complete chain of the set")
-            indices.append(j)
-        lo, hi = min(indices), max(indices)
-        if len(indices) != hi - lo + 1:
-            raise ValueError(f"{c} does not cover a contiguous block")
+        interval = suffix_interval(c, perm)
+        if interval is None:
+            raise ValueError(f"{c} is not derived from the complete chain of the set")
+        lo, hi = interval
         spans.add((lo - 1, hi))
     if len(spans) != n:
         raise ValueError("chains do not give distinct bracket pairs")

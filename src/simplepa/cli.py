@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import stat
 import sys
 import tempfile
 from fractions import Fraction
@@ -52,12 +53,23 @@ def _chain_record(chain: Chain) -> dict:
     }
 
 
+def _plain_write_mode(path: str) -> int:
+    """The mode ``open(path, "w")`` leaves: the file's own, else 0666 less the umask."""
+    try:
+        return stat.S_IMODE(os.stat(path).st_mode)
+    except FileNotFoundError:
+        umask = os.umask(0)
+        os.umask(umask)
+        return 0o666 & ~umask
+
+
 def _write_atomic(path: str, data: str) -> None:
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".pa-tmp-")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
             handle.write(data)
+        os.chmod(tmp, _plain_write_mode(path))  # mkstemp made it 0600
         os.replace(tmp, path)
     except BaseException:
         try:

@@ -33,6 +33,7 @@ from .nestedsets import (
     faces,
     is_full_chain,
     is_nested,
+    suffix_interval,
 )
 
 EQ = "="
@@ -166,7 +167,7 @@ def vertex_coordinates(v: NestedSet, n: int) -> Point:
         raise ValueError(f"expected a maximal nested set of cardinality {n}")
     if not is_nested(v, n):
         raise ValueError("the given chains are not nested")
-    return _solve_vertex(v, n, _facet_table(n))
+    return _solve_vertex(v, n, {c: facet_inequality(c, n) for c in v})
 
 
 @dataclass(frozen=True)
@@ -313,13 +314,7 @@ def normalized_functional(h: Hyperplane, n: int) -> tuple[tuple[Fraction, ...], 
 def standard_chain_interval(chain: Chain, n: int) -> tuple[int, int] | None:
     """The 1-based index interval (a, b) when every set of the chain is a
     suffix {j, ..., n}; None for chains not of that shape."""
-    indices = []
-    for s in chain.sets():
-        j = n + 1 - len(s)
-        if j < 1 or s != frozenset(range(j, n + 1)):
-            return None
-        indices.append(j)
-    return min(indices), max(indices)
+    return suffix_interval(chain, range(n + 1))
 
 
 def top_simplex_points(n: int) -> list[Point]:

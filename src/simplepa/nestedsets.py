@@ -14,9 +14,9 @@ maximal ones (cardinality n) are the vertices.
 from __future__ import annotations
 
 import itertools
-from collections.abc import Iterable
-from dataclasses import dataclass
-from functools import lru_cache
+from collections.abc import Iterable, Sequence
+from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
 
 from .limits import check_cap, check_n
 
@@ -28,33 +28,52 @@ class Chain:
     Encoded as the smallest set (``core``) together with the labels that the
     larger sets add, listed outermost first (``ext``).  The j-th set of the
     chain, counted from the largest, is ``core | set(ext[j:])``; the chain
-    has ``len(ext) + 1`` sets in total.
+    has ``len(ext) + 1`` sets in total.  Construction rejects an empty core
+    and repeated or negative labels; ``mask`` is the top set as a bitmask.
     """
 
     core: frozenset[int]
     ext: tuple[int, ...] = ()
+    mask: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "core", frozenset(self.core))
-        object.__setattr__(self, "ext", tuple(self.ext))
+        core, ext = frozenset(self.core), tuple(self.ext)
+        object.__setattr__(self, "core", core)
+        object.__setattr__(self, "ext", ext)
+        if not core:
+            raise ValueError("chain core must be non-empty")
+        labels = core.union(ext)
+        if len(labels) != len(core) + len(ext):
+            raise ValueError(f"labels of {self} are not distinct")
+        if min(labels) < 0:
+            raise ValueError(f"labels of {self} must be non-negative")
+        object.__setattr__(self, "mask", sum(1 << lab for lab in labels))
 
     @classmethod
     def from_sets(cls, sets: Iterable[Iterable[int]]) -> "Chain":
         """Build a chain from its family of sets (any order)."""
         family = sorted({frozenset(s) for s in sets}, key=len, reverse=True)
-        if not family:
-            raise ValueError("a chain needs at least one set")
         ext = []
         for big, small in zip(family, family[1:]):
             step = big - small
             if not small < big or len(step) != 1:
                 raise ValueError(f"sets {set(big)} and {set(small)} do not differ by one label")
             ext.extend(step)
-        return cls(family[-1], tuple(ext))
+        return cls(family[-1] if family else frozenset(), tuple(ext))
 
     def sets(self) -> tuple[frozenset[int], ...]:
         """The sets of the chain, largest first."""
         return tuple(self.core | frozenset(self.ext[j:]) for j in range(len(self.ext) + 1))
+
+    @cached_property
+    def family(self) -> frozenset[int]:
+        """The chain's sets as label bitmasks; ``==`` and ``hash`` ignore it."""
+        cur = self.mask
+        masks = [cur]
+        for lab in self.ext:
+            cur ^= 1 << lab
+            masks.append(cur)
+        return frozenset(masks)
 
     @property
     def top(self) -> frozenset[int]:
@@ -71,7 +90,11 @@ class Chain:
 
     def check(self, n: int) -> None:
         """Validate the chain over labels 0..n; raises ValueError if invalid."""
-        _check_chain(self, n)
+        check_n(n)
+        if self.mask >> (n + 1):
+            raise ValueError(f"labels of {self} fall outside 0..{n}")
+        if self.mask.bit_count() > n:
+            raise ValueError(f"top set of {self} must be a proper subset of 0..{n}")
 
     def __repr__(self):
         core = "{" + ",".join(map(str, sorted(self.core))) + "}"
@@ -82,37 +105,9 @@ class Chain:
 NestedSet = frozenset[Chain]
 
 
-@lru_cache(maxsize=None)
-def _check_chain(chain: Chain, n: int) -> bool:
-    check_n(n)
-    labels = chain.core | set(chain.ext)
-    if not chain.core:
-        raise ValueError("chain core must be non-empty")
-    if len(chain.ext) != len(set(chain.ext)) or len(labels) != len(chain.core) + len(chain.ext):
-        raise ValueError(f"labels of {chain} are not distinct")
-    if not all(0 <= v <= n for v in labels):
-        raise ValueError(f"labels of {chain} fall outside 0..{n}")
-    if len(labels) > n:
-        raise ValueError(f"top set of {chain} must be a proper subset of 0..{n}")
-    return True
-
-
-@lru_cache(maxsize=None)
-def _family(chain: Chain) -> frozenset[int]:
-    """The chain's sets as label bitmasks."""
-    cur = 0
-    for lab in chain.core:
-        cur |= 1 << lab
-    masks = [cur]
-    for lab in reversed(chain.ext):
-        cur |= 1 << lab
-        masks.append(cur)
-    return frozenset(masks)
-
-
 def comparable(a: Chain, b: Chain) -> bool:
     """Whether one chain's family of sets contains the other's."""
-    fa, fb = _family(a), _family(b)
+    fa, fb = a.family, b.family
     return fa <= fb or fb <= fa
 
 
@@ -129,12 +124,8 @@ def _union_admissible(masks: Iterable[int]) -> bool:
     return gapped
 
 
-@lru_cache(maxsize=None)
-def _pair_compatible(a: Chain, b: Chain) -> bool:
-    fa, fb = _family(a), _family(b)
-    if fa <= fb or fb <= fa:
-        return True
-    return _union_admissible(fa | fb)
+def _compatible(a: Chain, b: Chain) -> bool:
+    return comparable(a, b) or _union_admissible(a.family | b.family)
 
 
 def is_nested(chains: Iterable[Chain], n: int) -> bool:
@@ -142,8 +133,8 @@ def is_nested(chains: Iterable[Chain], n: int) -> bool:
     into a descending family with a step of size at least two."""
     members = list(chains)
     for c in members:
-        _check_chain(c, n)
-    return all(_pair_compatible(a, b) for a, b in itertools.combinations(members, 2))
+        c.check(n)
+    return all(_compatible(a, b) for a, b in itertools.combinations(members, 2))
 
 
 def is_nested_oracle(chains: Iterable[Chain], n: int) -> bool:
@@ -152,8 +143,8 @@ def is_nested_oracle(chains: Iterable[Chain], n: int) -> bool:
     with a gap.  Agrees with :func:`is_nested` on all inputs."""
     members = list(dict.fromkeys(chains))
     for c in members:
-        _check_chain(c, n)
-    fams = [_family(c) for c in members]
+        c.check(n)
+    fams = [c.family for c in members]
     for size in range(2, len(members) + 1):
         for combo in itertools.combinations(range(len(members)), size):
             if any(
@@ -191,6 +182,16 @@ def is_full_chain(chain: Chain, n: int) -> bool:
     return chain.num_sets == n
 
 
+def suffix_interval(chain: Chain, perm: Sequence[int]) -> tuple[int, int] | None:
+    """The 1-based interval (a, b) with the chain's sets, largest first,
+    equal to the suffixes perm[a:], ..., perm[b:]; None when they are not."""
+    a = len(perm) - len(chain.top)
+    b = a + len(chain.ext)
+    if a < 1 or chain.ext != tuple(perm[a:b]) or chain.core != frozenset(perm[b:]):
+        return None
+    return a, b
+
+
 def nested_key(chains: Iterable[Chain]):
     """Canonical sort key for a set of chains."""
     return tuple(sorted(c.sort_key() for c in chains))
@@ -200,7 +201,8 @@ def nested_key(chains: Iterable[Chain]):
 def _vertices(n: int) -> tuple[NestedSet, ...]:
     from .brackets import all_bracketings, to_nested
 
-    verts = [to_nested(b) for b in all_bracketings(n, max_n=n)]
+    canonical = {c: c for c in _enumerate_chains(n)}  # every vertex shares these objects
+    verts = [frozenset(canonical[c] for c in to_nested(b)) for b in all_bracketings(n, max_n=n)]
     verts.sort(key=nested_key)
     return tuple(verts)
 
@@ -257,7 +259,7 @@ def faces_via_cliques(n: int, dim: int, max_n: int | None = None) -> list[Nested
             return
         for i in range(start, len(chains)):
             c = chains[i]
-            if all(_pair_compatible(c, m) for m in members):
+            if all(_compatible(c, m) for m in members):
                 members.append(c)
                 extend(i + 1)
                 members.pop()
@@ -272,10 +274,6 @@ def superficial_count(face: Iterable[Chain], chain: Chain) -> int:
     members = frozenset(face)
     if chain not in members:
         raise ValueError(f"{chain} is not a member of the face")
-    fam = _family(chain)
-    covered: set[int] = set()
-    for other in members:
-        other_fam = _family(other)
-        if other_fam < fam:
-            covered |= other_fam
-    return sum(1 for mask in fam if mask not in covered)
+    fam = chain.family
+    covered = set().union(*(other.family for other in members if other.family < fam))
+    return len(fam - covered)

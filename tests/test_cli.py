@@ -1,4 +1,6 @@
 import json
+import os
+import stat
 import subprocess
 import sys
 
@@ -247,6 +249,23 @@ def test_identical_runs_are_byte_identical(tmp_path):
     run(["generate", "--n", "2", "--hrep", str(first)])
     run(["generate", "--n", "2", "--hrep", str(second)])
     assert first.read_bytes() == second.read_bytes()
+
+
+def test_written_files_get_the_mode_of_a_plain_write(tmp_path):
+    previous = os.umask(0o022)
+    try:
+        plain = tmp_path / "plain.ine"
+        with open(plain, "w"):
+            pass
+        out = tmp_path / "pa.ine"
+        assert run(["generate", "--n", "2", "--hrep", str(out)]) == 0
+        assert stat.S_IMODE(out.stat().st_mode) == stat.S_IMODE(plain.stat().st_mode) == 0o644
+        # an existing file keeps its mode, as open(path, "w") would leave it
+        out.chmod(0o640)
+        assert run(["generate", "--n", "2", "--hrep", str(out)]) == 0
+        assert stat.S_IMODE(out.stat().st_mode) == 0o640
+    finally:
+        os.umask(previous)
 
 
 def test_resource_cap_rejects_bad_settings(monkeypatch, capsys):

@@ -1,4 +1,5 @@
 import itertools
+import json
 from fractions import Fraction
 
 import pytest
@@ -33,6 +34,7 @@ from simplepa import (
 )
 from simplepa import geometry
 from simplepa.brackets import from_nested, print_bracketing
+from simplepa.cli import render_bracketing_record
 from simplepa.geometry import GE, VertexReport, _facet_table
 
 
@@ -107,6 +109,17 @@ def test_vertex_coordinates_validation():
         vertex_coordinates(frozenset([chain_of({1})]), 2)  # not maximal
     with pytest.raises(ValueError):
         vertex_coordinates(frozenset([chain_of({2}), chain_of({1, 2})]), 2)  # not nested
+
+
+def test_lookup_at_n7_solves_from_its_own_facets():
+    _facet_table.cache_clear()
+    record = json.loads(render_bracketing_record("((3*(7*0))*(((5*2)*6)*(1*4)))", 7))
+    assert _facet_table.cache_info().currsize == 0  # no 118,974-row table was built
+    point = [Fraction(x) for x in record["coordinates"]]
+    assert sum(point) == 3**8
+    assert len(record["tight"]) == 7
+    for row in record["tight"]:
+        assert facet_inequality(Chain(row["core"], row["ext"]), 7).tight(point)
 
 
 def test_verify_vertex_all_pass_n2():
@@ -281,6 +294,7 @@ def test_standard_chain_interval():
     assert standard_chain_interval(Chain({3}, (1, 2)), 3) == (1, 3)
     assert standard_chain_interval(Chain({2, 3}), 3) == (2, 2)
     assert standard_chain_interval(Chain({0}), 3) is None
+    assert standard_chain_interval(Chain({1, 2}, (0,)), 2) is None  # top set is all of 0..n
 
 
 def test_top_simplex_points():

@@ -40,13 +40,39 @@ def test_chain_from_sets_rejects_bad_families():
 def test_chain_validation():
     Chain({0}, (1,)).check(2)
     with pytest.raises(ValueError):
-        Chain({0}, (0,)).check(2)  # repeated label
-    with pytest.raises(ValueError):
         Chain({0}, (3,)).check(2)  # label out of range
     with pytest.raises(ValueError):
         Chain({0, 1}, (2,)).check(2)  # top set not proper
     with pytest.raises(ValueError):
-        Chain(frozenset()).check(2)
+        Chain({0}).check(0)  # no polytope at n = 0
+    # malformed chains are refused at construction, before any n is known
+    with pytest.raises(ValueError, match="not distinct"):
+        Chain({0}, (0,))
+    with pytest.raises(ValueError, match="not distinct"):
+        Chain({0}, (1, 1))
+    with pytest.raises(ValueError, match="non-empty"):
+        Chain(frozenset())
+    with pytest.raises(ValueError, match="non-negative"):
+        Chain({-1})
+    with pytest.raises(ValueError, match="non-negative"):
+        Chain({0}, (-2,))
+
+
+def test_chain_mask_and_family_stay_out_of_equality():
+    c = Chain({1}, (3, 0))
+    assert c.mask == 0b1011
+    assert c.family == frozenset({0b1011, 0b0011, 0b0010})
+    assert c.family == frozenset(sum(1 << lab for lab in s) for s in c.sets())
+    assert c == Chain(frozenset({1}), (3, 0)) and hash(c) == hash(Chain({1}, [3, 0]))
+    assert repr(c) == "Chain({1}, [3, 0])"
+
+
+def test_vertices_share_the_enumerated_chain_objects():
+    chains = {id(c) for c in enumerate_chains(3)}
+    for v in enumerate_vertices(3):
+        assert all(id(c) in chains for c in v)
+    for f in faces(3, 1):
+        assert all(id(c) in chains for c in f)
 
 
 def test_enumerate_chains_n1():
