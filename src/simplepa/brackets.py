@@ -160,9 +160,9 @@ def _tokenize(text: str):
         elif ch in "*·":
             tokens.append(("op", None, i))
             i += 1
-        elif ch.isdigit():
+        elif "0" <= ch <= "9":  # ASCII only: str.isdigit also admits "²" and "٢"
             j = i
-            while j < len(text) and text[j].isdigit():
+            while j < len(text) and "0" <= text[j] <= "9":
                 j += 1
             tokens.append(("int", int(text[i:j]), i))
             i = j

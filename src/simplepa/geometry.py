@@ -10,9 +10,9 @@ coefficient k on every core label, and right-hand side
 The second summand is a sub-unit fractional offset; it is exactly what makes
 a vertex meet its own n facets and clear every other facet strictly, so the
 whole module works in exact arithmetic (unbounded ints and Fraction) and
-never touches floating point.  Vertices are computed by fraction-free
-elimination over the integers with a rational back-substitution, and checked
-against each facet by one integer comparison after clearing denominators.
+never touches floating point.  A vertex is solved from the facets' integer
+rows by fraction-free elimination as X/d, an integer vector over one common
+denominator, and checked against each facet by one integer comparison.
 """
 
 from __future__ import annotations
@@ -20,8 +20,8 @@ from __future__ import annotations
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, lru_cache, partial
-from math import lcm, prod
+from functools import cache, cached_property, lru_cache, partial
+from math import gcd, prod
 from operator import mul
 
 from .limits import check_cap, check_n
@@ -71,6 +71,12 @@ class Hyperplane:
     def tight(self, point: Sequence[Fraction]) -> bool:
         return self.value(point) == self.rhs
 
+    @cached_property
+    def row(self) -> tuple[tuple[int, ...], int]:
+        """The integer form (q*a, p) of a.x vs p/q; out of ==, hash and repr."""
+        q = self.rhs.denominator
+        return tuple(q * a for a in self.coeffs), self.rhs.numerator
+
 
 def facet_inequality(chain: Chain, n: int) -> Hyperplane:
     """The facet halfspace of a chain, as a ``>=`` hyperplane."""
@@ -102,13 +108,13 @@ class SingularSystemError(ArithmeticError):
     """The linear system has no unique solution."""
 
 
-def solve_exact(matrix: Sequence[Sequence[int]], rhs: Sequence[int]) -> tuple[Fraction, ...]:
-    """Solve a square integer system exactly.
+def solve_exact(matrix: Sequence[Sequence[int]], rhs: Sequence[int]) -> ScaledPoint:
+    """Solve a square integer system exactly: x = X/d in lowest terms, d > 0.
 
-    Forward pass is fraction-free (each 2x2 determinant step divides by the
-    previous pivot, which is exact and keeps entry growth polynomial); the
-    back-substitution returns Fractions.  Raises SingularSystemError when no
-    pivot can be found.
+    Fraction-free (Bareiss 1968): each forward step divides exactly by the
+    previous pivot, and the back-substitution scales by the last pivot (the
+    determinant up to sign), so by Cramer's rule its divisions are exact too.
+    Raises SingularSystemError when no pivot can be found.
     """
     size = len(matrix)
     if len(rhs) != size or any(len(row) != size for row in matrix):
@@ -129,16 +135,17 @@ def solve_exact(matrix: Sequence[Sequence[int]], rhs: Sequence[int]) -> tuple[Fr
             for c in range(col, size + 1):
                 row[c] = (pivot * row[c] - factor * top[c]) // previous
         previous = pivot
-    solution = [Fraction(0)] * size
+    numerators = [0] * size
     for r in range(size - 1, -1, -1):
-        acc = Fraction(aug[r][size])
-        for c in range(r + 1, size):
-            acc -= aug[r][c] * solution[c]
-        solution[r] = acc / aug[r][r]
-    return tuple(solution)
+        row = aug[r]
+        acc = previous * row[size] - sum(map(mul, row[r + 1 : size], numerators[r + 1 :]))
+        numerators[r] = acc // row[r]
+    g = gcd(previous, *numerators) if previous > 0 else -gcd(previous, *numerators)
+    return tuple(x // g for x in numerators), previous // g
 
 
 Point = tuple[Fraction, ...]
+ScaledPoint = tuple[tuple[int, ...], int]  # (X, d), the point X/d
 
 
 @lru_cache(maxsize=None)
@@ -146,17 +153,9 @@ def _facet_table(n: int) -> dict[Chain, Hyperplane]:
     return {c: facet_inequality(c, n) for c in enumerate_chains(n)}
 
 
-def _solve_vertex(v: Iterable[Chain], n: int, table: Mapping[Chain, Hyperplane]) -> Point:
-    rows: list[list[int]] = []
-    rhs: list[int] = []
-    for chain in sorted(v, key=Chain.sort_key):
-        h = table[chain]
-        scale = h.rhs.denominator
-        rows.append([scale * a for a in h.coeffs])
-        rhs.append(h.rhs.numerator)
-    rows.append([1] * (n + 1))
-    rhs.append(3 ** (n + 1))
-    return solve_exact(rows, rhs)
+def _solve_vertex(v: Iterable[Chain], n: int, table: Mapping[Chain, Hyperplane]) -> ScaledPoint:
+    coeffs, rhs = zip(*(table[chain].row for chain in v), ((1,) * (n + 1), 3 ** (n + 1)))
+    return solve_exact(coeffs, rhs)
 
 
 def vertex_coordinates(v: NestedSet, n: int) -> Point:
@@ -167,7 +166,8 @@ def vertex_coordinates(v: NestedSet, n: int) -> Point:
         raise ValueError(f"expected a maximal nested set of cardinality {n}")
     if not is_nested(v, n):
         raise ValueError("the given chains are not nested")
-    return _solve_vertex(v, n, {c: facet_inequality(c, n) for c in v})
+    scaled, d = _solve_vertex(v, n, {c: facet_inequality(c, n) for c in v})
+    return tuple(Fraction(x, d) for x in scaled)
 
 
 @dataclass(frozen=True)
@@ -191,22 +191,22 @@ def verify_vertex(
     """
     v = frozenset(v)
     if facets is None:
+        check_cap(n)
         facets = _facet_table(n)
-    point = _solve_vertex(v, n, facets)
-    # Clear denominators once: with d = lcm of the point's denominators and
-    # X = d*x integral, a.x vs p/q compares exactly as (a.X)*q vs p*d.
-    scale = lcm(*(x.denominator for x in point))
-    scaled = [x.numerator * (scale // x.denominator) for x in point]
+    # with x = X/d, a.x >= p/q compares exactly as (q*a).X >= p*d, since d, q > 0
+    scaled, d = _solve_vertex(v, n, facets)
     tight = []
     strict_ok = True
     for c, h in facets.items():
-        lhs = sum(map(mul, h.coeffs, scaled)) * h.rhs.denominator
-        bound = h.rhs.numerator * scale
+        coeffs, p = h.row
+        lhs = sum(map(mul, coeffs, scaled))
+        bound = p * d
         if lhs <= bound:
             if lhs == bound:
                 tight.append(c)
             if c not in v:
                 strict_ok = False
+    point = tuple(Fraction(x, d) for x in scaled)
     return VertexReport(point, frozenset(tight), strict_ok, len(tight) == n)
 
 

@@ -233,7 +233,7 @@ def faces(n: int, dim: int, max_n: int | None = None) -> list[NestedSet]:
     seen = {
         frozenset(sub)
         for v in enumerate_vertices(n, max_n=max_n)
-        for sub in itertools.combinations(sorted(v, key=Chain.sort_key), size)
+        for sub in itertools.combinations(v, size)
     }
     return sorted(seen, key=nested_key)
 

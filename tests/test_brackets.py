@@ -68,6 +68,14 @@ def test_parse_rejects_malformed_input(text, n):
     assert 0 <= err.value.position <= len(text)
 
 
+def test_parse_accepts_ascii_digits_only():
+    # str.isdigit admits both: int() reads the first as ((2*3)*(0*1)) and fails on "1²"
+    for text, n, position in (("((٢*٣)*(٠*١))", 3, 2), ("(0*1²)", 1, 4)):
+        with pytest.raises(BracketSyntaxError, match="unexpected character") as err:
+            parse_bracketing(text, n)
+        assert err.value.position == position
+
+
 def test_parse_bounds_the_nesting_depth_by_n():
     # the deepest valid tree over 0..4 nests four pairs of parentheses
     assert print_bracketing(parse_bracketing("((((0*1)*2)*3)*4)", 4)) == "((((0*1)*2)*3)*4)"

@@ -141,11 +141,13 @@ def test_bracketing_record(capsys):
 
 
 def test_bracketing_parse_error(capsys):
-    # the second input nests far deeper than any tree over 0..1
-    for n, text in (("3", "((2*3)*(0*1)"), ("1", "(" * 3000)):
+    # the second input nests far deeper than any tree over 0..1; the last two
+    # hold non-ASCII digits
+    cases = (("3", "((2*3)*(0*1)"), ("1", "(" * 3000), ("3", "((٢*٣)*(٠*١))"), ("1", "(0*1²)"))
+    for n, text in cases:
         assert run(["bracketing", "--n", n, "--parse", text]) == 2
         err = capsys.readouterr().err
-        assert "position" in err and err.count("\n") == 1
+        assert err.startswith("pa: parse error: ") and "position" in err and err.count("\n") == 1
 
 
 @pytest.mark.parametrize(

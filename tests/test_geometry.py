@@ -3,6 +3,8 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from conftest import chain_of
 from simplepa import (
@@ -10,6 +12,7 @@ from simplepa import (
     SIGMA,
     Chain,
     Hyperplane,
+    ResourceCapError,
     SingularSystemError,
     affine_dimension,
     ambient_plane,
@@ -33,7 +36,7 @@ from simplepa import (
     verify_vertex,
 )
 from simplepa import geometry
-from simplepa.brackets import from_nested, print_bracketing
+from simplepa.brackets import from_nested, parse_bracketing, print_bracketing, to_nested
 from simplepa.cli import render_bracketing_record
 from simplepa.geometry import GE, VertexReport, _facet_table
 
@@ -81,6 +84,16 @@ def test_facet_inequality_examples():
             assert h.coeffs == tuple(1 if j == i else 0 for j in range(n + 1))
 
 
+def test_hyperplane_row_is_integral_and_stays_out_of_equality():
+    h = facet_inequality(Chain({2}, (1,)), 2)  # x_1 + 2 x_2 >= 25/2
+    twin = Hyperplane(h.coeffs, h.rhs, h.relation)
+    before = hash(h)
+    assert h.row == ((0, 2, 4), 25)
+    assert "row" in vars(h) and "row" not in vars(twin)
+    assert h == twin and hash(h) == hash(twin) == before
+    assert repr(h) == repr(twin)
+
+
 def test_h_representation():
     ambient, facets = h_representation(1)
     assert ambient.coeffs == (1, 1) and ambient.rhs == 9
@@ -91,11 +104,51 @@ def test_h_representation():
 
 
 def test_solve_exact():
-    assert solve_exact([[2, 1], [1, -1]], [7, -1]) == (Fraction(2), Fraction(3))
+    assert solve_exact([[2, 1], [1, -1]], [7, -1]) == ((2, 3), 1)  # determinant -3
+    assert solve_exact([[0, 2], [3, 1]], [1, 1]) == ((1, 3), 6)  # needs a row swap
+    assert solve_exact([[2, 0], [0, 4]], [1, 1]) == ((2, 1), 4)  # lowest terms
     with pytest.raises(SingularSystemError):
         solve_exact([[1, 2], [2, 4]], [1, 2])
     with pytest.raises(ValueError):
         solve_exact([[1, 2]], [1])
+
+
+def _gauss_jordan(matrix, rhs):
+    """Fraction Gauss-Jordan elimination; None for a singular system."""
+    size = len(matrix)
+    aug = [[Fraction(a) for a in row] + [Fraction(b)] for row, b in zip(matrix, rhs)]
+    for col in range(size):
+        pivot = next((r for r in range(col, size) if aug[r][col] != 0), None)
+        if pivot is None:
+            return None
+        aug[col], aug[pivot] = aug[pivot], aug[col]
+        aug[col] = [x / aug[col][col] for x in aug[col]]
+        for r in range(size):
+            if r != col:
+                aug[r] = [x - aug[r][col] * y for x, y in zip(aug[r], aug[col])]
+    return tuple(row[size] for row in aug)
+
+
+@st.composite
+def _integer_systems(draw):
+    size = draw(st.integers(1, 6))
+    entries = st.integers(-20, 20)
+    vectors = st.lists(entries, min_size=size, max_size=size)
+    return draw(st.lists(vectors, min_size=size, max_size=size)), draw(vectors)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_integer_systems())
+def test_solve_exact_agrees_with_gauss_jordan(system):
+    matrix, rhs = system
+    if len(matrix) > 1:
+        with pytest.raises(SingularSystemError):  # the first row repeated
+            solve_exact([*matrix[:-1], matrix[0]], [*rhs[:-1], rhs[0]])
+    expected = _gauss_jordan(matrix, rhs)
+    assume(expected is not None)
+    scaled, d = solve_exact(matrix, rhs)
+    assert d > 0
+    assert tuple(Fraction(x, d) for x in scaled) == expected
 
 
 def test_vertex_coordinates_examples():
@@ -128,6 +181,15 @@ def test_verify_vertex_all_pass_n2():
         assert report.tight == v
         assert report.strict_ok
         assert report.multiplicity_ok
+
+
+def test_verify_vertex_refuses_n_above_the_cap(monkeypatch):
+    monkeypatch.delenv("PA_MAX_N", raising=False)
+    v = to_nested(parse_bracketing("((3*(7*0))*(((5*2)*6)*(1*4)))", 7))
+    _facet_table.cache_clear()
+    with pytest.raises(ResourceCapError):
+        verify_vertex(v, 7)
+    assert _facet_table.cache_info().currsize == 0  # no 118,974-row table was built
 
 
 def test_verify_vertex_negative_control():
