@@ -97,13 +97,13 @@ def classify_2_face(f: Iterable[Chain], n: int) -> DiagramType:
             return DiagramType.QUAD_NATURAL if comparable(a, b) else DiagramType.QUAD_FUNCTORIAL
         raise ValueError(f"unexpected superficiality profile {sorted(counts.values())}")
 
-    covered = set().union(*(c.sets() for c in f))
+    covered = frozenset().union(*(c.family for c in f))  # the sets, as bitmasks
     if len(covered) == n - 1:
         return DiagramType.QUAD_SIGMA
     if len(covered) == n - 2:
         # positions of the two absent sets in the ambient complete chain,
         # recovered from the missing set sizes (position = n + 1 - size)
-        missing = sorted(set(range(1, n + 1)) - {len(s) for s in covered})
+        missing = sorted(set(range(1, n + 1)) - {s.bit_count() for s in covered})
         j, k = n + 1 - missing[1], n + 1 - missing[0]
         return DiagramType.OCTAGON if k - j > 1 else DiagramType.DODECAGON
     raise ValueError("not a two-dimensional face")

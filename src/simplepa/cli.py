@@ -313,7 +313,7 @@ def main(argv=None) -> int:
     except BracketSyntaxError as exc:
         print(f"pa: parse error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (ValueError, ResourceCapError) as exc:
+    except (ValueError, ResourceCapError, RecursionError) as exc:
         print(f"pa: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except OSError as exc:

@@ -9,10 +9,12 @@ coefficient k on every core label, and right-hand side
 
 The second summand is a sub-unit fractional offset; it is exactly what makes
 a vertex meet its own n facets and clear every other facet strictly, so the
-whole module works in exact arithmetic (unbounded ints and Fraction) and
-never touches floating point.  A vertex is solved from the facets' integer
-rows by fraction-free elimination as X/d, an integer vector over one common
-denominator, and checked against each facet by one integer comparison.
+whole module works in exact arithmetic and never touches floating point.
+The check runs in integers: each vertex is solved from the facets' integer
+rows by fraction-free elimination as X/d over one common denominator d,
+compared with each facet by one integer comparison, and kept as (X, d) to
+rank the facet hulls.  Fractions appear only at input and output: facet
+right-hand sides, the coordinates a caller reads, the normalization chart.
 """
 
 from __future__ import annotations
@@ -36,9 +38,6 @@ from .nestedsets import (
     suffix_interval,
 )
 
-EQ = "="
-GE = ">="
-
 
 def fractional_offset(k: int, n: int) -> Fraction:
     """The sub-unit offset (3^k - 3k) / (3^n - n - 1); zero for k = 1."""
@@ -61,7 +60,6 @@ class Hyperplane:
 
     coeffs: tuple[int, ...]
     rhs: Fraction
-    relation: str  # EQ or GE
 
     def value(self, point: Sequence[Fraction]) -> Fraction:
         if len(point) != len(self.coeffs):
@@ -79,7 +77,7 @@ class Hyperplane:
 
 
 def facet_inequality(chain: Chain, n: int) -> Hyperplane:
-    """The facet halfspace of a chain, as a ``>=`` hyperplane."""
+    """The facet halfspace a.x >= rhs of a chain."""
     chain.check(n)
     k = chain.num_sets
     coeffs = [0] * (n + 1)
@@ -87,13 +85,13 @@ def facet_inequality(chain: Chain, n: int) -> Hyperplane:
         coeffs[label] = position
     for label in chain.core:
         coeffs[label] = k
-    return Hyperplane(tuple(coeffs), facet_rhs(k, len(chain.core) - 1, n), GE)
+    return Hyperplane(tuple(coeffs), facet_rhs(k, len(chain.core) - 1, n))
 
 
 def ambient_plane(n: int) -> Hyperplane:
     """The hyperplane x_0 + ... + x_n = 3^(n+1) containing the polytope."""
     check_n(n)
-    return Hyperplane((1,) * (n + 1), Fraction(3 ** (n + 1)), EQ)
+    return Hyperplane((1,) * (n + 1), Fraction(3 ** (n + 1)))
 
 
 def h_representation(n: int) -> tuple[Hyperplane, list[Hyperplane]]:
@@ -145,7 +143,7 @@ def solve_exact(matrix: Sequence[Sequence[int]], rhs: Sequence[int]) -> ScaledPo
 
 
 Point = tuple[Fraction, ...]
-ScaledPoint = tuple[tuple[int, ...], int]  # (X, d), the point X/d
+ScaledPoint = tuple[tuple[int, ...], int]  # (X, d), the point X/d in lowest terms, d > 0
 
 
 @lru_cache(maxsize=None)
@@ -172,9 +170,9 @@ def vertex_coordinates(v: NestedSet, n: int) -> Point:
 
 @dataclass(frozen=True)
 class VertexReport:
-    """Outcome of checking one vertex against every facet."""
+    """Outcome of checking one vertex, solved as ``scaled`` = (X, d), against every facet."""
 
-    vertex: Point
+    scaled: ScaledPoint
     tight: frozenset[Chain]
     strict_ok: bool
     multiplicity_ok: bool
@@ -206,33 +204,33 @@ def verify_vertex(
                 tight.append(c)
             if c not in v:
                 strict_ok = False
-    point = tuple(Fraction(x, d) for x in scaled)
-    return VertexReport(point, frozenset(tight), strict_ok, len(tight) == n)
+    return VertexReport((scaled, d), frozenset(tight), strict_ok, len(tight) == n)
 
 
-def affine_dimension(points: Sequence[Point], stop_at: int | None = None) -> int:
-    """Dimension of the affine hull of the points, computed exactly.
+def affine_dimension(points: Iterable[ScaledPoint], stop_at: int | None = None) -> int:
+    """Dimension of the affine hull of the points X/d, given as (X, d) with
+    d > 0, computed over the integers.
 
-    Returns -1 for no points.  ``stop_at`` allows an early exit as soon as
-    the dimension is known to reach that value.
+    Since (X, d) = d * (X/d, 1), the affine dimension is the rank of the
+    integer rows (X, d) less one.  Returns -1 for no points.  ``stop_at``
+    allows an early exit as soon as the dimension is known to reach that
+    value.
     """
-    pts = list(points)
-    if not pts:
-        return -1
-    base = pts[0]
-    basis: list[tuple[int, list[Fraction]]] = []  # (leading index, echelon row)
-    for p in pts[1:]:
-        vec = [a - b for a, b in zip(p, base)]
+    basis: list[tuple[int, list[int]]] = []  # (leading index, echelon row)
+    for scaled, d in points:
+        vec = [*scaled, d]
         for lead, row in basis:
-            if vec[lead] != 0:
-                factor = vec[lead] / row[lead]
-                vec = [x - factor * y for x, y in zip(vec, row)]
-        lead = next((i for i, x in enumerate(vec) if x != 0), None)
+            factor = vec[lead]
+            if factor:
+                pivot = row[lead]
+                vec = [pivot * x - factor * y for x, y in zip(vec, row)]
+        lead = next((i for i, x in enumerate(vec) if x), None)
         if lead is not None:
-            basis.append((lead, vec))
-            if stop_at is not None and len(basis) >= stop_at:
-                return len(basis)
-    return len(basis)
+            g = gcd(*vec)
+            basis.append((lead, [x // g for x in vec]))
+            if stop_at is not None and len(basis) - 1 >= stop_at:
+                break
+    return len(basis) - 1
 
 
 # ---------------------------------------------------------------------------
@@ -402,11 +400,11 @@ def realization_report(n: int, perturb: bool = False, max_n: int | None = None) 
         # vertices on it then cross their neighboring facets
         target = list(table)[-1]
         h = table[target]
-        table[target] = Hyperplane(h.coeffs, h.rhs - 1, h.relation)
+        table[target] = Hyperplane(h.coeffs, h.rhs - 1)
 
     verts = enumerate_vertices(n, max_n=max_n)
-    points: list[Point] = []
-    tight_points: dict[Chain, list[Point]] = {c: [] for c in table}
+    points: list[ScaledPoint] = []
+    tight_points: dict[Chain, list[ScaledPoint]] = {c: [] for c in table}
 
     # shared by several checks; built once, by the first check that runs
     rewrite = cache(partial(build_graph, n, max_n=max_n))
@@ -415,9 +413,9 @@ def realization_report(n: int, perturb: bool = False, max_n: int | None = None) 
     def vertices():
         for v in verts:
             report = verify_vertex(v, n, facets=table)
-            points.append(report.vertex)
+            points.append(report.scaled)
             for chain in report.tight:
-                tight_points[chain].append(report.vertex)
+                tight_points[chain].append(report.scaled)
             problems = []
             if report.tight != v:
                 problems.append(("tight_sets_match", "tight facets differ from its own chains"))

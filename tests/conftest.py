@@ -1,6 +1,8 @@
 """Shared fixtures: small hand-checked combinatorial data used across tests."""
 
-from simplepa import Chain
+from hypothesis import strategies as st
+
+from simplepa import Bracketing, Chain
 
 
 def chain_of(*sets) -> Chain:
@@ -39,3 +41,18 @@ CHAINS_N2 = [
     chain_of({0, 2}, {2}),
     chain_of({1, 2}, {2}),
 ]
+
+
+@st.composite
+def bracketings(draw, max_n: int = 7) -> Bracketing:
+    """A random bracketing over 0..n, 1 <= n <= max_n: a random permutation
+    and a random full binary tree, split by split."""
+    n = draw(st.integers(1, max_n))
+
+    def tree(lo, hi):
+        if lo == hi:
+            return lo
+        mid = draw(st.integers(lo, hi - 1))
+        return (tree(lo, mid), tree(mid + 1, hi))
+
+    return Bracketing(tuple(draw(st.permutations(range(n + 1)))), tree(0, n))

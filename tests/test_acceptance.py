@@ -77,7 +77,7 @@ def test_criterion_02_realization_at_desk_scale():
             assert report.tight == v
             assert report.strict_ok
             assert report.multiplicity_ok
-            points.append(report.vertex)
+            points.append(report.scaled)
         assert len(set(points)) == len(points)
 
     started = time.monotonic()
@@ -87,7 +87,7 @@ def test_criterion_02_realization_at_desk_scale():
         assert report.tight == v
         assert report.strict_ok
         assert report.multiplicity_ok
-        points.append(report.vertex)
+        points.append(report.scaled)
     assert len(set(points)) == len(points) == 1680
     elapsed = time.monotonic() - started
     assert elapsed < 60.0, f"n=4 verification took {elapsed:.1f}s"

@@ -1,6 +1,7 @@
 import pytest
+from hypothesis import given, settings
 
-from conftest import chain_of
+from conftest import bracketings, chain_of
 from simplepa import (
     ALPHA,
     SIGMA,
@@ -248,3 +249,28 @@ def test_bracketing_check():
         Bracketing((0, 1, 2), (0, 1)).check()
     with pytest.raises(ValueError):
         parse_bracketing("0", 0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(bracketings())
+def test_random_bracketings_round_trip(b):
+    text = print_bracketing(b)
+    assert parse_bracketing(text, b.n) == b
+    assert print_bracketing(parse_bracketing(text, b.n)) == text
+    assert from_nested(to_nested(b)) == b
+
+
+@settings(max_examples=300, deadline=None)
+@given(bracketings())
+def test_random_moves_share_an_edge_face(b):
+    # an alpha move keeps the complete chain, a sigma move replaces it
+    n, v = b.n, to_nested(b)
+    neighbors = alpha_neighbors(b)
+    assert len(neighbors) == n - 1
+    for a in neighbors:
+        shared = v & to_nested(a)
+        assert len(shared) == n - 1
+        assert any(is_full_chain(c, n) for c in shared)
+    shared = v & to_nested(sigma_neighbor(b))
+    assert len(shared) == n - 1
+    assert not any(is_full_chain(c, n) for c in shared)

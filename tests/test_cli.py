@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import stat
@@ -5,7 +7,11 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import bracketings
+from simplepa import print_bracketing
 from simplepa.cli import main
 
 EXPECTED_INE_N1 = """H-representation
@@ -148,6 +154,53 @@ def test_bracketing_parse_error(capsys):
         assert run(["bracketing", "--n", n, "--parse", text]) == 2
         err = capsys.readouterr().err
         assert err.startswith("pa: parse error: ") and "position" in err and err.count("\n") == 1
+
+
+def test_bracketing_nested_beyond_the_stack_exits_2(capsys):
+    # a left comb over 0..n with n above the recursion limit: valid, but too
+    # deep for the recursive parser
+    n = 2 * sys.getrecursionlimit()
+    text = "(" * n + "0" + "".join(f"*{i})" for i in range(1, n + 1))
+    assert run(["bracketing", "--n", str(n), "--max-n", str(n), "--parse", text]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("pa: maximum recursion depth") and captured.err.count("\n") == 1
+
+
+_PARSE_ALPHABET = "()*·0123456789 \n-x٢²"
+
+
+@st.composite
+def _edited_bracketings(draw):
+    """A printed bracketing and its n, with a few characters deleted,
+    replaced or inserted."""
+    b = draw(bracketings())
+    text = list(print_bracketing(b))
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(0, len(text)))
+        edit = draw(st.sampled_from(("delete", "replace", "insert")))
+        if edit == "insert" or at == len(text):
+            text.insert(at, draw(st.sampled_from(_PARSE_ALPHABET)))
+        elif edit == "replace":
+            text[at] = draw(st.sampled_from(_PARSE_ALPHABET))
+        else:
+            del text[at]
+    return b.n, "".join(text)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_edited_bracketings() | st.tuples(st.integers(1, 7), st.text(_PARSE_ALPHABET, max_size=40)))
+def test_fuzzed_parse_exits_0_or_2_with_one_error_line(case):
+    n, text = case
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["bracketing", "--n", str(n), f"--parse={text}"])
+    assert code in (0, 2)
+    if code == 0:
+        assert json.loads(out.getvalue())["n"] == n and err.getvalue() == ""
+    else:
+        assert out.getvalue() == ""
+        assert err.getvalue().startswith("pa: ") and err.getvalue().count("\n") == 1
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,7 @@
 import itertools
 import json
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import assume, given, settings
@@ -38,7 +39,7 @@ from simplepa import (
 from simplepa import geometry
 from simplepa.brackets import from_nested, parse_bracketing, print_bracketing, to_nested
 from simplepa.cli import render_bracketing_record
-from simplepa.geometry import GE, VertexReport, _facet_table
+from simplepa.geometry import VertexReport, _facet_table
 
 
 def test_facet_rhs_values():
@@ -72,7 +73,7 @@ def test_facet_rhs_rejects_bad_parameters():
 
 def test_facet_inequality_examples():
     h = facet_inequality(Chain({2}, (1,)), 2)  # x_1 + 2 x_2 >= 25/2
-    assert h.coeffs == (0, 1, 2) and h.rhs == Fraction(25, 2) and h.relation == GE
+    assert h.coeffs == (0, 1, 2) and h.rhs == Fraction(25, 2)
 
     h = facet_inequality(Chain({1, 2}), 2)  # x_1 + x_2 >= 9
     assert h.coeffs == (0, 1, 1) and h.rhs == 9
@@ -86,7 +87,7 @@ def test_facet_inequality_examples():
 
 def test_hyperplane_row_is_integral_and_stays_out_of_equality():
     h = facet_inequality(Chain({2}, (1,)), 2)  # x_1 + 2 x_2 >= 25/2
-    twin = Hyperplane(h.coeffs, h.rhs, h.relation)
+    twin = Hyperplane(h.coeffs, h.rhs)
     before = hash(h)
     assert h.row == ((0, 2, 4), 25)
     assert "row" in vars(h) and "row" not in vars(twin)
@@ -197,14 +198,16 @@ def test_verify_vertex_negative_control():
     table = dict(_facet_table(2))
     target = list(table)[-1]
     h = table[target]
-    table[target] = Hyperplane(h.coeffs, h.rhs - 1, h.relation)
+    table[target] = Hyperplane(h.coeffs, h.rhs - 1)
     reports = [verify_vertex(v, 2, facets=table) for v in enumerate_vertices(2)]
     assert any(not r.strict_ok for r in reports)
 
 
-def _fraction_verdict(v, table, point):
-    """verify_vertex's tight set and strictness, recomputed with the
-    Fraction forms Hyperplane.tight and Hyperplane.value."""
+def _fraction_verdict(v, table, report):
+    """verify_vertex's tight set and strictness, recomputed at the point X/d
+    with the Fraction forms Hyperplane.tight and Hyperplane.value."""
+    scaled, d = report.scaled
+    point = tuple(Fraction(x, d) for x in scaled)
     tight = frozenset(c for c, h in table.items() if h.tight(point))
     strict_ok = all(h.value(point) > h.rhs for c, h in table.items() if c not in v)
     return tight, strict_ok
@@ -215,7 +218,7 @@ def test_verify_vertex_agrees_with_fraction_oracle():
         table = _facet_table(n)
         for v in enumerate_vertices(n):
             report = verify_vertex(v, n)
-            assert (report.tight, report.strict_ok) == _fraction_verdict(v, table, report.vertex)
+            assert (report.tight, report.strict_ok) == _fraction_verdict(v, table, report)
             assert report.multiplicity_ok == (len(report.tight) == n)
 
 
@@ -228,11 +231,13 @@ def test_verify_vertex_agrees_with_fraction_oracle_on_shifted_tables(n, shift):
     for target in (chains[0], chains[-1]):
         table = dict(base)
         h = table[target]
-        table[target] = Hyperplane(h.coeffs, h.rhs + shift, h.relation)
+        table[target] = Hyperplane(h.coeffs, h.rhs + shift)
         for v in enumerate_vertices(n):
             report = verify_vertex(v, n, facets=table)
-            assert all(isinstance(x, Fraction) for x in report.vertex)
-            assert (report.tight, report.strict_ok) == _fraction_verdict(v, table, report.vertex)
+            scaled, d = report.scaled
+            assert all(type(x) is int for x in scaled)
+            assert d > 0 and gcd(d, *scaled) == 1
+            assert (report.tight, report.strict_ok) == _fraction_verdict(v, table, report)
 
 
 def test_verify_vertex_flags_a_facet_moved_onto_an_outside_vertex():
@@ -242,13 +247,13 @@ def test_verify_vertex_flags_a_facet_moved_onto_an_outside_vertex():
     outside = next(v for v in enumerate_vertices(n) if target not in v)
     h = base[target]
     table = dict(base)
-    table[target] = Hyperplane(h.coeffs, h.value(vertex_coordinates(outside, n)), h.relation)
+    table[target] = Hyperplane(h.coeffs, h.value(vertex_coordinates(outside, n)))
     report = verify_vertex(outside, n, facets=table)
     assert report.tight == outside | {target}
     assert not report.strict_ok and not report.multiplicity_ok
     for v in enumerate_vertices(n):
         report = verify_vertex(v, n, facets=table)
-        assert (report.tight, report.strict_ok) == _fraction_verdict(v, table, report.vertex)
+        assert (report.tight, report.strict_ok) == _fraction_verdict(v, table, report)
 
 
 def test_vertex_denominators_divide_twice_offset_denominator():
@@ -314,13 +319,67 @@ def test_recursive_construction_oracle():
 
 
 def test_affine_dimension():
-    a, b, c = (Fraction(0), Fraction(0)), (Fraction(1), Fraction(0)), (Fraction(0), Fraction(1))
+    a, b, c = ((0, 0), 1), ((1, 0), 1), ((0, 1), 1)
     assert affine_dimension([]) == -1
     assert affine_dimension([a]) == 0
     assert affine_dimension([a, b]) == 1
-    assert affine_dimension([a, b, (Fraction(2), Fraction(0))]) == 1
+    assert affine_dimension([a, b, ((2, 0), 1)]) == 1
+    assert affine_dimension([a, b, ((1, 0), 2)]) == 1  # (1/2, 0) lies on the line
+    assert affine_dimension([b, ((2, 0), 2)]) == 0  # one point, written twice
     assert affine_dimension([a, b, c]) == 2
     assert affine_dimension([a, b, c], stop_at=1) == 1
+
+
+def _fraction_affine_dimension(points, stop_at=None):
+    """Fraction elimination over the differences from the first point."""
+    pts = list(points)
+    if not pts:
+        return -1
+    base = pts[0]
+    basis = []  # (leading index, echelon row)
+    for p in pts[1:]:
+        vec = [a - b for a, b in zip(p, base)]
+        for lead, row in basis:
+            if vec[lead] != 0:
+                factor = vec[lead] / row[lead]
+                vec = [x - factor * y for x, y in zip(vec, row)]
+        lead = next((i for i, x in enumerate(vec) if x != 0), None)
+        if lead is not None:
+            basis.append((lead, vec))
+            if stop_at is not None and len(basis) >= stop_at:
+                return len(basis)
+    return len(basis)
+
+
+@st.composite
+def _scaled_point_sets(draw):
+    """(X, d) points in up to 4 dimensions: some drawn freely, the rest
+    repeats or integer combinations of earlier rows (X, d), hence affinely
+    dependent on them."""
+    dim = draw(st.integers(1, 4))
+    rows = []
+    for _ in range(draw(st.integers(0, 8))):
+        if rows and draw(st.booleans()):
+            weights = draw(st.lists(st.integers(-2, 2), min_size=len(rows), max_size=len(rows)))
+            row = [sum(w * r[i] for w, r in zip(weights, rows)) for i in range(dim + 1)]
+            if row[-1] < 0:
+                row = [-x for x in row]
+            if row[-1] == 0:
+                row = list(draw(st.sampled_from(rows)))
+        else:
+            coords = draw(st.lists(st.integers(-3, 3), min_size=dim, max_size=dim))
+            row = [*coords, draw(st.integers(1, 4))]
+        rows.append(row)
+    return [(tuple(row[:-1]), row[-1]) for row in rows]
+
+
+@settings(max_examples=400, deadline=None)
+@given(_scaled_point_sets(), st.none() | st.integers(1, 4))
+def test_affine_dimension_agrees_with_fraction_elimination(points, stop_at):
+    fractions = [tuple(Fraction(x, d) for x in scaled) for scaled, d in points]
+    expected = _fraction_affine_dimension(fractions, stop_at)
+    assert affine_dimension(points, stop_at) == expected
+    assert affine_dimension(points) == _fraction_affine_dimension(fractions)
 
 
 def test_normalization_map_values():
@@ -451,7 +510,8 @@ def test_realization_report_refuses_perturb_at_n1():
 
 def test_realization_report_interleaves_vertex_failures_and_caps_them(monkeypatch):
     def nothing_tight(v, n, facets=None):
-        return VertexReport(vertex_coordinates(v, n), frozenset(), False, False)
+        scaled = geometry._solve_vertex(v, n, _facet_table(n))
+        return VertexReport(scaled, frozenset(), False, False)
 
     monkeypatch.setattr(geometry, "verify_vertex", nothing_tight)
     report = realization_report(3)
