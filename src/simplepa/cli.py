@@ -1,25 +1,29 @@
 """Command-line front end: generate, check, faces, graph, bracketing, export.
 
-All outputs are deterministic: rows and records follow the canonical chain
-and bracketing orders, rationals are serialized exactly ("p/q", or "p" when
-the denominator is 1), and files are written atomically.  Exit codes: 0 on
-success, 1 when a verification fails, 2 for usage or I/O errors.
+All outputs are deterministic: canonical chain and bracketing order, exact
+rationals ("p/q", or "p" when the denominator is 1).  Each output is built
+whole, then streamed to stdout or to an atomically written file.  Exit
+codes: 0 success, 1 a failed verification, 2 a usage or I/O error.
 """
 
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import stat
 import sys
 import tempfile
+from contextlib import suppress
 from fractions import Fraction
 from functools import lru_cache
+from typing import Callable, TextIO
 
 from .brackets import (
     BracketSyntaxError,
     RewriteGraph,
+    build_graph,
     parse_bracketing,
     print_bracketing,
     to_nested,
@@ -63,24 +67,33 @@ def _plain_write_mode(path: str) -> int:
         return 0o666 & ~umask
 
 
-def _write_atomic(path: str, data: str) -> None:
+def _write_atomic(path: str, write: Callable[[TextIO], None]) -> None:
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".pa-tmp-")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            handle.write(data)
+            write(handle)
         os.chmod(tmp, _plain_write_mode(path))  # mkstemp made it 0600
         os.replace(tmp, path)
     except BaseException:
-        try:
+        with suppress(OSError):
             os.unlink(tmp)
-        except OSError:
-            pass
         raise
 
 
-def _dump_json(payload) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+def _emit(path: str | None, content: str | dict) -> None:
+    """Stream text, or a JSON payload, to ``path`` atomically, else to stdout.
+    JSON goes 4096 tokens a write: under ``python -u`` each write is a syscall."""
+    if isinstance(content, str):
+        pieces = [content]
+    else:
+        encoded = json.JSONEncoder(indent=2, sort_keys=True).iterencode(content)
+        tokens = itertools.chain(encoded, ["\n"])
+        pieces = iter(lambda: "".join(itertools.islice(tokens, 4096)), "")
+    if path:
+        _write_atomic(path, lambda handle: handle.writelines(pieces))
+    else:
+        sys.stdout.writelines(pieces)
 
 
 # ---------------------------------------------------------------------------
@@ -104,7 +117,7 @@ def render_ine(n: int) -> str:
     return "\n".join(lines) + "\n"
 
 
-def render_vrep(n: int, max_n: int | None = None) -> str:
+def render_vrep(n: int, max_n: int | None = None) -> dict:
     records = [
         {
             "bracketing": print_bracketing(b),
@@ -114,7 +127,7 @@ def render_vrep(n: int, max_n: int | None = None) -> str:
         }
         for b, v in vertices_in_printed_order(n, max_n=max_n)
     ]
-    return _dump_json({"n": n, "count": len(records), "vertices": records})
+    return {"n": n, "count": len(records), "vertices": records}
 
 
 def render_dot(graph: RewriteGraph) -> str:
@@ -127,7 +140,7 @@ def render_dot(graph: RewriteGraph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def render_faces(n: int, dim: int, classify: bool, max_n: int | None = None) -> str:
+def render_faces(n: int, dim: int, classify: bool, max_n: int | None = None) -> dict:
     if classify:
         if dim != 2:
             raise ValueError("--classify only applies to --dim 2")
@@ -146,22 +159,19 @@ def render_faces(n: int, dim: int, classify: bool, max_n: int | None = None) -> 
     if classify:
         payload["census"] = {kind.value: count for kind, count in sorted(census.counts.items())}
         payload["body_faces"] = census.body_faces
-    return _dump_json(payload)
+    return payload
 
 
-def render_bracketing_record(text: str, n: int) -> str:
+def render_bracketing_record(text: str, n: int) -> dict:
     b = parse_bracketing(text, n)
     v = to_nested(b)
-    point = vertex_coordinates(v, n)
-    return _dump_json(
-        {
-            "n": n,
-            "bracketing": print_bracketing(b),
-            "permutation": list(b.perm),
-            "coordinates": [_fmt_rational(x) for x in point],
-            "tight": [_chain_record(c) for c in sorted(v, key=Chain.sort_key)],
-        }
-    )
+    return {
+        "n": n,
+        "bracketing": print_bracketing(b),
+        "permutation": list(b.perm),
+        "coordinates": [_fmt_rational(x) for x in vertex_coordinates(v, n)],
+        "tight": [_chain_record(c) for c in sorted(v, key=Chain.sort_key)],
+    }
 
 
 def render_off(n: int, max_n: int | None = None) -> str:
@@ -190,48 +200,37 @@ def _cmd_generate(args) -> int:
     if not args.hrep and not args.vrep:
         raise UsageError("generate needs --hrep and/or --vrep")
     if args.hrep:
-        _write_atomic(args.hrep, render_ine(args.n))
+        _emit(args.hrep, render_ine(args.n))
     if args.vrep:
-        _write_atomic(args.vrep, render_vrep(args.n, args.max_n))
+        _emit(args.vrep, render_vrep(args.n, args.max_n))
     return EXIT_OK
 
 
 def _cmd_check(args) -> int:
     report = realization_report(args.n, perturb=args.perturb, max_n=args.max_n)
-    text = _dump_json(report)
     if args.report:
-        _write_atomic(args.report, text)
-    sys.stdout.write(text)
+        _emit(args.report, report)
+    _emit(None, report)
     return EXIT_OK if report["ok"] else EXIT_VERIFICATION
 
 
 def _cmd_faces(args) -> int:
-    text = render_faces(args.n, args.dim, args.classify, args.max_n)
-    if args.out:
-        _write_atomic(args.out, text)
-    else:
-        sys.stdout.write(text)
+    _emit(args.out, render_faces(args.n, args.dim, args.classify, args.max_n))
     return EXIT_OK
 
 
 def _cmd_graph(args) -> int:
-    from .brackets import build_graph
-
-    _write_atomic(args.dot, render_dot(build_graph(args.n, max_n=args.max_n)))
+    _emit(args.dot, render_dot(build_graph(args.n, max_n=args.max_n)))
     return EXIT_OK
 
 
 def _cmd_bracketing(args) -> int:
-    text = render_bracketing_record(args.parse, args.n)
-    if args.out:
-        _write_atomic(args.out, text)
-    else:
-        sys.stdout.write(text)
+    _emit(args.out, render_bracketing_record(args.parse, args.n))
     return EXIT_OK
 
 
 def _cmd_export(args) -> int:
-    _write_atomic(args.off, render_off(args.n, args.max_n))
+    _emit(args.off, render_off(args.n, args.max_n))
     return EXIT_OK
 
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, cached_property, lru_cache, partial
+from functools import cached_property, lru_cache
 from math import gcd, prod
 from operator import mul
 
@@ -219,6 +219,8 @@ def affine_dimension(points: Iterable[ScaledPoint], stop_at: int | None = None) 
     basis: list[tuple[int, list[int]]] = []  # (leading index, echelon row)
     for scaled, d in points:
         vec = [*scaled, d]
+        if basis and len(vec) != len(basis[0][1]):
+            raise ValueError("point dimension mismatch")
         for lead, row in basis:
             factor = vec[lead]
             if factor:
@@ -406,9 +408,8 @@ def realization_report(n: int, perturb: bool = False, max_n: int | None = None) 
     points: list[ScaledPoint] = []
     tight_points: dict[Chain, list[ScaledPoint]] = {c: [] for c in table}
 
-    # shared by several checks; built once, by the first check that runs
-    rewrite = cache(partial(build_graph, n, max_n=max_n))
-    fv = cache(partial(f_vector, n, max_n=max_n))
+    rewrite = build_graph(n, max_n=max_n)  # shared by several checks
+    fv = f_vector(n, max_n=max_n)
 
     def vertices():
         for v in verts:
@@ -440,28 +441,28 @@ def realization_report(n: int, perturb: bool = False, max_n: int | None = None) 
                 )
 
     def graphs_equal():
-        if rewrite() != polytope_graph(n, max_n=max_n):
+        if rewrite != polytope_graph(n, max_n=max_n):
             yield "graphs_equal", "polytope graph differs from the rewrite graph"
 
     def connected():
-        if not rewrite().is_connected():
+        if not rewrite.is_connected():
             yield "graph_connected", "rewrite graph is not connected"
 
     def regular():
-        if any(rewrite().degree(i) != n for i in range(len(rewrite().vertices))):
+        if any(rewrite.degree(i) != n for i in range(len(rewrite.vertices))):
             yield "graph_regular", "rewrite graph is not n-regular"
 
     def one_sigma_edge():
-        if any(rewrite().kind_degree(i, SIGMA) != 1 for i in range(len(rewrite().vertices))):
+        if any(rewrite.kind_degree(i, SIGMA) != 1 for i in range(len(rewrite.vertices))):
             yield "sigma_degree_ok", "some vertex does not have exactly one sigma edge"
 
     def euler():
-        if sum((-1) ** k * fv()[k] for k in range(n)) != 1 - (-1) ** n:
-            yield "euler_ok", f"Euler relation fails for f-vector {fv()}"
+        if sum((-1) ** k * fv[k] for k in range(n)) != 1 - (-1) ** n:
+            yield "euler_ok", f"Euler relation fails for f-vector {fv}"
 
     def vertex_count():
         expected = prod(range(n + 1, 2 * n + 1))
-        if len(verts) != expected or fv()[0] != expected:
+        if len(verts) != expected or fv[0] != expected:
             yield None, f"vertex count {len(verts)} differs from (2n)!/n! = {expected}"
 
     checks = (
@@ -490,7 +491,7 @@ def realization_report(n: int, perturb: bool = False, max_n: int | None = None) 
         "perturbed": perturb,
         "vertex_count": len(verts),
         "facet_count": len(table),
-        "f_vector": list(fv()),
+        "f_vector": list(fv),
         **{key: key not in failed for keys, _ in checks for key in keys},
         "failures": failures,
         "ok": not failed,

@@ -5,13 +5,14 @@ import os
 import stat
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import bracketings
-from simplepa import print_bracketing
+from simplepa import cli, print_bracketing
 from simplepa.cli import main
 
 EXPECTED_INE_N1 = """H-representation
@@ -118,8 +119,68 @@ def test_faces_census(tmp_path):
     assert all("type" in entry for entry in data["faces"])
 
 
-def test_faces_classify_needs_dim2(capsys):
-    assert run(["faces", "--n", "3", "--dim", "1", "--classify"]) == 2
+def test_faces_classify_needs_dim2(tmp_path, capsys):
+    argv = ["faces", "--n", "3", "--dim", "1", "--classify"]
+    for destination in ([], ["--out", str(tmp_path / "faces.json")]):
+        assert run([*argv, *destination]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("pa: --classify") and captured.err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []  # neither the target nor a .pa-tmp-* file
+
+
+@pytest.mark.parametrize(
+    ("argv", "flag"),
+    [
+        (["faces", "--n", "3", "--dim", "1"], "--out"),
+        (["faces", "--n", "3", "--dim", "2", "--classify"], "--out"),
+        (["bracketing", "--n", "3", "--parse", "((2*3)*(0*1))"], "--out"),
+        (["check", "--n", "2"], "--report"),
+    ],
+)
+def test_file_output_equals_stdout_output(argv, flag, tmp_path, capsys):
+    assert run(argv) == 0
+    stdout = capsys.readouterr().out
+    out = tmp_path / "out.json"
+    assert run([*argv, flag, str(out)]) == 0
+    captured = capsys.readouterr()
+    assert out.read_bytes() == stdout.encode()
+    assert captured.out == (stdout if flag == "--report" else "")  # check prints its report too
+    assert list(tmp_path.iterdir()) == [out]
+
+
+def test_an_encoding_that_fails_midway_leaves_the_target_as_it_was(tmp_path, monkeypatch, capsys):
+    # a payload whose JSON fails only after more than a batch of tokens is out
+    cycle = []
+    cycle.append(cycle)
+    monkeypatch.setattr(cli, "render_faces", lambda *args: {"a": list(range(10_000)), "b": cycle})
+    out = tmp_path / "faces.json"
+    out.write_text("old")
+    assert run(["faces", "--n", "1", "--dim", "0", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "pa: Circular reference detected\n"
+    assert list(tmp_path.iterdir()) == [out] and out.read_text() == "old"
+
+
+def test_census_is_written_in_less_memory_than_its_size(tmp_path, monkeypatch):
+    """From the point where the n = 4 census payload is complete, writing it
+    to its file never holds the whole output at once."""
+    render = cli.render_faces
+
+    def render_then_trace(*args):
+        payload = render(*args)
+        tracemalloc.start()
+        return payload
+
+    monkeypatch.setattr(cli, "render_faces", render_then_trace)
+    out = tmp_path / "faces.json"
+    try:
+        assert run(["faces", "--n", "4", "--dim", "2", "--classify", "--out", str(out)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.stat().st_size == 1_465_375
+    assert peak < out.stat().st_size
 
 
 def test_graph_dot_n2(tmp_path):
@@ -285,9 +346,12 @@ def test_export_off_n3(tmp_path):
     assert all(count == 2 for count in edge_uses.values())
 
 
-def test_export_off_rejected_for_other_n(capsys):
-    assert run(["export", "--n", "2", "--off", "unused.off"]) == 2
-    assert "n = 3" in capsys.readouterr().err
+def test_export_off_rejected_for_other_n(tmp_path, capsys):
+    assert run(["export", "--n", "2", "--off", str(tmp_path / "pa2.off")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "n = 3" in captured.err and captured.err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []  # neither the target nor a .pa-tmp-* file
 
 
 def test_resource_cap_exit_code(monkeypatch, capsys, tmp_path):

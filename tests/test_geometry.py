@@ -1,5 +1,4 @@
 import itertools
-import json
 from fractions import Fraction
 from math import gcd
 
@@ -167,7 +166,7 @@ def test_vertex_coordinates_validation():
 
 def test_lookup_at_n7_solves_from_its_own_facets():
     _facet_table.cache_clear()
-    record = json.loads(render_bracketing_record("((3*(7*0))*(((5*2)*6)*(1*4)))", 7))
+    record = render_bracketing_record("((3*(7*0))*(((5*2)*6)*(1*4)))", 7)
     assert _facet_table.cache_info().currsize == 0  # no 118,974-row table was built
     point = [Fraction(x) for x in record["coordinates"]]
     assert sum(point) == 3**8
@@ -328,6 +327,9 @@ def test_affine_dimension():
     assert affine_dimension([b, ((2, 0), 2)]) == 0  # one point, written twice
     assert affine_dimension([a, b, c]) == 2
     assert affine_dimension([a, b, c], stop_at=1) == 1
+    for mixed in ([b, ((1,), 1)], [b, ((0,), 1)]):  # a 2- and a 1-dimensional point
+        with pytest.raises(ValueError, match="point dimension mismatch"):
+            affine_dimension(mixed)
 
 
 def _fraction_affine_dimension(points, stop_at=None):
