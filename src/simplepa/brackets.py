@@ -20,12 +20,13 @@ generate the rewrite graph: a rotation at any internal edge of the tree
 from __future__ import annotations
 
 import itertools
+import re
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 from .limits import check_cap, check_n
-from .nestedsets import Chain, NestedSet, enumerate_vertices, is_full_chain, suffix_interval
+from .nestedsets import Chain, NestedSet, is_full_chain, suffix_interval
 
 ALPHA = "alpha"
 SIGMA = "sigma"
@@ -63,7 +64,7 @@ class Bracketing:
             raise ValueError("a bracketing needs at least two labels")
         if sorted(self.perm) != list(range(n + 1)):
             raise ValueError(f"perm {self.perm} is not a permutation of 0..{n}")
-        if _span(self.tree) != (0, n) or _tree_leaves(self.tree) != list(range(n + 1)):
+        if _tree_leaves(self.tree) != list(range(n + 1)):  # so the root spans 0..n
             raise ValueError("tree is not a full binary tree over positions 0..n")
 
     def __repr__(self):
@@ -125,12 +126,6 @@ class RewriteGraph:
         return len(seen) == len(self.vertices)
 
 
-def _span(tree) -> tuple[int, int]:
-    if isinstance(tree, int):
-        return (tree, tree)
-    return (_span(tree[0])[0], _span(tree[1])[1])
-
-
 def _tree_leaves(tree) -> list[int]:
     if isinstance(tree, int):
         return [tree]
@@ -138,36 +133,36 @@ def _tree_leaves(tree) -> list[int]:
 
 
 def _internal_spans(tree) -> list[tuple[int, int]]:
+    """The (lo, hi) leaf positions under each internal node, in preorder; a
+    node's span is read off its children's, so one walk finds them all."""
     if isinstance(tree, int):
         return []
-    lo, hi = _span(tree)
-    return [(lo, hi)] + _internal_spans(tree[0]) + _internal_spans(tree[1])
+    left, right = tree
+    below_left, below_right = _internal_spans(left), _internal_spans(right)
+    lo = below_left[0][0] if below_left else left
+    hi = below_right[0][1] if below_right else right
+    return [(lo, hi), *below_left, *below_right]
 
 
 # ---------------------------------------------------------------------------
 # concrete syntax
 
+# ASCII digits only: \d and str.isdigit also admit "²" and "٢"; \s is str.isspace
+_TOKEN = re.compile(r"[0-9]+|\S")
+
+
 def _tokenize(text: str):
     tokens = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-        elif ch in "()":
-            tokens.append((ch, None, i))
-            i += 1
-        elif ch in "*·":
-            tokens.append(("op", None, i))
-            i += 1
-        elif "0" <= ch <= "9":  # ASCII only: str.isdigit also admits "²" and "٢"
-            j = i
-            while j < len(text) and "0" <= text[j] <= "9":
-                j += 1
-            tokens.append(("int", int(text[i:j]), i))
-            i = j
+    for match in _TOKEN.finditer(text):
+        token, at = match.group(), match.start()
+        if token in "()":
+            tokens.append((token, None, at))
+        elif token in "*·":
+            tokens.append(("op", None, at))
+        elif "0" <= token[0] <= "9":
+            tokens.append(("int", int(token), at))
         else:
-            raise BracketSyntaxError(f"unexpected character {ch!r}", i)
+            raise BracketSyntaxError(f"unexpected character {token!r}", at)
     tokens.append(("end", None, len(text)))
     return tokens
 
@@ -294,34 +289,22 @@ def from_nested(v: NestedSet) -> Bracketing:
 
 
 def _tree_from_spans(spans: set[tuple[int, int]], n: int) -> "int | tuple":
-    ends_by_start: dict[int, list[int]] = {}
-    for lo, hi in spans:
-        ends_by_start.setdefault(lo, []).append(hi)
-    for ends in ends_by_start.values():
-        ends.sort(reverse=True)
+    """The tree whose internal spans are exactly ``spans``.  A tree's spans
+    sorted by (lo, -hi) are its preorder, and a node's left child is the next
+    span when that one starts at the same lo."""
+    preorder = sorted(spans, key=lambda span: (-span[0], span[1]))  # popped from the end
 
     def build(lo: int, hi: int):
         if lo == hi:
             return lo
         if (lo, hi) not in spans:
             raise ValueError(f"missing bracket over positions {lo}..{hi}")
-        mid = lo
-        for end in ends_by_start.get(lo, ()):
-            if end < hi:
-                mid = end
-                break
+        while preorder.pop() != (lo, hi):  # a skipped span is off the tree: one goes missing
+            pass
+        mid = preorder[-1][1] if preorder and preorder[-1][0] == lo else lo
         return (build(lo, mid), build(mid + 1, hi))
 
     return build(0, n)
-
-
-def vertices_in_printed_order(n: int, max_n: int | None = None) -> list[tuple[Bracketing, NestedSet]]:
-    """Every vertex as a (bracketing, maximal nested set) pair, sorted by the
-    printed bracketing.  The bracketings come from :func:`from_nested`, so a
-    polytope graph built on this order also tests the bijection."""
-    pairs = [(from_nested(v), v) for v in enumerate_vertices(n, max_n=max_n)]
-    pairs.sort(key=lambda pair: print_bracketing(pair[0]))
-    return pairs
 
 
 # ---------------------------------------------------------------------------
@@ -355,8 +338,9 @@ def alpha_neighbors(b: Bracketing) -> list[Bracketing]:
 
 def sigma_neighbor(b: Bracketing) -> Bracketing:
     """Swap the two labels adjacent to the root split (an involution)."""
-    _, right = b.tree
-    j = _span(right)[0]
+    _, j = b.tree
+    while not isinstance(j, int):  # the right subtree's leftmost position
+        j = j[0]
     perm = list(b.perm)
     perm[j - 1], perm[j] = perm[j], perm[j - 1]
     return Bracketing(tuple(perm), b.tree)

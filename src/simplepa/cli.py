@@ -23,11 +23,11 @@ from typing import Callable, TextIO
 from .brackets import (
     BracketSyntaxError,
     RewriteGraph,
+    all_bracketings,
     build_graph,
     parse_bracketing,
     print_bracketing,
     to_nested,
-    vertices_in_printed_order,
 )
 from .classify import boundary_cycle, diagram_census
 from .geometry import (
@@ -82,7 +82,7 @@ def _write_atomic(path: str, write: Callable[[TextIO], None]) -> None:
 
 
 def _emit(path: str | None, content: str | dict) -> None:
-    """Stream text, or a JSON payload, to ``path`` atomically, else to stdout.
+    """Stream text, or a JSON payload, to ``path`` atomically; ``None`` is stdout.
     JSON goes 4096 tokens a write: under ``python -u`` each write is a syscall."""
     if isinstance(content, str):
         pieces = [content]
@@ -90,10 +90,10 @@ def _emit(path: str | None, content: str | dict) -> None:
         encoded = json.JSONEncoder(indent=2, sort_keys=True).iterencode(content)
         tokens = itertools.chain(encoded, ["\n"])
         pieces = iter(lambda: "".join(itertools.islice(tokens, 4096)), "")
-    if path:
-        _write_atomic(path, lambda handle: handle.writelines(pieces))
-    else:
+    if path is None:
         sys.stdout.writelines(pieces)
+    else:
+        _write_atomic(path, lambda handle: handle.writelines(pieces))
 
 
 # ---------------------------------------------------------------------------
@@ -118,15 +118,15 @@ def render_ine(n: int) -> str:
 
 
 def render_vrep(n: int, max_n: int | None = None) -> dict:
-    records = [
-        {
+    records = []
+    for b in all_bracketings(n, max_n=max_n):
+        v = to_nested(b)
+        records.append({
             "bracketing": print_bracketing(b),
             "permutation": list(b.perm),
             "coordinates": [_fmt_rational(x) for x in vertex_coordinates(v, n)],
             "chains": [_chain_record(c) for c in sorted(v, key=Chain.sort_key)],
-        }
-        for b, v in vertices_in_printed_order(n, max_n=max_n)
-    ]
+        })
     return {"n": n, "count": len(records), "vertices": records}
 
 
@@ -180,7 +180,7 @@ def render_off(n: int, max_n: int | None = None) -> str:
     if n != 3:
         raise ValueError("OFF export is only defined for n = 3")
     chart = normalization_map(n)
-    order = [v for _, v in vertices_in_printed_order(n, max_n=max_n)]
+    order = [to_nested(b) for b in all_bracketings(n, max_n=max_n)]
     index = {v: i for i, v in enumerate(order)}
     fv = f_vector(n, max_n=max_n)
     lines = ["OFF", f"{fv[0]} {fv[2]} {fv[1]}"]
@@ -197,18 +197,18 @@ def render_off(n: int, max_n: int | None = None) -> str:
 # subcommands
 
 def _cmd_generate(args) -> int:
-    if not args.hrep and not args.vrep:
+    if args.hrep is None and args.vrep is None:
         raise UsageError("generate needs --hrep and/or --vrep")
-    if args.hrep:
+    if args.hrep is not None:
         _emit(args.hrep, render_ine(args.n))
-    if args.vrep:
+    if args.vrep is not None:
         _emit(args.vrep, render_vrep(args.n, args.max_n))
     return EXIT_OK
 
 
 def _cmd_check(args) -> int:
     report = realization_report(args.n, perturb=args.perturb, max_n=args.max_n)
-    if args.report:
+    if args.report is not None:
         _emit(args.report, report)
     _emit(None, report)
     return EXIT_OK if report["ok"] else EXIT_VERIFICATION

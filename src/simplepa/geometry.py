@@ -270,11 +270,6 @@ def normalization_map(n: int) -> AffineMap:
     return AffineMap(matrix, offset)
 
 
-def _w_vector(n: int) -> list[int]:
-    # x-coordinates of the normalization's base point: 2*3^(n-i) except 3 at the end
-    return [2 * 3 ** (n - i) for i in range(1, n)] + [3]
-
-
 def normalized_functional(h: Hyperplane, n: int) -> tuple[tuple[Fraction, ...], Fraction]:
     """Pull the hyperplane's functional back through the inverse of the
     normalization chart, restricted to the ambient plane.
@@ -284,31 +279,15 @@ def normalized_functional(h: Hyperplane, n: int) -> tuple[tuple[Fraction, ...], 
     """
     if len(h.coeffs) != n + 1:
         raise ValueError("hyperplane dimension mismatch")
-    s = 3**n - n - 1
-    w = _w_vector(n)
-    # x_i as an affine function of x' (1-based i); row i-1 holds its coeffs
-    coeff = [[Fraction(0)] * n for _ in range(n)]
-    const = [Fraction(0)] * n
-    for i in range(n):
-        const[i] = Fraction(w[i])
-        coeff[i][i] = Fraction(1, s)
-        if i + 1 < n:
-            coeff[i][i + 1] = -Fraction(1, s)
-        else:
-            const[i] -= Fraction(3, s)
-    # x_0 = 3^(n+1) - (x_1 + ... + x_n) on the ambient plane
-    coeff0 = [-sum(coeff[i][j] for i in range(n)) for j in range(n)]
-    const0 = Fraction(3 ** (n + 1)) - sum(const)
-
-    out_coeffs = [h.coeffs[0] * coeff0[j] for j in range(n)]
-    out_const = h.coeffs[0] * const0 - h.rhs
-    for i in range(n):
-        a = h.coeffs[i + 1]
-        if a:
-            for j in range(n):
-                out_coeffs[j] += a * coeff[i][j]
-            out_const += a * const[i]
-    return tuple(out_coeffs), out_const
+    chart = normalization_map(n)
+    s = chart.matrix[0][0]
+    # with y_i = x'_i - offset_i = s*(x_i + ... + x_n), s*x_i = y_i - y_(i+1)
+    # (y_(n+1) = 0) and, on the ambient plane, x_0 = 3^(n+1) - y_1/s; so a.x
+    # gives y_i the weight (a_i - a_(i-1))/s
+    a = h.coeffs
+    coeffs = tuple((a[i] - a[i - 1]) / s for i in range(1, n + 1))
+    const = a[0] * ambient_plane(n).rhs - h.rhs - sum(map(mul, coeffs, chart.offset))
+    return coeffs, const
 
 
 def standard_chain_interval(chain: Chain, n: int) -> tuple[int, int] | None:
@@ -343,9 +322,12 @@ def polytope_graph(n: int, max_n: int | None = None):
     """The graph of the polytope, built from face combinatorics alone:
     vertices are maximal nested sets, edges join pairs sharing n-1 chains.
     Must coincide with the rewrite graph under the bracketing bijection."""
-    from .brackets import ALPHA, SIGMA, RewriteGraph, vertices_in_printed_order
+    from .brackets import ALPHA, SIGMA, RewriteGraph, from_nested, print_bracketing
 
-    order = vertices_in_printed_order(n, max_n=max_n)
+    # the bracketings come from from_nested, so comparing this graph with the
+    # rewrite graph also tests the bijection
+    order = [(from_nested(v), v) for v in enumerate_vertices(n, max_n=max_n)]
+    order.sort(key=lambda pair: print_bracketing(pair[0]))
     index = {v: i for i, (_, v) in enumerate(order)}
 
     buckets: dict[NestedSet, list[int]] = {}

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings
 
@@ -12,6 +14,7 @@ from simplepa import (
     alpha_neighbors,
     build_graph,
     chain_incident,
+    enumerate_chains,
     enumerate_vertices,
     from_nested,
     is_full_chain,
@@ -39,6 +42,9 @@ def test_parse_trivial_product():
 
 def test_parse_accepts_middle_dot_and_whitespace():
     assert parse_bracketing(" (2 · (3·(0 · 1))) ", 3) == parse_bracketing(
+        "(2*(3*(0*1)))", 3
+    )
+    assert parse_bracketing("(2\u00a0*\u2003(3*(0*1)))", 3) == parse_bracketing(
         "(2*(3*(0*1)))", 3
     )
 
@@ -128,6 +134,18 @@ def test_from_nested_rejects_bad_input():
     with pytest.raises(ValueError):  # not nested: {2} is no suffix of the permutation
         m = chain_of({1, 0, 3}, {1, 0}, {1})
         from_nested(frozenset([m, chain_of({2}), chain_of({1})]))
+
+
+def test_from_nested_accepts_exactly_the_vertices():
+    for n in (1, 2, 3):
+        vertices = set(enumerate_vertices(n))
+        for chains in itertools.combinations(enumerate_chains(n), n):
+            v = frozenset(chains)
+            if v in vertices:
+                assert to_nested(from_nested(v)) == v
+            else:
+                with pytest.raises(ValueError):
+                    from_nested(v)
 
 
 def test_alpha_neighbors_example():

@@ -149,6 +149,31 @@ def test_file_output_equals_stdout_output(argv, flag, tmp_path, capsys):
     assert list(tmp_path.iterdir()) == [out]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["generate", "--n", "1", "--hrep="],
+        ["generate", "--n", "1", "--vrep="],
+        ["check", "--n", "1", "--report="],
+        ["faces", "--n", "1", "--dim", "0", "--out="],
+        ["graph", "--n", "1", "--dot="],
+        ["bracketing", "--n", "1", "--parse", "0*1", "--out="],
+        ["export", "--n", "3", "--off="],
+    ],
+    ids=lambda argv: " ".join(argv),
+)
+def test_an_empty_output_path_is_an_io_error(argv, tmp_path, monkeypatch, capsys):
+    # the temporary file goes next to the target, so look one directory up too
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("pa: i/o error:") and captured.err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == [work] and list(work.iterdir()) == []
+
+
 def test_an_encoding_that_fails_midway_leaves_the_target_as_it_was(tmp_path, monkeypatch, capsys):
     # a payload whose JSON fails only after more than a batch of tokens is out
     cycle = []

@@ -413,6 +413,17 @@ def test_normalized_functional_turns_facets_into_subset_sums():
         assert seen == n * (n + 1) // 2  # one chain per index interval
 
 
+def test_normalized_functional_matches_every_facet_at_every_vertex():
+    for n in (1, 2, 3):
+        chart = normalization_map(n)
+        points = [vertex_coordinates(v, n) for v in enumerate_vertices(n)]
+        for h in h_representation(n)[1]:
+            coeffs, const = normalized_functional(h, n)
+            for x in points:
+                image = chart.apply(x)
+                assert sum(c * y for c, y in zip(coeffs, image)) + const == h.value(x) - h.rhs
+
+
 def test_standard_chain_interval():
     assert standard_chain_interval(Chain({3}, (1, 2)), 3) == (1, 3)
     assert standard_chain_interval(Chain({2, 3}), 3) == (2, 2)

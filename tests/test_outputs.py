@@ -46,6 +46,7 @@ PINNED = [
     ("faces --n 3 --dim 2 --classify", 0, "8b52f7a7a0569f7fa13a768c3c1acc5c1aae6fad46dad677014af60c7cdc12cc"),
     ("faces --n 4 --dim 2 --classify", 0, "b06e365a01ec4890162e2ece94f74534ee84ffa8ceb1faf30be9fbb9b48fd887"),
     ("export --n 3 --off", 0, "b99d776f9c5de7b2ed74605c697f822bdf77b1708a9afa462009e319748101ae"),
+    ("generate --n 4 --vrep", 0, "98daae8eaaed2d13c104b2f0ca15199d6610f326cb2fb00a66dd230698634e21"),
 ]
 
 
