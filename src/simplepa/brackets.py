@@ -8,13 +8,16 @@ e.g. ``((2*3)*(0*1))`` for n = 3.  Concrete syntax::
 with whitespace ignored, outermost parentheses optional on input and always
 emitted on output.  The leaves must be exactly the integers 0..n, each once.
 
-Internally a bracketing is a permutation plus a full binary tree over the
-leaf positions 0..n.  Each internal node spanning positions p..q corresponds
-to the chain whose sets are the label suffixes {perm[j:], j = p+1..q}; this
-is a bijection between bracketings and maximal nested sets.  Two local moves
-generate the rewrite graph: a rotation at any internal edge of the tree
-(``alpha``) and the swap of the two leaves adjacent to the root split
-(``sigma``).  The graph is n-regular with exactly one sigma edge per vertex.
+Internally a bracketing is a permutation plus the bracket pairs of a full
+binary tree over the leaf positions 0..n, stored as the ``(lo, hi)`` span of
+each of its n internal nodes, in preorder.  A node spanning positions lo..hi
+corresponds to the chain whose sets are the label suffixes
+{perm[j:], j = lo+1..hi}; this is a bijection between bracketings and
+maximal nested sets.  Two local moves generate the rewrite graph: a
+rotation at any internal edge of the tree (``alpha``) and the swap of the
+two leaves adjacent to the root split (``sigma``).  The graph is n-regular
+with exactly one sigma edge per vertex.  Parsing, printing and both moves
+are loops over the spans, so no nesting depth is too deep for them.
 """
 
 from __future__ import annotations
@@ -42,17 +45,20 @@ class BracketSyntaxError(ValueError):
 
 @dataclass(frozen=True)
 class Bracketing:
-    """A permutation of 0..n plus a full binary tree over positions 0..n.
+    """A permutation of 0..n plus the bracket pairs of a full binary tree
+    over the positions 0..n; position j carries the label ``perm[j]``.
 
-    ``tree`` is a nested pair structure whose leaves are the positions
-    (ints); position j carries the label ``perm[j]``.
+    ``spans`` holds the tree's n internal nodes as ``(lo, hi)`` pairs, the
+    first and last position under the node, in preorder: sorted by
+    ``(lo, -hi)``, so the root ``(0, n)`` comes first.
     """
 
     perm: tuple[int, ...]
-    tree: "int | tuple"
+    spans: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
         object.__setattr__(self, "perm", tuple(self.perm))
+        object.__setattr__(self, "spans", tuple(self.spans))
 
     @property
     def n(self) -> int:
@@ -64,8 +70,8 @@ class Bracketing:
             raise ValueError("a bracketing needs at least two labels")
         if sorted(self.perm) != list(range(n + 1)):
             raise ValueError(f"perm {self.perm} is not a permutation of 0..{n}")
-        if _tree_leaves(self.tree) != list(range(n + 1)):  # so the root spans 0..n
-            raise ValueError("tree is not a full binary tree over positions 0..n")
+        if _tree_spans(self.spans, n) != self.spans:
+            raise ValueError("spans are not in preorder")
 
     def __repr__(self):
         return f"Bracketing({print_bracketing(self)!r})"
@@ -126,24 +132,6 @@ class RewriteGraph:
         return len(seen) == len(self.vertices)
 
 
-def _tree_leaves(tree) -> list[int]:
-    if isinstance(tree, int):
-        return [tree]
-    return _tree_leaves(tree[0]) + _tree_leaves(tree[1])
-
-
-def _internal_spans(tree) -> list[tuple[int, int]]:
-    """The (lo, hi) leaf positions under each internal node, in preorder; a
-    node's span is read off its children's, so one walk finds them all."""
-    if isinstance(tree, int):
-        return []
-    left, right = tree
-    below_left, below_right = _internal_spans(left), _internal_spans(right)
-    lo = below_left[0][0] if below_left else left
-    hi = below_right[0][1] if below_right else right
-    return [(lo, hi), *below_left, *below_right]
-
-
 # ---------------------------------------------------------------------------
 # concrete syntax
 
@@ -172,53 +160,42 @@ def parse_bracketing(text: str, n: int) -> Bracketing:
 
     Raises :class:`BracketSyntaxError` with the offending position for any
     syntax error, non-binary product, or leaf multiset that is not exactly
-    a permutation of 0..n.
+    a permutation of 0..n.  One pass over the tokens keeps the open
+    parentheses on a stack and fills in each one's span at its ``)``.
     """
     check_n(n)
-    tokens = _tokenize(text)
-    pos = 0
+    tokens = iter(_tokenize(text))
     leaves: list[tuple[int, int]] = []  # (label, source position)
-
-    def peek():
-        return tokens[pos]
-
-    def advance():
-        nonlocal pos
-        tok = tokens[pos]
-        pos += 1
-        return tok
-
-    def expect(kind: str, what: str):
-        tok = advance()
-        if tok[0] != kind:
-            raise BracketSyntaxError(f"expected {what}", tok[2])
-        return tok
-
-    def atom(depth: int):
-        kind, value, at = peek()
-        if kind == "int":
-            advance()
-            leaves.append((value, at))
-            return len(leaves) - 1
+    spans: list[list[int]] = []  # [lo, hi] per '(' in source order, which is preorder
+    opened: list[list[int]] = []  # the spans of the unclosed '(', innermost last
+    starred = [False]  # per level, the whole input first: is its '*' read?
+    while True:
+        kind, value, at = next(tokens)
         if kind == "(":
-            # no valid tree over 0..n nests deeper; this also bounds the recursion
-            if depth == n:
+            if len(opened) == n:  # no valid tree over 0..n nests deeper
                 raise BracketSyntaxError(f"parentheses nest deeper than {n}", at)
-            advance()
-            left = atom(depth + 1)
-            expect("op", "'*'")
-            right = atom(depth + 1)
-            expect(")", "')'")
-            return (left, right)
-        raise BracketSyntaxError("expected '(' or a label", at)
-
-    tree = atom(0)
-    if peek()[0] == "op":  # outermost parentheses were omitted
-        advance()
-        tree = (tree, atom(0))
-    kind, _, at = peek()
-    if kind != "end":
-        raise BracketSyntaxError("unexpected trailing input", at)
+            opened.append([len(leaves), -1])
+            spans.append(opened[-1])
+            starred.append(False)
+            continue
+        if kind != "int":
+            raise BracketSyntaxError("expected '(' or a label", at)
+        leaves.append((value, at))
+        kind, _, at = next(tokens)
+        while opened and starred[-1]:  # a right operand ends: close its '('
+            if kind != ")":
+                raise BracketSyntaxError("expected ')'", at)
+            opened.pop()[1] = len(leaves) - 1
+            starred.pop()
+            kind, _, at = next(tokens)
+        if kind == "op" and not starred[-1]:
+            starred[-1] = True
+        elif opened:
+            raise BracketSyntaxError("expected '*'", at)
+        elif kind != "end":
+            raise BracketSyntaxError("unexpected trailing input", at)
+        else:
+            break
 
     seen: set[int] = set()
     for value, at in leaves:
@@ -228,23 +205,21 @@ def parse_bracketing(text: str, n: int) -> Bracketing:
             raise BracketSyntaxError(f"repeated label {value}", at)
         seen.add(value)
     if len(leaves) != n + 1:
-        raise BracketSyntaxError(
-            f"product has {len(leaves)} labels, expected {n + 1}", len(text)
-        )
-    if isinstance(tree, int):  # single label, only possible when n == 0
-        raise BracketSyntaxError("expected a product", len(text))
-    return Bracketing(tuple(value for value, _ in leaves), tree)
+        raise BracketSyntaxError(f"product has {len(leaves)} labels, expected {n + 1}", len(text))
+    if starred[0]:  # outermost parentheses were omitted
+        spans.insert(0, [0, n])
+    return Bracketing(tuple(value for value, _ in leaves), tuple(map(tuple, spans)))
 
 
 def print_bracketing(b: Bracketing) -> str:
-    """Canonical fully parenthesized string; inverse of :func:`parse_bracketing`."""
-
-    def render(tree) -> str:
-        if isinstance(tree, int):
-            return str(b.perm[tree])
-        return f"({render(tree[0])}*{render(tree[1])})"
-
-    return render(b.tree)
+    """Canonical fully parenthesized string; inverse of :func:`parse_bracketing`.
+    Each position writes one ``(`` per span starting there, its label, then
+    one ``)`` per span ending there."""
+    pieces = list(map(str, b.perm))
+    for lo, hi in b.spans:
+        pieces[lo] = "(" + pieces[lo]
+        pieces[hi] += ")"
+    return "*".join(pieces)
 
 
 # ---------------------------------------------------------------------------
@@ -253,10 +228,7 @@ def print_bracketing(b: Bracketing) -> str:
 def to_nested(b: Bracketing) -> NestedSet:
     """The maximal nested set of the bracketing: one chain per internal node."""
     perm = b.perm
-    chains = []
-    for lo, hi in _internal_spans(b.tree):
-        chains.append(Chain(frozenset(perm[hi:]), tuple(perm[lo + 1:hi])))
-    return frozenset(chains)
+    return frozenset(Chain(frozenset(perm[hi:]), perm[lo + 1:hi]) for lo, hi in b.spans)
 
 
 def from_nested(v: NestedSet) -> Bracketing:
@@ -283,87 +255,100 @@ def from_nested(v: NestedSet) -> Bracketing:
             raise ValueError(f"{c} is not derived from the complete chain of the set")
         lo, hi = interval
         spans.add((lo - 1, hi))
-    if len(spans) != n:
-        raise ValueError("chains do not give distinct bracket pairs")
-    return Bracketing(perm, _tree_from_spans(spans, n))
+    return Bracketing(perm, _tree_spans(spans, n))
 
 
-def _tree_from_spans(spans: set[tuple[int, int]], n: int) -> "int | tuple":
-    """The tree whose internal spans are exactly ``spans``.  A tree's spans
-    sorted by (lo, -hi) are its preorder, and a node's left child is the next
-    span when that one starts at the same lo."""
-    preorder = sorted(spans, key=lambda span: (-span[0], span[1]))  # popped from the end
-
-    def build(lo: int, hi: int):
-        if lo == hi:
-            return lo
-        if (lo, hi) not in spans:
-            raise ValueError(f"missing bracket over positions {lo}..{hi}")
-        while preorder.pop() != (lo, hi):  # a skipped span is off the tree: one goes missing
-            pass
-        mid = preorder[-1][1] if preorder and preorder[-1][0] == lo else lo
-        return (build(lo, mid), build(mid + 1, hi))
-
-    return build(0, n)
+def _tree_spans(spans, n: int) -> tuple[tuple[int, int], ...]:
+    """``spans`` in preorder, if they are the bracket pairs of a full binary
+    tree over positions 0..n: n distinct spans with lo < hi inside 0..n, no
+    two crossing.  Such a family is one tree whose every node splits in two:
+    a node with one part would equal that part, and a forest over n + 1
+    leaves whose nodes have two or more parts has at most n nodes, with n
+    only for a single binary tree."""
+    ordered = sorted(spans, key=lambda span: (span[0], -span[1]))
+    if len(ordered) != n or len(set(ordered)) != n:
+        raise ValueError(f"expected {n} distinct bracket pairs")
+    ends: list[int] = []  # the hi of each span enclosing the current one
+    for lo, hi in ordered:
+        if not 0 <= lo < hi <= n:
+            raise ValueError(f"bracket over positions {lo}..{hi} is not inside 0..{n}")
+        while ends and ends[-1] < lo:
+            ends.pop()
+        if ends and ends[-1] < hi:
+            raise ValueError(f"bracket over positions {lo}..{hi} crosses another")
+        ends.append(hi)
+    return tuple(ordered)
 
 
 # ---------------------------------------------------------------------------
 # moves and the rewrite graph
 
-def _rotations(tree):
-    """All trees one rotation away, preserving the leaf order.
-
-    Each internal non-root node contributes exactly one alternative: drop its
-    bracket pair and close the resulting triple the other way.
-    """
-    if isinstance(tree, int):
-        return
-    left, right = tree
-    if not isinstance(left, int):
-        a, b = left
-        yield (a, (b, right))
-    if not isinstance(right, int):
-        a, b = right
-        yield ((left, a), b)
-    for sub in _rotations(left):
-        yield (sub, right)
-    for sub in _rotations(right):
-        yield (left, sub)
+def _split(spans: tuple[tuple[int, int], ...], i: int) -> int:
+    """The last position under the left child of node i, which follows node i
+    in preorder when it is a node rather than a leaf."""
+    lo = spans[i][0]
+    if i + 1 < len(spans) and spans[i + 1][0] == lo:
+        return spans[i + 1][1]
+    return lo
 
 
 def alpha_neighbors(b: Bracketing) -> list[Bracketing]:
-    """The n-1 bracketings reachable by one rotation (same permutation)."""
-    return [Bracketing(b.perm, t) for t in _rotations(b.tree)]
+    """The n-1 bracketings reachable by one rotation (same permutation).
+
+    Each non-root node drops its bracket pair and closes the resulting triple
+    the other way: under a parent (plo, phi), a left child splitting at mid
+    becomes (mid+1, phi) and a right child becomes (plo, mid).  A subtree
+    over lo..hi has hi - lo nodes, so the new pair's place in preorder is
+    counted off the subtree it moves across.
+    """
+    spans = b.spans
+    out = []
+    ancestors = [spans[0]]
+    for i in range(1, len(spans)):
+        lo, hi = spans[i]
+        while ancestors[-1][1] < lo:
+            ancestors.pop()
+        plo, phi = ancestors[-1]
+        mid = _split(spans, i)
+        if lo == plo:  # ((A*B)*C) to (A*(B*C)): the new pair follows A's
+            k = i + 1 + mid - lo
+            moved = (*spans[:i], *spans[i + 1:k], (mid + 1, phi), *spans[k:])
+        else:  # (A*(B*C)) to ((A*B)*C): the new pair precedes A's
+            k = i + 1 + plo - lo
+            moved = (*spans[:k], (plo, mid), *spans[k:i], *spans[i + 1:])
+        out.append(Bracketing(b.perm, moved))
+        ancestors.append((lo, hi))
+    return out
 
 
 def sigma_neighbor(b: Bracketing) -> Bracketing:
     """Swap the two labels adjacent to the root split (an involution)."""
-    _, j = b.tree
-    while not isinstance(j, int):  # the right subtree's leftmost position
-        j = j[0]
+    j = _split(b.spans, 0)
     perm = list(b.perm)
-    perm[j - 1], perm[j] = perm[j], perm[j - 1]
-    return Bracketing(tuple(perm), b.tree)
+    perm[j], perm[j + 1] = perm[j + 1], perm[j]
+    return Bracketing(tuple(perm), b.spans)
 
 
-@lru_cache(maxsize=None)
-def _tree_shapes(lo: int, hi: int) -> tuple:
-    if lo == hi:
-        return (lo,)
-    shapes = []
-    for mid in range(lo, hi):
-        for left in _tree_shapes(lo, mid):
-            for right in _tree_shapes(mid + 1, hi):
-                shapes.append((left, right))
-    return tuple(shapes)
+def _tree_shapes(n: int) -> list[tuple[tuple[int, int], ...]]:
+    """The spans of every full binary tree over positions 0..n, built up by
+    size: the tree over 0..k splitting at mid is the root (0, k), a tree over
+    0..mid, then a tree over 0..k-mid-1 moved right by mid+1."""
+    shapes: list[list[tuple]] = [[()]]
+    for k in range(1, n + 1):
+        shapes.append([
+            ((0, k), *left, *((lo + mid + 1, hi + mid + 1) for lo, hi in right))
+            for mid in range(k)
+            for left in shapes[mid]
+            for right in shapes[k - mid - 1]
+        ])
+    return shapes[n]
 
 
 @lru_cache(maxsize=None)
 def _all_bracketings(n: int) -> tuple[Bracketing, ...]:
+    shapes = _tree_shapes(n)  # one tuple per shape, shared by every permutation
     out = [
-        Bracketing(perm, tree)
-        for perm in itertools.permutations(range(n + 1))
-        for tree in _tree_shapes(0, n)
+        Bracketing(perm, spans) for perm in itertools.permutations(range(n + 1)) for spans in shapes
     ]
     out.sort(key=print_bracketing)
     return tuple(out)
@@ -410,7 +395,7 @@ def chain_incident(b: Bracketing, chain: Chain) -> bool:
     n = b.n
     first, middle, last = ordered_partition(chain, n)
     perm = b.perm
-    for lo, hi in _internal_spans(b.tree):
+    for lo, hi in b.spans:
         if (
             tuple(perm[lo + 1:hi]) == middle
             and frozenset(perm[hi:]) == last

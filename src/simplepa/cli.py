@@ -9,6 +9,7 @@ codes: 0 success, 1 a failed verification, 2 a usage or I/O error.
 from __future__ import annotations
 
 import argparse
+import errno
 import itertools
 import json
 import os
@@ -238,6 +239,13 @@ class UsageError(ValueError):
     pass
 
 
+def _output_path(path: str) -> str:
+    """An output path; the empty one fails as the command line is read."""
+    if not path:
+        raise FileNotFoundError(errno.ENOENT, "empty output path", path)
+    return path
+
+
 class _Parser(argparse.ArgumentParser):
     """Reports a bad command line as a :class:`UsageError`: one stderr line."""
 
@@ -264,13 +272,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("generate", help="write the H- and/or V-representation")
     common(p)
-    p.add_argument("--hrep", metavar="PATH", help="write a cdd-style .ine file")
-    p.add_argument("--vrep", metavar="PATH", help="write the vertices as JSON")
+    p.add_argument("--hrep", metavar="PATH", type=_output_path, help="write a cdd-style .ine file")
+    p.add_argument("--vrep", metavar="PATH", type=_output_path, help="write the vertices as JSON")
     p.set_defaults(func=_cmd_generate)
 
     p = sub.add_parser("check", help="run the full verification suite")
     common(p)
-    p.add_argument("--report", metavar="PATH", help="also write the JSON report here")
+    p.add_argument(
+        "--report", metavar="PATH", type=_output_path, help="also write the JSON report here"
+    )
     p.add_argument(
         "--perturb",
         action="store_true",
@@ -282,23 +292,23 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--dim", type=int, required=True)
     p.add_argument("--classify", action="store_true", help="attach 2-face diagram types")
-    p.add_argument("--out", metavar="PATH")
+    p.add_argument("--out", metavar="PATH", type=_output_path)
     p.set_defaults(func=_cmd_faces)
 
     p = sub.add_parser("graph", help="write the rewrite graph as DOT")
     common(p)
-    p.add_argument("--dot", metavar="PATH", required=True)
+    p.add_argument("--dot", metavar="PATH", type=_output_path, required=True)
     p.set_defaults(func=_cmd_graph)
 
     p = sub.add_parser("bracketing", help="parse a bracketing and look up its vertex")
     common(p)
     p.add_argument("--parse", metavar="TEXT", required=True)
-    p.add_argument("--out", metavar="PATH")
+    p.add_argument("--out", metavar="PATH", type=_output_path)
     p.set_defaults(func=_cmd_bracketing)
 
     p = sub.add_parser("export", help="write the n=3 polytope as an OFF mesh")
     common(p)
-    p.add_argument("--off", metavar="PATH", required=True)
+    p.add_argument("--off", metavar="PATH", type=_output_path, required=True)
     p.set_defaults(func=_cmd_export)
 
     return parser
@@ -312,7 +322,7 @@ def main(argv=None) -> int:
     except BracketSyntaxError as exc:
         print(f"pa: parse error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (ValueError, ResourceCapError, RecursionError) as exc:
+    except (ValueError, ResourceCapError) as exc:
         print(f"pa: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except OSError as exc:

@@ -46,13 +46,17 @@ CHAINS_N2 = [
 @st.composite
 def bracketings(draw, max_n: int = 7) -> Bracketing:
     """A random bracketing over 0..n, 1 <= n <= max_n: a random permutation
-    and a random full binary tree, split by split."""
+    and a random full binary tree, split by split in preorder."""
     n = draw(st.integers(1, max_n))
+    perm = tuple(draw(st.permutations(range(n + 1))))
+    spans = []
 
-    def tree(lo, hi):
-        if lo == hi:
-            return lo
-        mid = draw(st.integers(lo, hi - 1))
-        return (tree(lo, mid), tree(mid + 1, hi))
+    def split(lo, hi):
+        if lo < hi:
+            spans.append((lo, hi))
+            mid = draw(st.integers(lo, hi - 1))
+            split(lo, mid)
+            split(mid + 1, hi)
 
-    return Bracketing(tuple(draw(st.permutations(range(n + 1)))), tree(0, n))
+    split(0, n)
+    return Bracketing(perm, tuple(spans))

@@ -248,11 +248,12 @@ def test_criterion_08_oracle_equivalence():
     _passed(8, "pairwise nestedness equals the antichain oracle; incidence agrees")
 
 
-def _random_tree(lo, hi, rng):
+def _random_spans(lo, hi, rng):
+    """The spans, in preorder, of a random full binary tree over lo..hi."""
     if lo == hi:
-        return lo
+        return ()
     mid = rng.randrange(lo, hi)
-    return (_random_tree(lo, mid, rng), _random_tree(mid + 1, hi, rng))
+    return ((lo, hi), *_random_spans(lo, mid, rng), *_random_spans(mid + 1, hi, rng))
 
 
 def test_criterion_09_parser_roundtrip_and_rejection():
@@ -266,7 +267,7 @@ def test_criterion_09_parser_roundtrip_and_rejection():
     for _ in range(1000):
         perm = list(range(7))
         rng.shuffle(perm)
-        b = Bracketing(tuple(perm), _random_tree(0, 6, rng))
+        b = Bracketing(tuple(perm), _random_spans(0, 6, rng))
         assert parse_bracketing(print_bracketing(b), 6) == b
 
     for text, n in [

@@ -1,4 +1,5 @@
 import itertools
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -29,14 +30,14 @@ from simplepa import (
 def test_parse_permuted_product():
     b = parse_bracketing("((2*3)*(0*1))", 3)
     assert b.perm == (2, 3, 0, 1)
-    assert b.tree == ((0, 1), (2, 3))
+    assert b.spans == ((0, 3), (0, 1), (2, 3))
     assert print_bracketing(b) == "((2*3)*(0*1))"
 
 
 def test_parse_trivial_product():
     b = parse_bracketing("0*1", 1)
     assert b.perm == (0, 1)
-    assert b.tree == (0, 1)
+    assert b.spans == ((0, 1),)
     assert print_bracketing(b) == "(0*1)"
 
 
@@ -55,24 +56,27 @@ def test_parse_print_canonicalizes_outer_parentheses():
     assert parse_bracketing(print_bracketing(b), 3) == b
 
 
+_MALFORMED = [
+    ("((0*1)*2", 2, "expected ')'", 8),  # unbalanced
+    ("(0*1)*1", 2, "repeated label 1", 6),
+    ("(0*1)", 2, "product has 2 labels, expected 3", 5),  # missing leaf
+    ("(0*1*2)", 2, "expected ')'", 4),  # ternary product
+    ("(0*3)", 1, "label 3 outside 0..1", 3),
+    ("0*", 1, "expected '(' or a label", 2),
+    ("", 1, "expected '(' or a label", 0),
+    ("(0*1)x", 1, "unexpected character 'x'", 5),  # stray character
+    ("(0*1) (", 1, "unexpected trailing input", 6),
+]
+
+
 @pytest.mark.parametrize(
-    "text,n",
-    [
-        ("((0*1)*2", 2),  # unbalanced
-        ("(0*1)*1", 2),  # repeated leaf
-        ("(0*1)", 2),  # missing leaf
-        ("(0*1*2)", 2),  # ternary product
-        ("(0*3)", 1),  # leaf out of range
-        ("0*", 1),
-        ("", 1),
-        ("(0*1)x", 1),  # stray character
-        ("(0*1) (", 1),  # trailing input
-    ],
+    "text,n,message,position", _MALFORMED, ids=[f"{text}-{n}" for text, n, _, _ in _MALFORMED]
 )
-def test_parse_rejects_malformed_input(text, n):
+def test_parse_rejects_malformed_input(text, n, message, position):
     with pytest.raises(BracketSyntaxError) as err:
         parse_bracketing(text, n)
-    assert 0 <= err.value.position <= len(text)
+    assert str(err.value) == f"{message} (position {position})"
+    assert err.value.position == position
 
 
 def test_parse_accepts_ascii_digits_only():
@@ -182,7 +186,7 @@ def test_sigma_neighbor_is_an_involution():
         other = sigma_neighbor(b)
         assert other != b
         assert sigma_neighbor(other) == b
-        assert other.tree == b.tree
+        assert other.spans == b.spans
 
 
 def test_all_bracketings_counts_and_order():
@@ -262,11 +266,38 @@ def test_chain_incident_agrees_with_membership():
 def test_bracketing_check():
     parse_bracketing("(0*1)", 1).check()
     with pytest.raises(ValueError):
-        Bracketing((0, 0), (0, 1)).check()
+        Bracketing((0, 0), ((0, 1),)).check()
     with pytest.raises(ValueError):
-        Bracketing((0, 1, 2), (0, 1)).check()
+        Bracketing((0, 1, 2), ((0, 1),)).check()
+    for spans in (
+        ((0, 1), (0, 2)),  # not in preorder
+        ((0, 2), (1, 1)),  # a pair over one position
+        ((0, 2), (1, 3)),  # past position n
+        ((0, 3), (0, 2), (1, 3)),  # crossing pairs
+        ((0, 3), (0, 1), (0, 1)),  # a repeated pair
+    ):
+        with pytest.raises(ValueError):
+            Bracketing(tuple(range(len(spans) + 1)), spans).check()
     with pytest.raises(ValueError):
         parse_bracketing("0", 0)
+
+
+def test_combs_nested_beyond_the_stack_round_trip():
+    # a left and a right comb over 0..n, nested twice as deep as Python's
+    # recursion limit: valid input, read, printed and moved by loops
+    n = 2 * sys.getrecursionlimit()
+    left = "(" * n + "0" + "".join(f"*{i})" for i in range(1, n + 1))
+    right = "".join(f"({i}*" for i in range(n)) + f"{n}" + ")" * n
+    for text in (left, right):
+        b = parse_bracketing(text, n)
+        assert print_bracketing(b) == text
+        assert from_nested(to_nested(b)) == b
+        b.check()
+        other = sigma_neighbor(b)
+        assert other != b and other.spans == b.spans and sigma_neighbor(other) == b
+        neighbors = alpha_neighbors(b)
+        assert len(neighbors) == n - 1
+        assert all(a.perm == b.perm and len(set(a.spans) - set(b.spans)) == 1 for a in neighbors)
 
 
 @settings(max_examples=300, deadline=None)

@@ -47,6 +47,7 @@ PINNED = [
     ("faces --n 4 --dim 2 --classify", 0, "b06e365a01ec4890162e2ece94f74534ee84ffa8ceb1faf30be9fbb9b48fd887"),
     ("export --n 3 --off", 0, "b99d776f9c5de7b2ed74605c697f822bdf77b1708a9afa462009e319748101ae"),
     ("generate --n 4 --vrep", 0, "98daae8eaaed2d13c104b2f0ca15199d6610f326cb2fb00a66dd230698634e21"),
+    ("graph --n 4 --dot", 0, "43bc15738c7cfc8554e9862bfe23768f9f371053fdc3ff8cce331ae1d05643be"),
 ]
 
 
