@@ -3,7 +3,8 @@
 All outputs are deterministic: canonical chain and bracketing order, exact
 rationals ("p/q", or "p" when the denominator is 1).  Each output is built
 whole, then streamed to stdout or to an atomically written file.  Exit
-codes: 0 success, 1 a failed verification, 2 a usage or I/O error.
+codes: 0 success, 1 a failed verification, 2 a usage or I/O error or a
+broken internal invariant.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from .brackets import (
 )
 from .classify import boundary_cycle, diagram_census
 from .geometry import (
+    SingularSystemError,
     f_vector,
     h_representation,
     normalization_map,
@@ -327,6 +329,9 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     except OSError as exc:
         print(f"pa: i/o error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except (SingularSystemError, RuntimeError) as exc:  # after ResourceCapError, a RuntimeError
+        print(f"pa: internal error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
 

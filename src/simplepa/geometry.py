@@ -11,10 +11,27 @@ The second summand is a sub-unit fractional offset; it is exactly what makes
 a vertex meet its own n facets and clear every other facet strictly, so the
 whole module works in exact arithmetic and never touches floating point.
 The check runs in integers: each vertex is solved from the facets' integer
-rows by fraction-free elimination as X/d over one common denominator d,
-compared with each facet by one integer comparison, and kept as (X, d) to
-rank the facet hulls.  Fractions appear only at input and output: facet
-right-hand sides, the coordinates a caller reads, the normalization chart.
+rows by fraction-free elimination as X/d over one common denominator d, and
+kept as (X, d) to rank the facet hulls.  Fractions appear only at input and
+output: facet right-hand sides, the coordinates a caller reads, the
+normalization chart.
+
+The facets fall into n(n+1)/2 classes (k, l), 1 <= k and k+l <= n.  All
+facets of a class share one right-hand side, and their rows are the
+placements onto the labels of one vector: k on l+1 labels, then k-1, ..., 1
+on k-1 more, and 0 on the rest.  Each placement is the row of exactly one
+chain (core the k's, ext read from 1 up to k-1), so a class holds all
+C(n+1, l+1)·(n-l)!/(n-l-k+1)! of them, and the class sizes sum to the
+facet count.  By the rearrangement inequality (Hardy, Littlewood and Pólya,
+*Inequalities*, §10.2) the least value of a class at a point pairs its
+largest coefficients with the smallest coordinates, and when the
+coordinates are distinct, that one placement is the only one to attain it.
+So one sort of a vertex's n+1 coordinates checks the whole canonical table,
+one integer comparison per class: a class whose least value clears its
+bound is strict throughout, and a class that meets its bound has exactly
+one tight facet.  A point with two equal coordinates, or below some class
+bound, is scanned facet by facet instead; that brute-force scan also serves
+an explicit facet table, such as the ``--perturb`` control's.
 """
 
 from __future__ import annotations
@@ -23,6 +40,7 @@ from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from itertools import accumulate
 from math import gcd, prod
 from operator import mul
 
@@ -146,14 +164,78 @@ Point = tuple[Fraction, ...]
 ScaledPoint = tuple[tuple[int, ...], int]  # (X, d), the point X/d in lowest terms, d > 0
 
 
+class _CanonicalTable(dict):
+    """The facet of every chain, in canonical order; ``verify_vertex`` checks
+    this table class by class, and a copy, a plain dict, facet by facet."""
+
+
 @lru_cache(maxsize=None)
-def _facet_table(n: int) -> dict[Chain, Hyperplane]:
-    return {c: facet_inequality(c, n) for c in enumerate_chains(n)}
+def _facet_table(n: int) -> _CanonicalTable:
+    return _CanonicalTable((c, facet_inequality(c, n)) for c in enumerate_chains(n))
 
 
 def _solve_vertex(v: Iterable[Chain], n: int, table: Mapping[Chain, Hyperplane]) -> ScaledPoint:
     coeffs, rhs = zip(*(table[chain].row for chain in v), ((1,) * (n + 1), 3 ** (n + 1)))
     return solve_exact(coeffs, rhs)
+
+
+@lru_cache(maxsize=None)
+def _facet_classes(n: int) -> tuple[tuple[int, int, int, int], ...]:
+    """One (k, l, q, p) per facet class, with p/q = facet_rhs(k, l, n)."""
+    classes = []
+    for k in range(1, n + 1):
+        for l in range(n - k + 1):
+            rhs = facet_rhs(k, l, n)
+            classes.append((k, l, rhs.denominator, rhs.numerator))
+    return tuple(classes)
+
+
+def _class_scan(v: NestedSet, point: ScaledPoint, n: int) -> tuple[frozenset[Chain], bool] | None:
+    """The tight canonical facets at X/d and whether every facet outside ``v``
+    is strict, by one comparison per class; None, for the facet scan to
+    decide, when two coordinates tie or some class falls below its bound."""
+    scaled, d = point
+    order = sorted(range(n + 1), key=scaled.__getitem__)
+    xs = [scaled[i] for i in order]
+    if any(a == b for a, b in zip(xs, xs[1:])):
+        return None
+    # least value of class (k, l): k on xs[0..l], then k-1, ..., 1 on
+    # xs[l+1..l+k-1]; that is P_(l+1) + ... + P_(l+k) over the prefix sums
+    # P_m = xs[0] + ... + xs[m-1], so one more prefix sum S gives S_(l+k) - S_l
+    sums = list(accumulate(accumulate(xs), initial=0))
+    own = {(c.core, c.ext): c for c in v}  # a lookup costs less than building a Chain
+    tight = []
+    for k, l, q, p in _facet_classes(n):
+        least, bound = q * (sums[l + k] - sums[l]), p * d
+        if least < bound:
+            return None
+        if least == bound:
+            # the minimizer: core the l+1 smallest, ext outermost on the largest
+            key = (frozenset(order[: l + 1]), tuple(order[l + k - 1 : l : -1]))
+            tight.append(own.get(key) or Chain(*key))
+    tight = frozenset(tight)
+    return tight, tight <= v
+
+
+def _facet_scan(
+    v: NestedSet, point: ScaledPoint, facets: Mapping[Chain, Hyperplane]
+) -> tuple[frozenset[Chain], bool]:
+    """The tight facets at X/d and whether every facet outside ``v`` is
+    strict, by one comparison per facet."""
+    # with x = X/d, a.x >= p/q compares exactly as (q*a).X >= p*d, since d, q > 0
+    scaled, d = point
+    tight = []
+    strict_ok = True
+    for c, h in facets.items():
+        coeffs, p = h.row
+        lhs = sum(map(mul, coeffs, scaled))
+        bound = p * d
+        if lhs <= bound:
+            if lhs == bound:
+                tight.append(c)
+            if c not in v:
+                strict_ok = False
+    return frozenset(tight), strict_ok
 
 
 def vertex_coordinates(v: NestedSet, n: int) -> Point:
@@ -186,25 +268,24 @@ def verify_vertex(
 
     On a correct realization, ``tight`` equals ``v``, every other facet is
     strict, and the vertex lies on exactly n facet hyperplanes.
+
+    With ``facets`` None the canonical table is meant, and n must be within
+    the enumeration cap.  That table is checked class by class: by the
+    rearrangement inequality (see the module docstring) one sort of the
+    vertex's coordinates gives each class's least value and the one facet
+    that can attain it, so ``tight`` is the set of those that do and
+    ``strict_ok`` is ``tight <= v``.  A vertex with two equal coordinates, or
+    below some class bound, falls back to the brute-force scan, one integer
+    comparison per facet, which also serves any other ``facets`` mapping.
     """
     v = frozenset(v)
     if facets is None:
         check_cap(n)
         facets = _facet_table(n)
-    # with x = X/d, a.x >= p/q compares exactly as (q*a).X >= p*d, since d, q > 0
-    scaled, d = _solve_vertex(v, n, facets)
-    tight = []
-    strict_ok = True
-    for c, h in facets.items():
-        coeffs, p = h.row
-        lhs = sum(map(mul, coeffs, scaled))
-        bound = p * d
-        if lhs <= bound:
-            if lhs == bound:
-                tight.append(c)
-            if c not in v:
-                strict_ok = False
-    return VertexReport((scaled, d), frozenset(tight), strict_ok, len(tight) == n)
+    point = _solve_vertex(v, n, facets)
+    verdict = _class_scan(v, point, n) if isinstance(facets, _CanonicalTable) else None
+    tight, strict_ok = verdict or _facet_scan(v, point, facets)
+    return VertexReport(point, tight, strict_ok, len(tight) == n)
 
 
 def affine_dimension(points: Iterable[ScaledPoint], stop_at: int | None = None) -> int:
@@ -372,16 +453,22 @@ def realization_report(n: int, perturb: bool = False, max_n: int | None = None) 
     ``perturb`` lowers one facet's right-hand side by 1 before checking, as a
     negative control: the report must then flag failures.  It needs n >= 2,
     since at n = 1 the lowered bound still cuts out a valid segment.
+
+    The vertex check is ``verify_vertex``.  On the canonical table it
+    compares each facet class's least value, found by the rearrangement
+    inequality, with the class bound; under ``perturb`` it scans the altered
+    copy facet by facet.
     """
     from .brackets import SIGMA, build_graph, from_nested, print_bracketing
 
     check_cap(n, max_n)
-    table = dict(_facet_table(n))
+    table = _facet_table(n)
     if perturb and n < 2:
         raise ValueError(f"perturb needs n >= 2, got {n}: a lowered bound still leaves a segment")
     if perturb:
         # relax the last canonical facet (a complete descending chain); the
         # vertices on it then cross their neighboring facets
+        table = dict(table)
         target = list(table)[-1]
         h = table[target]
         table[target] = Hyperplane(h.coeffs, h.rhs - 1)

@@ -6,13 +6,14 @@ import stat
 import subprocess
 import sys
 import tracemalloc
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import bracketings
-from simplepa import cli, print_bracketing
+from simplepa import Hyperplane, classify, cli, geometry, print_bracketing
 from simplepa.cli import main
 
 EXPECTED_INE_N1 = """H-representation
@@ -343,6 +344,13 @@ def test_max_n_lifts_the_cap_for_bracketing_and_hrep(monkeypatch, capsys, tmp_pa
     assert out.read_text().splitlines()[3] == "63 5 rational"  # 62 facets plus the ambient row
 
 
+def test_max_n_lifts_the_cap_for_check(monkeypatch, capsys):
+    # the check must not apply the environment's cap to each vertex it verifies
+    monkeypatch.setenv("PA_MAX_N", "2")
+    assert run(["check", "--n", "3", "--max-n", "3"]) == 0
+    assert json.loads(capsys.readouterr().out)["ok"]
+
+
 def test_export_off_n3(tmp_path):
     out = tmp_path / "pa3.off"
     assert run(["export", "--n", "3", "--off", str(out)]) == 0
@@ -384,6 +392,44 @@ def test_resource_cap_exit_code(monkeypatch, capsys, tmp_path):
     assert "cap" in capsys.readouterr().err
     monkeypatch.setenv("PA_MAX_N", "3")
     assert run(["generate", "--n", "3", "--vrep", str(tmp_path / "v.json")]) == 0
+
+
+def _without_the_first_vertex(module, monkeypatch):
+    every = module.enumerate_vertices
+    monkeypatch.setattr(module, "enumerate_vertices", lambda n, max_n=None: every(n, max_n)[1:])
+
+
+@pytest.mark.parametrize("arm", ["singular system", "polytope graph", "boundary cycle"])
+def test_a_broken_internal_invariant_exits_2_in_one_line(arm, tmp_path, monkeypatch, capsys):
+    out = tmp_path / "pa3.off"
+    if arm == "singular system":  # every facet row zero: the vertex cannot be solved
+        monkeypatch.setattr(
+            geometry, "facet_inequality", lambda chain, n: Hyperplane((0,) * (n + 1), Fraction(1))
+        )
+        argv = ["bracketing", "--n", "3", "--parse", "((2*3)*(0*1))"]
+        message = "no pivot in column 1"
+    elif arm == "polytope graph":  # a vertex missing: an edge face with one vertex
+        _without_the_first_vertex(geometry, monkeypatch)
+        argv = ["check", "--n", "2"]
+        message = "edge face shared by 1 vertices, expected 2"
+    else:  # a vertex missing: a facet polygon with a gap
+        _without_the_first_vertex(classify, monkeypatch)
+        argv = ["export", "--n", "3", "--off", str(out)]
+        message = "boundary of the face is not a disjoint union of cycles"
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"pa: internal error: {message}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_the_resource_cap_keeps_its_own_message(monkeypatch, capsys):
+    # ResourceCapError is a RuntimeError too, and keeps its own line
+    monkeypatch.setenv("PA_MAX_N", "2")
+    assert run(["check", "--n", "3"]) == 2
+    assert capsys.readouterr().err == (
+        "pa: n=3 exceeds the enumeration cap 2; pass max_n or set PA_MAX_N to override\n"
+    )
 
 
 def test_identical_runs_are_byte_identical(tmp_path):

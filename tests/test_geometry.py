@@ -1,15 +1,17 @@
 import itertools
+from collections import Counter
 from fractions import Fraction
-from math import gcd
+from math import comb, factorial, gcd
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import chain_of
+from conftest import bracketings, chain_of
 from simplepa import (
     ALPHA,
     SIGMA,
+    Bracketing,
     Chain,
     Hyperplane,
     ResourceCapError,
@@ -253,6 +255,101 @@ def test_verify_vertex_flags_a_facet_moved_onto_an_outside_vertex():
     for v in enumerate_vertices(n):
         report = verify_vertex(v, n, facets=table)
         assert (report.tight, report.strict_ok) == _fraction_verdict(v, table, report)
+
+
+def test_class_check_agrees_with_the_facet_scan_on_every_vertex():
+    for n in (1, 2, 3, 4):
+        brute = dict(_facet_table(n))  # a plain dict: scanned facet by facet
+        for v in enumerate_vertices(n):
+            assert verify_vertex(v, n) == verify_vertex(v, n, facets=brute)
+
+
+def test_class_check_never_falls_back_on_a_vertex(monkeypatch):
+    def no_scan(v, point, facets):
+        raise AssertionError("the class check fell back to the facet scan")
+
+    monkeypatch.setattr(geometry, "_facet_scan", no_scan)
+    for n in (1, 2, 3, 4):
+        for v in enumerate_vertices(n):
+            report = verify_vertex(v, n)
+            assert report.tight == v and report.strict_ok and report.multiplicity_ok
+    with pytest.raises(AssertionError, match="fell back"):
+        verify_vertex(enumerate_vertices(2)[0], 2, facets=dict(_facet_table(2)))
+
+
+@st.composite
+def _class_check_points(draw):
+    """A vertex v at n = 2..5 and an integer point (X, d): v's own point, or
+    it with two coordinates made equal, one coordinate lowered or d changed,
+    or another vertex's point, or any point at all."""
+    b = draw(bracketings(max_n=5).filter(lambda b: b.n >= 2))
+    n, v = b.n, to_nested(b)
+    mode = draw(st.sampled_from(["vertex", "tie", "lower", "rescale", "other", "any"]))
+    owner = v
+    if mode == "other":  # the same tree over another permutation
+        owner = to_nested(Bracketing(draw(st.permutations(range(n + 1))), b.spans))
+    scaled, d = geometry._solve_vertex(owner, n, _facet_table(n))
+    scaled = list(scaled)
+    labels = st.integers(0, n)
+    if mode == "tie":
+        i, j = draw(st.lists(labels, min_size=2, max_size=2, unique=True))
+        scaled[j] = scaled[i]
+    elif mode == "lower":
+        scaled[draw(labels)] -= draw(st.integers(1, d))
+    elif mode == "rescale":
+        d = draw(st.integers(1, 2 * d))
+    elif mode == "any":
+        d = draw(st.integers(1, 20))
+        scaled = draw(st.lists(st.integers(-20, 3 ** (n + 1) * d), min_size=n + 1, max_size=n + 1))
+    return n, v, (tuple(scaled), d)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_class_check_points())
+def test_class_check_agrees_with_the_facet_scan_at_any_point(case):
+    n, v, point = case
+    scaled, d = point
+    table = _facet_table(n)
+    tie = len(set(scaled)) < len(scaled)
+    below = any(
+        sum(a * x for a, x in zip(h.row[0], scaled)) < h.row[1] * d for h in table.values()
+    )
+    verdict = geometry._class_scan(v, point, n)
+    # the class check decides exactly the points with distinct coordinates on
+    # or above every bound, and then as the scan over every facet does
+    assert (verdict is None) == (tie or below)
+    if verdict is not None:
+        assert verdict == geometry._facet_scan(v, point, table)
+
+
+def test_facet_classes_are_complete():
+    for n in range(1, 7):
+        classes = geometry._facet_classes(n)
+        assert len(classes) == n * (n + 1) // 2
+        sizes = {
+            (k, l): comb(n + 1, l + 1) * factorial(n - l) // factorial(n - l - k + 1)
+            for k, l, _, _ in classes
+        }
+        chains = enumerate_chains(n)
+        assert sum(sizes.values()) == len(chains)
+        bounds = {(k, l): Fraction(p, q) for k, l, q, p in classes}
+        seen = Counter()
+        for c in chains:
+            h = facet_inequality(c, n)
+            k, l = c.num_sets, len(c.core) - 1
+            # the row places k on the core, j on the j-th ext label, 0 elsewhere
+            placement = [0] * (n + 1)
+            for label in c.core:
+                placement[label] = k
+            for j, label in enumerate(c.ext, start=1):
+                placement[label] = j
+            assert h.coeffs == tuple(placement)
+            assert sorted(h.coeffs, reverse=True) == [k] * (l + 1) + [*range(k - 1, 0, -1)] + [0] * (
+                n - l - k + 1
+            )
+            assert h.rhs == bounds[k, l] == facet_rhs(k, l, n)
+            seen[k, l] += 1
+        assert seen == sizes
 
 
 def test_vertex_denominators_divide_twice_offset_denominator():
