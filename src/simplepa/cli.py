@@ -41,7 +41,7 @@ from .geometry import (
     vertex_coordinates,
 )
 from .limits import ResourceCapError, check_cap
-from .nestedsets import Chain, enumerate_chains, faces
+from .nestedsets import Chain, enumerate_chains, faces, nested_key
 
 EXIT_OK = 0
 EXIT_VERIFICATION = 1
@@ -150,7 +150,7 @@ def render_faces(n: int, dim: int, classify: bool, max_n: int | None = None) -> 
         census = diagram_census(n, max_n=max_n)
         labelled = census.faces
     else:
-        labelled = [(f, None) for f in faces(n, dim, max_n=max_n)]
+        labelled = [(f, None) for f in sorted(faces(n, dim, max_n=max_n), key=nested_key)]
     records = {c: _chain_record(c) for c in enumerate_chains(n)}
     entries = []
     for f, kind in labelled:

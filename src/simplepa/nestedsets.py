@@ -218,27 +218,27 @@ def enumerate_vertices(n: int, max_n: int | None = None) -> list[NestedSet]:
     return list(_vertices(n))
 
 
-def faces(n: int, dim: int, max_n: int | None = None) -> list[NestedSet]:
+def faces(n: int, dim: int, max_n: int | None = None) -> frozenset[NestedSet]:
     """All faces of the given dimension, as nested sets of cardinality n - dim.
 
     Computed by taking subsets of the maximal nested sets; ``dim == n`` gives
-    the empty nested set, the polytope body itself.
+    the empty nested set, the polytope body itself.  The result is a set, in
+    no order: sort by :func:`nested_key` where the order is shown.
     """
     check_n(n)
     if not 0 <= dim <= n:
         raise ValueError(f"dim must lie in 0..{n}, got {dim}")
     if dim == n:
-        return [frozenset()]
+        return frozenset([frozenset()])
     size = n - dim
-    seen = {
+    return frozenset(
         frozenset(sub)
         for v in enumerate_vertices(n, max_n=max_n)
         for sub in itertools.combinations(v, size)
-    }
-    return sorted(seen, key=nested_key)
+    )
 
 
-def faces_via_cliques(n: int, dim: int, max_n: int | None = None) -> list[NestedSet]:
+def faces_via_cliques(n: int, dim: int, max_n: int | None = None) -> frozenset[NestedSet]:
     """Independent route to :func:`faces`: nested sets are exactly the cliques
     of the pairwise-compatibility graph on chains (the complex is flag), so
     faces of dimension d are the cliques of size n - d."""
@@ -246,16 +246,16 @@ def faces_via_cliques(n: int, dim: int, max_n: int | None = None) -> list[Nested
     if not 0 <= dim <= n:
         raise ValueError(f"dim must lie in 0..{n}, got {dim}")
     if dim == n:
-        return [frozenset()]
+        return frozenset([frozenset()])
     check_cap(n, max_n)
     chains = _enumerate_chains(n)
     size = n - dim
-    out: list[NestedSet] = []
+    out: set[NestedSet] = set()
     members: list[Chain] = []
 
     def extend(start: int) -> None:
         if len(members) == size:
-            out.append(frozenset(members))
+            out.add(frozenset(members))
             return
         for i in range(start, len(chains)):
             c = chains[i]
@@ -265,7 +265,7 @@ def faces_via_cliques(n: int, dim: int, max_n: int | None = None) -> list[Nested
                 members.pop()
 
     extend(0)
-    return sorted(out, key=nested_key)
+    return frozenset(out)
 
 
 def superficial_count(face: Iterable[Chain], chain: Chain) -> int:

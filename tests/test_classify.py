@@ -9,7 +9,9 @@ from simplepa import (
     classify_2_face,
     diagram_census,
     enumerate_chains,
+    enumerate_vertices,
     faces,
+    nested_key,
 )
 
 
@@ -100,6 +102,21 @@ def test_boundary_cycle_edge_patterns_n3():
     assert patterns[DiagramType.DODECAGON] == {"sasasasasasa"}
 
 
+def test_boundary_cycle_agrees_with_a_brute_force_oracle():
+    for n in (3, 4):
+        verts = enumerate_vertices(n)
+        for f in faces(n, 2):
+            incident = {v for v in verts if f <= v}
+            start = min(incident, key=nested_key)
+            neighbours = [v for v in incident if len(v & start) == n - 1]
+            cycle = boundary_cycle(f, n)
+            assert cycle[0] == start
+            assert len(neighbours) == 2
+            assert cycle[1] == min(neighbours, key=nested_key)
+            assert all(len(a & b) == n - 1 for a, b in zip(cycle, cycle[1:] + cycle[:1]))
+            assert len(cycle) == len(set(cycle)) and set(cycle) == incident
+
+
 def test_boundary_cycle_rejects_non_2_faces():
     with pytest.raises(ValueError):
         boundary_cycle(frozenset([chain_of({0}), chain_of({0, 1, 2}, {0, 1})]), 3)
@@ -132,7 +149,7 @@ def test_diagram_census_validation():
 def test_diagram_census_carries_each_face_with_its_type():
     for n in (2, 3, 4):
         census = diagram_census(n)
-        assert [f for f, _ in census.faces] == faces(n, 2)
+        assert [f for f, _ in census.faces] == sorted(faces(n, 2), key=nested_key)
         assert all(kind == (classify_2_face(f, n) if f else None) for f, kind in census.faces)
         assert census.total + census.body_faces == len(census.faces)
         assert repr(census) == (

@@ -591,6 +591,16 @@ def test_f_vector():
         assert sum((-1) ** k * fv[k] for k in range(n)) == 1 - (-1) ** n
 
 
+def test_f_vector_sorts_no_face(monkeypatch):
+    enumerate_vertices(4)  # the cached vertex list is built, and sorted, once
+
+    def refuse(chain):
+        raise AssertionError("f_vector sorted by Chain.sort_key")
+
+    monkeypatch.setattr(Chain, "sort_key", refuse)
+    assert f_vector(4) == (1680, 3360, 2020, 340)
+
+
 def test_realization_report_clean_and_perturbed():
     report = realization_report(2)
     assert report["ok"]

@@ -15,7 +15,6 @@ from simplepa import (
     is_full_chain,
     is_nested,
     is_nested_oracle,
-    nested_key,
     superficial_count,
 )
 
@@ -164,8 +163,8 @@ def test_catalan_recurrence():
 
 
 def test_faces_examples():
-    assert faces(2, 0) == sorted(VERTICES_N2, key=nested_key)
-    assert faces(2, 2) == [frozenset()]
+    assert faces(2, 0) == frozenset(VERTICES_N2)
+    assert faces(2, 2) == {frozenset()}
     two_faces = faces(3, 2)
     assert len(two_faces) == 62
     assert all(len(f) == 1 for f in two_faces)
@@ -189,6 +188,16 @@ def test_faces_agree_with_clique_route():
     for n in (1, 2, 3):
         for dim in range(n + 1):
             assert faces(n, dim) == faces_via_cliques(n, dim)
+
+
+def test_clique_route_calls_no_sort_key(monkeypatch):
+    expected = [len(faces(3, dim)) for dim in range(4)]  # warms the chain cache
+
+    def refuse(chain):
+        raise AssertionError("faces_via_cliques sorted by Chain.sort_key")
+
+    monkeypatch.setattr(Chain, "sort_key", refuse)
+    assert [len(faces_via_cliques(3, dim)) for dim in range(4)] == expected
 
 
 def test_flag_property_on_subsets():

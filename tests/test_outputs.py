@@ -48,6 +48,9 @@ PINNED = [
     ("export --n 3 --off", 0, "b99d776f9c5de7b2ed74605c697f822bdf77b1708a9afa462009e319748101ae"),
     ("generate --n 4 --vrep", 0, "98daae8eaaed2d13c104b2f0ca15199d6610f326cb2fb00a66dd230698634e21"),
     ("graph --n 4 --dot", 0, "43bc15738c7cfc8554e9862bfe23768f9f371053fdc3ff8cce331ae1d05643be"),
+    ("faces --n 4 --dim 0", 0, "31242133771cb8e569430d37382286ef54e06ba2f5a372a0131497680f7af8ca"),
+    ("faces --n 4 --dim 1", 0, "562ac87911c163d34d0c0b3d06913b3b1a117d7f99743855c76628b11d1aa996"),
+    ("faces --n 4 --dim 3", 0, "6d9612266c6b0295a35845d71b9b5b4e047e89db77dab22f322605e6574c1601"),
 ]
 
 
