@@ -19,9 +19,7 @@ from .brackets import (
     all_bracketings,
     alpha_neighbors,
     build_graph,
-    chain_incident,
     from_nested,
-    ordered_partition,
     parse_bracketing,
     print_bracketing,
     sigma_neighbor,
@@ -30,7 +28,6 @@ from .brackets import (
 from .classify import (
     DiagramCensus,
     DiagramType,
-    EdgeKind,
     boundary_cycle,
     classify_1_face,
     classify_2_face,
@@ -49,12 +46,9 @@ from .geometry import (
     fractional_offset,
     h_representation,
     normalization_map,
-    normalized_functional,
     polytope_graph,
     realization_report,
     solve_exact,
-    standard_chain_interval,
-    top_simplex_points,
     vertex_coordinates,
     verify_vertex,
 )
@@ -66,10 +60,8 @@ from .nestedsets import (
     enumerate_chains,
     enumerate_vertices,
     faces,
-    faces_via_cliques,
     is_full_chain,
     is_nested,
-    is_nested_oracle,
     nested_key,
     superficial_count,
 )
@@ -86,7 +78,6 @@ __all__ = [
     "DEFAULT_MAX_N",
     "DiagramCensus",
     "DiagramType",
-    "EdgeKind",
     "Hyperplane",
     "NestedSet",
     "ResourceCapError",
@@ -99,7 +90,6 @@ __all__ = [
     "ambient_plane",
     "boundary_cycle",
     "build_graph",
-    "chain_incident",
     "classify_1_face",
     "classify_2_face",
     "comparable",
@@ -108,7 +98,6 @@ __all__ = [
     "enumerate_vertices",
     "f_vector",
     "faces",
-    "faces_via_cliques",
     "facet_inequality",
     "facet_rhs",
     "fractional_offset",
@@ -116,21 +105,16 @@ __all__ = [
     "h_representation",
     "is_full_chain",
     "is_nested",
-    "is_nested_oracle",
     "nested_key",
     "normalization_map",
-    "normalized_functional",
-    "ordered_partition",
     "parse_bracketing",
     "polytope_graph",
     "print_bracketing",
     "realization_report",
     "sigma_neighbor",
     "solve_exact",
-    "standard_chain_interval",
     "superficial_count",
     "to_nested",
-    "top_simplex_points",
     "vertex_coordinates",
     "verify_vertex",
 ]

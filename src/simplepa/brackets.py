@@ -374,32 +374,3 @@ def build_graph(n: int, max_n: int | None = None) -> RewriteGraph:
         j = index[sigma_neighbor(b)]
         edges.add((min(i, j), max(i, j), SIGMA))
     return RewriteGraph(tuple(vertices), frozenset(edges))
-
-
-# ---------------------------------------------------------------------------
-# facet incidence without going through nested sets
-
-def ordered_partition(chain: Chain, n: int) -> tuple[frozenset[int], tuple[int, ...], frozenset[int]]:
-    """The chain as an ordered partition of 0..n: the complement of its top
-    set, then its ext labels as singleton blocks, then its core."""
-    chain.check(n)
-    first = frozenset(range(n + 1)) - chain.top
-    return (first, chain.ext, chain.core)
-
-
-def chain_incident(b: Bracketing, chain: Chain) -> bool:
-    """Whether the chain's facet touches the bracketing's vertex, decided
-    purely from the bracket pairs: some pair must span exactly the middle
-    singleton blocks of the chain's ordered partition, with the blocks on
-    either side matching.  Equivalent to ``chain in to_nested(b)``."""
-    n = b.n
-    first, middle, last = ordered_partition(chain, n)
-    perm = b.perm
-    for lo, hi in b.spans:
-        if (
-            tuple(perm[lo + 1:hi]) == middle
-            and frozenset(perm[hi:]) == last
-            and frozenset(perm[:lo + 1]) == first
-        ):
-            return True
-    return False

@@ -24,6 +24,7 @@ from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
 from enum import Enum
 
+from .brackets import ALPHA, SIGMA
 from .nestedsets import (
     Chain,
     NestedSet,
@@ -37,11 +38,6 @@ from .nestedsets import (
 )
 
 
-class EdgeKind(str, Enum):
-    ALPHA = "alpha"
-    SIGMA = "sigma"
-
-
 class DiagramType(str, Enum):
     PENTAGON = "pentagon"
     QUAD_FUNCTORIAL = "quad1"
@@ -50,29 +46,16 @@ class DiagramType(str, Enum):
     OCTAGON = "octagon"
     DODECAGON = "dodecagon"
 
-    @property
-    def cycle_length(self) -> int:
-        return _CYCLE_LENGTHS[self]
 
-
-_CYCLE_LENGTHS = {
-    DiagramType.PENTAGON: 5,
-    DiagramType.QUAD_FUNCTORIAL: 4,
-    DiagramType.QUAD_NATURAL: 4,
-    DiagramType.QUAD_SIGMA: 4,
-    DiagramType.OCTAGON: 8,
-    DiagramType.DODECAGON: 12,
-}
-
-
-def classify_1_face(e: Iterable[Chain], n: int) -> EdgeKind:
-    """Edge kind of a 1-face (a nested set of cardinality n-1)."""
+def classify_1_face(e: Iterable[Chain], n: int) -> str:
+    """Edge kind of a 1-face (a nested set of cardinality n-1): ``ALPHA`` or
+    ``SIGMA``, the labels that :class:`RewriteGraph` edges carry."""
     e = frozenset(e)
     if len(e) != n - 1:
         raise ValueError(f"a 1-face must have {n - 1} chains, got {len(e)}")
     if not is_nested(e, n):
         raise ValueError("the given chains are not nested")
-    return EdgeKind.ALPHA if any(is_full_chain(c, n) for c in e) else EdgeKind.SIGMA
+    return ALPHA if any(is_full_chain(c, n) for c in e) else SIGMA
 
 
 def classify_2_face(f: Iterable[Chain], n: int) -> DiagramType:

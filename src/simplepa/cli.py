@@ -4,7 +4,8 @@ All outputs are deterministic: canonical chain and bracketing order, exact
 rationals ("p/q", or "p" when the denominator is 1).  Each output is built
 whole, then streamed to stdout or to an atomically written file.  Exit
 codes: 0 success, 1 a failed verification, 2 a usage or I/O error or a
-broken internal invariant.
+broken internal invariant, 130 an interrupt (Ctrl-C), as a shell reports
+a process that SIGINT ended.
 """
 
 from __future__ import annotations
@@ -40,12 +41,13 @@ from .geometry import (
     realization_report,
     vertex_coordinates,
 )
-from .limits import ResourceCapError, check_cap
+from .limits import CHECK_MAX_N, DEFAULT_MAX_N, ResourceCapError, check_cap
 from .nestedsets import Chain, enumerate_chains, faces, nested_key
 
 EXIT_OK = 0
 EXIT_VERIFICATION = 1
 EXIT_USAGE = 2
+EXIT_INTERRUPTED = 130
 
 
 def _fmt_rational(x: Fraction) -> str:
@@ -263,13 +265,13 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, cap=DEFAULT_MAX_N):
         p.add_argument("--n", type=int, required=True, help="dimension of the polytope")
         p.add_argument(
             "--max-n",
             type=int,
             default=None,
-            help="override the enumeration cap (default 6, or PA_MAX_N)",
+            help=f"override the enumeration cap (default {cap}, or PA_MAX_N)",
         )
 
     p = sub.add_parser("generate", help="write the H- and/or V-representation")
@@ -279,7 +281,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_generate)
 
     p = sub.add_parser("check", help="run the full verification suite")
-    common(p)
+    common(p, CHECK_MAX_N)
     p.add_argument(
         "--report", metavar="PATH", type=_output_path, help="also write the JSON report here"
     )
@@ -333,6 +335,9 @@ def main(argv=None) -> int:
     except (SingularSystemError, RuntimeError) as exc:  # after ResourceCapError, a RuntimeError
         print(f"pa: internal error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except KeyboardInterrupt:
+        print("pa: interrupted", file=sys.stderr)
+        return EXIT_INTERRUPTED
 
 
 if __name__ == "__main__":

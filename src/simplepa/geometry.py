@@ -44,7 +44,7 @@ from itertools import accumulate
 from math import gcd, prod
 from operator import mul
 
-from .limits import check_cap, check_n
+from .limits import check_cap, check_n, check_realization_cap
 from .nestedsets import (
     Chain,
     NestedSet,
@@ -53,7 +53,6 @@ from .nestedsets import (
     faces,
     is_full_chain,
     is_nested,
-    suffix_interval,
 )
 
 
@@ -78,14 +77,6 @@ class Hyperplane:
 
     coeffs: tuple[int, ...]
     rhs: Fraction
-
-    def value(self, point: Sequence[Fraction]) -> Fraction:
-        if len(point) != len(self.coeffs):
-            raise ValueError("point dimension mismatch")
-        return sum((c * x for c, x in zip(self.coeffs, point)), Fraction(0))
-
-    def tight(self, point: Sequence[Fraction]) -> bool:
-        return self.value(point) == self.rhs
 
     @cached_property
     def row(self) -> tuple[tuple[int, ...], int]:
@@ -351,51 +342,6 @@ def normalization_map(n: int) -> AffineMap:
     return AffineMap(matrix, offset)
 
 
-def normalized_functional(h: Hyperplane, n: int) -> tuple[tuple[Fraction, ...], Fraction]:
-    """Pull the hyperplane's functional back through the inverse of the
-    normalization chart, restricted to the ambient plane.
-
-    Returns (coeffs, constant) with the image of ``h`` intersected with the
-    ambient plane equal to {x' : coeffs . x' + constant = 0}.
-    """
-    if len(h.coeffs) != n + 1:
-        raise ValueError("hyperplane dimension mismatch")
-    chart = normalization_map(n)
-    s = chart.matrix[0][0]
-    # with y_i = x'_i - offset_i = s*(x_i + ... + x_n), s*x_i = y_i - y_(i+1)
-    # (y_(n+1) = 0) and, on the ambient plane, x_0 = 3^(n+1) - y_1/s; so a.x
-    # gives y_i the weight (a_i - a_(i-1))/s
-    a = h.coeffs
-    coeffs = tuple((a[i] - a[i - 1]) / s for i in range(1, n + 1))
-    const = a[0] * ambient_plane(n).rhs - h.rhs - sum(map(mul, coeffs, chart.offset))
-    return coeffs, const
-
-
-def standard_chain_interval(chain: Chain, n: int) -> tuple[int, int] | None:
-    """The 1-based index interval (a, b) when every set of the chain is a
-    suffix {j, ..., n}; None for chains not of that shape."""
-    return suffix_interval(chain, range(n + 1))
-
-
-def top_simplex_points(n: int) -> list[Point]:
-    """n points spanning the simplex cut out of the ambient permutohedron by
-    the facet hyperplane of the complete descending chain.
-
-    The i-th point is the common base point (2*3^n, 2*3^(n-1), ..., 6, 3)
-    with the offset moved from coordinate i-1 to coordinate i.
-    """
-    check_n(n)
-    eps = fractional_offset(n, n)
-    base = [Fraction(2 * 3 ** (n - j)) for j in range(n)] + [Fraction(3)]
-    points = []
-    for i in range(1, n + 1):
-        coords = list(base)
-        coords[i - 1] -= eps
-        coords[i] += eps
-        points.append(tuple(coords))
-    return points
-
-
 # ---------------------------------------------------------------------------
 # the polytope graph and face counts
 
@@ -450,6 +396,9 @@ def realization_report(n: int, perturb: bool = False, max_n: int | None = None) 
     ``(report_key, message)`` pair per failure; a key's flag in the report is
     true when the key never failed, and ``ok`` when nothing failed.
 
+    The default cap is ``CHECK_MAX_N`` (5), below the enumerations' own:
+    ``max_n`` or ``PA_MAX_N`` raises it.
+
     ``perturb`` lowers one facet's right-hand side by 1 before checking, as a
     negative control: the report must then flag failures.  It needs n >= 2,
     since at n = 1 the lowered bound still cuts out a valid segment.
@@ -461,7 +410,7 @@ def realization_report(n: int, perturb: bool = False, max_n: int | None = None) 
     """
     from .brackets import SIGMA, build_graph, from_nested, print_bracketing
 
-    check_cap(n, max_n)
+    check_realization_cap(n, max_n)
     table = _facet_table(n)
     if perturb and n < 2:
         raise ValueError(f"perturb needs n >= 2, got {n}: a lowered bound still leaves a segment")

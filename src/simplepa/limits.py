@@ -3,21 +3,24 @@
 Vertex counts grow like (2n)!/n!, so n=6 already means 665,280 vertices.
 Enumerating operations refuse to run above a configurable cap instead of
 silently grinding; the cap can be raised per call (``max_n=``) or globally
-through the ``PA_MAX_N`` environment variable.
+through the ``PA_MAX_N`` environment variable.  The full check holds every
+vertex, two whole graphs and every face at once, so it has a lower default
+cap of its own, raised the same two ways.
 """
 
 import os
 
 DEFAULT_MAX_N = 6
+CHECK_MAX_N = 5
 ENV_VAR = "PA_MAX_N"
 
 
 class ResourceCapError(RuntimeError):
     """An enumeration was asked to run above the configured size cap."""
 
-    def __init__(self, n: int, cap: int):
+    def __init__(self, n: int, cap: int, reason: str = ""):
         super().__init__(
-            f"n={n} exceeds the enumeration cap {cap}; "
+            f"n={n} exceeds the enumeration cap {cap}{reason}; "
             f"pass max_n or set {ENV_VAR} to override"
         )
         self.n = n
@@ -56,3 +59,13 @@ def check_cap(n: int, max_n: int | None = None) -> None:
     cap = resource_cap(max_n)
     if n > cap:
         raise ResourceCapError(n, cap)
+
+
+def check_realization_cap(n: int, max_n: int | None = None) -> None:
+    """The cap of the full check: CHECK_MAX_N unless ``max_n`` or ``PA_MAX_N``
+    names one, and then that one, as :func:`check_cap` reads it."""
+    if max_n is None and os.environ.get(ENV_VAR) is None and n > CHECK_MAX_N:
+        raise ResourceCapError(
+            n, CHECK_MAX_N, " of the full check, whose vertex list alone measured 1,130 MB at n = 6"
+        )
+    check_cap(n, max_n)

@@ -49,18 +49,6 @@ class Chain:
             raise ValueError(f"labels of {self} must be non-negative")
         object.__setattr__(self, "mask", sum(1 << lab for lab in labels))
 
-    @classmethod
-    def from_sets(cls, sets: Iterable[Iterable[int]]) -> "Chain":
-        """Build a chain from its family of sets (any order)."""
-        family = sorted({frozenset(s) for s in sets}, key=len, reverse=True)
-        ext = []
-        for big, small in zip(family, family[1:]):
-            step = big - small
-            if not small < big or len(step) != 1:
-                raise ValueError(f"sets {set(big)} and {set(small)} do not differ by one label")
-            ext.extend(step)
-        return cls(family[-1] if family else frozenset(), tuple(ext))
-
     def sets(self) -> tuple[frozenset[int], ...]:
         """The sets of the chain, largest first."""
         return tuple(self.core | frozenset(self.ext[j:]) for j in range(len(self.ext) + 1))
@@ -135,27 +123,6 @@ def is_nested(chains: Iterable[Chain], n: int) -> bool:
     for c in members:
         c.check(n)
     return all(_compatible(a, b) for a, b in itertools.combinations(members, 2))
-
-
-def is_nested_oracle(chains: Iterable[Chain], n: int) -> bool:
-    """Brute-force nestedness test straight from the definition: the union of
-    every antichain (of any size, not just pairs) must be a descending family
-    with a gap.  Agrees with :func:`is_nested` on all inputs."""
-    members = list(dict.fromkeys(chains))
-    for c in members:
-        c.check(n)
-    fams = [c.family for c in members]
-    for size in range(2, len(members) + 1):
-        for combo in itertools.combinations(range(len(members)), size):
-            if any(
-                fams[i] <= fams[j] or fams[j] <= fams[i]
-                for i, j in itertools.combinations(combo, 2)
-            ):
-                continue
-            merged = frozenset().union(*(fams[i] for i in combo))
-            if not _union_admissible(merged):
-                return False
-    return True
 
 
 @lru_cache(maxsize=None)
@@ -236,36 +203,6 @@ def faces(n: int, dim: int, max_n: int | None = None) -> frozenset[NestedSet]:
         for v in enumerate_vertices(n, max_n=max_n)
         for sub in itertools.combinations(v, size)
     )
-
-
-def faces_via_cliques(n: int, dim: int, max_n: int | None = None) -> frozenset[NestedSet]:
-    """Independent route to :func:`faces`: nested sets are exactly the cliques
-    of the pairwise-compatibility graph on chains (the complex is flag), so
-    faces of dimension d are the cliques of size n - d."""
-    check_n(n)
-    if not 0 <= dim <= n:
-        raise ValueError(f"dim must lie in 0..{n}, got {dim}")
-    if dim == n:
-        return frozenset([frozenset()])
-    check_cap(n, max_n)
-    chains = _enumerate_chains(n)
-    size = n - dim
-    out: set[NestedSet] = set()
-    members: list[Chain] = []
-
-    def extend(start: int) -> None:
-        if len(members) == size:
-            out.add(frozenset(members))
-            return
-        for i in range(start, len(chains)):
-            c = chains[i]
-            if all(_compatible(c, m) for m in members):
-                members.append(c)
-                extend(i + 1)
-                members.pop()
-
-    extend(0)
-    return frozenset(out)
 
 
 def superficial_count(face: Iterable[Chain], chain: Chain) -> int:

@@ -2,12 +2,13 @@
 
 from hypothesis import strategies as st
 
+from oracles import chain_from_sets
 from simplepa import Bracketing, Chain
 
 
 def chain_of(*sets) -> Chain:
     """Build a chain from explicit set literals."""
-    return Chain.from_sets(sets)
+    return chain_from_sets(sets)
 
 
 # The twelve maximal nested sets over {0, 1, 2}, written out set by set.

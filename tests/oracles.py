@@ -1,0 +1,202 @@
+"""Independent routes that the tests compare the package against.
+
+None of these is reached by a ``pa`` subcommand; each one recomputes, by a
+different method, something the package computes on its production route:
+
+* ``is_nested_oracle`` checks every antichain, where ``is_nested`` checks pairs;
+* ``faces_via_cliques`` grows cliques of compatible chains, where ``faces``
+  takes subsets of the vertices;
+* ``chain_incident`` reads facet incidence off a bracketing's spans, where
+  ``to_nested`` builds the chains;
+* ``value`` and ``tight`` evaluate a facet in ``Fraction`` arithmetic, where
+  ``verify_vertex`` compares integer rows;
+* ``normalized_functional`` and ``top_simplex_points`` work in the paper's
+  normalisation chart, which ``normalization_map`` builds.
+
+pytest does not collect this module (its name does not start with ``test_``);
+the tests import it as they import ``conftest``.
+"""
+
+from __future__ import annotations
+
+import itertools
+from collections.abc import Iterable, Sequence
+from fractions import Fraction
+from operator import mul
+
+from simplepa import (
+    Bracketing,
+    Chain,
+    DiagramType,
+    Hyperplane,
+    NestedSet,
+    ambient_plane,
+    fractional_offset,
+    normalization_map,
+)
+from simplepa.limits import check_cap, check_n
+from simplepa.nestedsets import _compatible, _enumerate_chains, _union_admissible
+
+Point = tuple[Fraction, ...]
+
+# The length of each diagram type's boundary cycle: its polygon's corners.
+CYCLE_LENGTHS = {
+    DiagramType.PENTAGON: 5,
+    DiagramType.QUAD_FUNCTORIAL: 4,
+    DiagramType.QUAD_NATURAL: 4,
+    DiagramType.QUAD_SIGMA: 4,
+    DiagramType.OCTAGON: 8,
+    DiagramType.DODECAGON: 12,
+}
+
+
+def chain_from_sets(sets: Iterable[Iterable[int]]) -> Chain:
+    """Build a chain from its family of sets (any order)."""
+    family = sorted({frozenset(s) for s in sets}, key=len, reverse=True)
+    ext = []
+    for big, small in zip(family, family[1:]):
+        step = big - small
+        if not small < big or len(step) != 1:
+            raise ValueError(f"sets {set(big)} and {set(small)} do not differ by one label")
+        ext.extend(step)
+    return Chain(family[-1] if family else frozenset(), tuple(ext))
+
+
+# ---------------------------------------------------------------------------
+# nested sets and faces
+
+def is_nested_oracle(chains: Iterable[Chain], n: int) -> bool:
+    """Brute-force nestedness test straight from the definition: the union of
+    every antichain (of any size, not just pairs) must be a descending family
+    with a gap.  Agrees with ``is_nested`` on all inputs."""
+    members = list(dict.fromkeys(chains))
+    for c in members:
+        c.check(n)
+    fams = [c.family for c in members]
+    for size in range(2, len(members) + 1):
+        for combo in itertools.combinations(range(len(members)), size):
+            if any(
+                fams[i] <= fams[j] or fams[j] <= fams[i]
+                for i, j in itertools.combinations(combo, 2)
+            ):
+                continue
+            merged = frozenset().union(*(fams[i] for i in combo))
+            if not _union_admissible(merged):
+                return False
+    return True
+
+
+def faces_via_cliques(n: int, dim: int, max_n: int | None = None) -> frozenset[NestedSet]:
+    """Independent route to ``faces``: nested sets are exactly the cliques
+    of the pairwise-compatibility graph on chains (the complex is flag), so
+    faces of dimension d are the cliques of size n - d."""
+    check_n(n)
+    if not 0 <= dim <= n:
+        raise ValueError(f"dim must lie in 0..{n}, got {dim}")
+    if dim == n:
+        return frozenset([frozenset()])
+    check_cap(n, max_n)
+    chains = _enumerate_chains(n)
+    size = n - dim
+    out: set[NestedSet] = set()
+    members: list[Chain] = []
+
+    def extend(start: int) -> None:
+        if len(members) == size:
+            out.add(frozenset(members))
+            return
+        for i in range(start, len(chains)):
+            c = chains[i]
+            if all(_compatible(c, m) for m in members):
+                members.append(c)
+                extend(i + 1)
+                members.pop()
+
+    extend(0)
+    return frozenset(out)
+
+
+# ---------------------------------------------------------------------------
+# facet incidence without going through nested sets
+
+def ordered_partition(chain: Chain, n: int) -> tuple[frozenset[int], tuple[int, ...], frozenset[int]]:
+    """The chain as an ordered partition of 0..n: the complement of its top
+    set, then its ext labels as singleton blocks, then its core."""
+    chain.check(n)
+    first = frozenset(range(n + 1)) - chain.top
+    return (first, chain.ext, chain.core)
+
+
+def chain_incident(b: Bracketing, chain: Chain) -> bool:
+    """Whether the chain's facet touches the bracketing's vertex, decided
+    purely from the bracket pairs: some pair must span exactly the middle
+    singleton blocks of the chain's ordered partition, with the blocks on
+    either side matching.  Equivalent to ``chain in to_nested(b)``."""
+    n = b.n
+    first, middle, last = ordered_partition(chain, n)
+    perm = b.perm
+    for lo, hi in b.spans:
+        if (
+            tuple(perm[lo + 1:hi]) == middle
+            and frozenset(perm[hi:]) == last
+            and frozenset(perm[:lo + 1]) == first
+        ):
+            return True
+    return False
+
+
+# ---------------------------------------------------------------------------
+# facets in Fraction arithmetic
+
+def value(h: Hyperplane, point: Sequence[Fraction]) -> Fraction:
+    """The linear form of ``h`` at the point, exactly."""
+    if len(point) != len(h.coeffs):
+        raise ValueError("point dimension mismatch")
+    return sum((c * x for c, x in zip(h.coeffs, point)), Fraction(0))
+
+
+def tight(h: Hyperplane, point: Sequence[Fraction]) -> bool:
+    """Whether the point lies on the hyperplane of ``h``."""
+    return value(h, point) == h.rhs
+
+
+# ---------------------------------------------------------------------------
+# the normalisation chart
+
+def normalized_functional(h: Hyperplane, n: int) -> tuple[tuple[Fraction, ...], Fraction]:
+    """Pull the hyperplane's functional back through the inverse of the
+    normalization chart, restricted to the ambient plane.
+
+    Returns (coeffs, constant) with the image of ``h`` intersected with the
+    ambient plane equal to {x' : coeffs . x' + constant = 0}.
+    """
+    if len(h.coeffs) != n + 1:
+        raise ValueError("hyperplane dimension mismatch")
+    chart = normalization_map(n)
+    s = chart.matrix[0][0]
+    # with y_i = x'_i - offset_i = s*(x_i + ... + x_n), s*x_i = y_i - y_(i+1)
+    # (y_(n+1) = 0) and, on the ambient plane, x_0 = 3^(n+1) - y_1/s; so a.x
+    # gives y_i the weight (a_i - a_(i-1))/s
+    a = h.coeffs
+    coeffs = tuple((a[i] - a[i - 1]) / s for i in range(1, n + 1))
+    const = a[0] * ambient_plane(n).rhs - h.rhs - sum(map(mul, coeffs, chart.offset))
+    return coeffs, const
+
+
+def top_simplex_points(n: int) -> list[Point]:
+    """n points spanning the simplex cut out of the ambient permutohedron by
+    the facet hyperplane of the complete descending chain.
+
+    The i-th point is the common base point (2*3^n, 2*3^(n-1), ..., 6, 3)
+    with the offset moved from coordinate i-1 to coordinate i.
+    """
+    check_n(n)
+    eps = fractional_offset(n, n)
+    base = [Fraction(2 * 3 ** (n - j)) for j in range(n)] + [Fraction(3)]
+    points = []
+    for i in range(1, n + 1):
+        coords = list(base)
+        coords[i - 1] -= eps
+        coords[i] += eps
+        points.append(tuple(coords))
+    return points

@@ -18,11 +18,17 @@ from fractions import Fraction
 import pytest
 
 from conftest import CHAINS_N2, chain_of
+from oracles import (
+    CYCLE_LENGTHS,
+    chain_incident,
+    faces_via_cliques,
+    is_nested_oracle,
+    normalized_functional,
+)
 from simplepa import (
     DiagramType,
     build_graph,
     boundary_cycle,
-    chain_incident,
     classify_2_face,
     comparable,
     diagram_census,
@@ -30,24 +36,20 @@ from simplepa import (
     enumerate_vertices,
     f_vector,
     faces,
-    faces_via_cliques,
     facet_inequality,
     facet_rhs,
     fractional_offset,
     from_nested,
     is_full_chain,
     is_nested,
-    is_nested_oracle,
-    normalized_functional,
     parse_bracketing,
     polytope_graph,
     print_bracketing,
-    standard_chain_interval,
     superficial_count,
     verify_vertex,
 )
 from simplepa.brackets import SIGMA, BracketSyntaxError, _all_bracketings
-from simplepa.nestedsets import _vertices
+from simplepa.nestedsets import _vertices, suffix_interval
 
 
 def _passed(number, title):
@@ -176,7 +178,7 @@ def test_criterion_05_two_face_classification():
         for f in faces(n, 2):
             if not f:
                 continue
-            assert len(boundary_cycle(f, n)) == classify_2_face(f, n).cycle_length
+            assert len(boundary_cycle(f, n)) == CYCLE_LENGTHS[classify_2_face(f, n)]
 
     m = chain_of({0, 1, 2, 3, 4}, {0, 1, 2, 3}, {0, 1, 2}, {0, 1}, {0})
     shapes = [
@@ -218,7 +220,7 @@ def test_criterion_07_normalization_identity():
     s = 3**n - n - 1
     intervals_seen = set()
     for c in enumerate_chains(n):
-        interval = standard_chain_interval(c, n)
+        interval = suffix_interval(c, range(n + 1))
         if interval is None:
             continue
         a, b = interval

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import bracketings, chain_of
+from oracles import chain_incident, ordered_partition
 from simplepa import (
     ALPHA,
     SIGMA,
@@ -14,12 +15,10 @@ from simplepa import (
     all_bracketings,
     alpha_neighbors,
     build_graph,
-    chain_incident,
     enumerate_chains,
     enumerate_vertices,
     from_nested,
     is_full_chain,
-    ordered_partition,
     parse_bracketing,
     print_bracketing,
     sigma_neighbor,

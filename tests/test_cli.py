@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import bracketings
-from simplepa import Hyperplane, classify, cli, geometry, print_bracketing
+from simplepa import Hyperplane, brackets, classify, cli, geometry, print_bracketing
 from simplepa.cli import main
 
 EXPECTED_INE_N1 = """H-representation
@@ -421,6 +421,45 @@ def test_a_broken_internal_invariant_exits_2_in_one_line(arm, tmp_path, monkeypa
     assert captured.out == ""
     assert captured.err == f"pa: internal error: {message}\n"
     assert list(tmp_path.iterdir()) == []
+
+
+def test_check_refuses_n6_by_default_before_enumerating(tmp_path, monkeypatch, capsys):
+    # n = 6 passes the enumeration cap (6) but not the full check's (5)
+    def refuse(*args, **kwargs):
+        raise AssertionError("the check enumerated")
+
+    monkeypatch.delenv("PA_MAX_N", raising=False)
+    for module, name in [(geometry, "_facet_table"), (geometry, "enumerate_vertices"),
+                         (brackets, "build_graph")]:
+        monkeypatch.setattr(module, name, refuse)
+    report = tmp_path / "report.json"
+    assert run(["check", "--n", "6", "--report", str(report)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "pa: n=6 exceeds the enumeration cap 5 of the full check, whose vertex list alone "
+        "measured 1,130 MB at n = 6; pass max_n or set PA_MAX_N to override\n"
+    )
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_an_interrupt_exits_130_in_one_line_and_leaves_the_target(tmp_path, monkeypatch, capsys):
+    class Interrupted(list):  # encodes more than a batch of tokens, then Ctrl-C
+        def __iter__(self):
+            yield from range(10_000)
+            raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "render_faces", lambda *args: {"faces": Interrupted([0])})
+    out = tmp_path / "faces.json"
+    out.write_text("old")
+    try:
+        code = run(["faces", "--n", "1", "--dim", "0", "--out", str(out)])
+    except KeyboardInterrupt:  # unhandled, it would end the whole pytest session
+        pytest.fail("the interrupt escaped main")
+    assert code == 130
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "pa: interrupted\n"
+    assert list(tmp_path.iterdir()) == [out] and out.read_text() == "old"
 
 
 def test_the_resource_cap_keeps_its_own_message(monkeypatch, capsys):

@@ -8,6 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import bracketings, chain_of
+from oracles import normalized_functional, tight, top_simplex_points, value
 from simplepa import (
     ALPHA,
     SIGMA,
@@ -28,12 +29,9 @@ from simplepa import (
     h_representation,
     is_nested,
     normalization_map,
-    normalized_functional,
     polytope_graph,
     realization_report,
     solve_exact,
-    standard_chain_interval,
-    top_simplex_points,
     vertex_coordinates,
     verify_vertex,
 )
@@ -41,6 +39,7 @@ from simplepa import geometry
 from simplepa.brackets import from_nested, parse_bracketing, print_bracketing, to_nested
 from simplepa.cli import render_bracketing_record
 from simplepa.geometry import VertexReport, _facet_table
+from simplepa.nestedsets import suffix_interval
 
 
 def test_facet_rhs_values():
@@ -174,7 +173,7 @@ def test_lookup_at_n7_solves_from_its_own_facets():
     assert sum(point) == 3**8
     assert len(record["tight"]) == 7
     for row in record["tight"]:
-        assert facet_inequality(Chain(row["core"], row["ext"]), 7).tight(point)
+        assert tight(facet_inequality(Chain(row["core"], row["ext"]), 7), point)
 
 
 def test_verify_vertex_all_pass_n2():
@@ -206,12 +205,12 @@ def test_verify_vertex_negative_control():
 
 def _fraction_verdict(v, table, report):
     """verify_vertex's tight set and strictness, recomputed at the point X/d
-    with the Fraction forms Hyperplane.tight and Hyperplane.value."""
+    with the Fraction oracles tight and value."""
     scaled, d = report.scaled
     point = tuple(Fraction(x, d) for x in scaled)
-    tight = frozenset(c for c, h in table.items() if h.tight(point))
-    strict_ok = all(h.value(point) > h.rhs for c, h in table.items() if c not in v)
-    return tight, strict_ok
+    tight_set = frozenset(c for c, h in table.items() if tight(h, point))
+    strict_ok = all(value(h, point) > h.rhs for c, h in table.items() if c not in v)
+    return tight_set, strict_ok
 
 
 def test_verify_vertex_agrees_with_fraction_oracle():
@@ -248,7 +247,7 @@ def test_verify_vertex_flags_a_facet_moved_onto_an_outside_vertex():
     outside = next(v for v in enumerate_vertices(n) if target not in v)
     h = base[target]
     table = dict(base)
-    table[target] = Hyperplane(h.coeffs, h.value(vertex_coordinates(outside, n)))
+    table[target] = Hyperplane(h.coeffs, value(h, vertex_coordinates(outside, n)))
     report = verify_vertex(outside, n, facets=table)
     assert report.tight == outside | {target}
     assert not report.strict_ok and not report.multiplicity_ok
@@ -373,7 +372,7 @@ def _construction_coordinates(v, n):
     the normalized coordinates interval by interval, then map back."""
     intervals = set()
     for c in v:
-        interval = standard_chain_interval(c, n)
+        interval = suffix_interval(c, range(n + 1))
         assert interval is not None
         intervals.add(interval)
     prime = [None] * (n + 1)  # 1-based
@@ -496,7 +495,7 @@ def test_normalized_functional_turns_facets_into_subset_sums():
         s = 3**n - n - 1
         seen = 0
         for c in enumerate_chains(n):
-            interval = standard_chain_interval(c, n)
+            interval = suffix_interval(c, range(n + 1))
             if interval is None:
                 continue
             a, b = interval
@@ -518,14 +517,14 @@ def test_normalized_functional_matches_every_facet_at_every_vertex():
             coeffs, const = normalized_functional(h, n)
             for x in points:
                 image = chart.apply(x)
-                assert sum(c * y for c, y in zip(coeffs, image)) + const == h.value(x) - h.rhs
+                assert sum(c * y for c, y in zip(coeffs, image)) + const == value(h, x) - h.rhs
 
 
 def test_standard_chain_interval():
-    assert standard_chain_interval(Chain({3}, (1, 2)), 3) == (1, 3)
-    assert standard_chain_interval(Chain({2, 3}), 3) == (2, 2)
-    assert standard_chain_interval(Chain({0}), 3) is None
-    assert standard_chain_interval(Chain({1, 2}, (0,)), 2) is None  # top set is all of 0..n
+    assert suffix_interval(Chain({3}, (1, 2)), range(4)) == (1, 3)
+    assert suffix_interval(Chain({2, 3}), range(4)) == (2, 2)
+    assert suffix_interval(Chain({0}), range(4)) is None
+    assert suffix_interval(Chain({1, 2}, (0,)), range(3)) is None  # top set is all of 0..n
 
 
 def test_top_simplex_points():
@@ -536,8 +535,8 @@ def test_top_simplex_points():
         rhs = facet_rhs(n, 0, n)
         anchor = facet_inequality(Chain(frozenset({n}), tuple(range(1, n))), n)
         for p in points:
-            assert ambient.tight(p)
-            assert anchor.value(p) == rhs
+            assert tight(ambient, p)
+            assert value(anchor, p) == rhs
         assert points[-1][-1] == 3 + fractional_offset(n, n)
 
 
@@ -545,10 +544,10 @@ def test_top_simplex_points_strictly_inside_other_facets():
     n = 3
     points = top_simplex_points(n)
     for c in enumerate_chains(n):
-        if standard_chain_interval(c, n) is not None:
+        if suffix_interval(c, range(n + 1)) is not None:
             continue
         h = facet_inequality(c, n)
-        assert all(h.value(p) > h.rhs for p in points)
+        assert all(value(h, p) > h.rhs for p in points)
 
 
 def test_polytope_graph_is_a_cycle_for_n2():
@@ -619,6 +618,36 @@ def test_realization_report_clean_and_perturbed():
         "sigma_degree_ok", "failures", "ok",
     }
     assert set(report) == set(bad) == keys
+
+
+@pytest.mark.parametrize(
+    ("n", "max_n", "env"), [(5, None, None), (6, 6, None), (6, None, "6"), (6, 6, "2")]
+)
+def test_realization_report_caps_at_5_unless_asked(n, max_n, env, monkeypatch):
+    # reaching the facet table means the cap let n through; nothing is built
+    class Reached(Exception):
+        pass
+
+    def reached(n):
+        raise Reached
+
+    if env is None:
+        monkeypatch.delenv("PA_MAX_N", raising=False)
+    else:
+        monkeypatch.setenv("PA_MAX_N", env)
+    monkeypatch.setattr(geometry, "_facet_table", reached)
+    with pytest.raises(Reached):
+        realization_report(n, max_n=max_n)
+
+
+def test_realization_report_refuses_n6_by_default(monkeypatch):
+    monkeypatch.delenv("PA_MAX_N", raising=False)
+    monkeypatch.setattr(geometry, "_facet_table", None)  # a call would fail with TypeError
+    with pytest.raises(ResourceCapError, match="cap 5 of the full check.*1,130 MB"):
+        realization_report(6)
+    monkeypatch.setenv("PA_MAX_N", "5")
+    with pytest.raises(ResourceCapError, match="enumeration cap 5;"):
+        realization_report(6)
 
 
 def test_realization_report_refuses_perturb_at_n1():

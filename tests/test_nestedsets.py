@@ -5,16 +5,15 @@ import random
 import pytest
 
 from conftest import CHAINS_N2, VERTICES_N2, chain_of
+from oracles import faces_via_cliques, is_nested_oracle
 from simplepa import (
     Chain,
     ResourceCapError,
     enumerate_chains,
     enumerate_vertices,
     faces,
-    faces_via_cliques,
     is_full_chain,
     is_nested,
-    is_nested_oracle,
     superficial_count,
 )
 
