@@ -4,8 +4,8 @@ All outputs are deterministic: canonical chain and bracketing order, exact
 rationals ("p/q", or "p" when the denominator is 1).  Each output is built
 whole, then streamed to stdout or to an atomically written file.  Exit
 codes: 0 success, 1 a failed verification, 2 a usage or I/O error or a
-broken internal invariant, 130 an interrupt (Ctrl-C), as a shell reports
-a process that SIGINT ended.
+broken internal invariant, 130 an interrupt (Ctrl-C): :func:`main` returns
+it, and the console script then ends by SIGINT, which a shell reports as 130.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ import errno
 import itertools
 import json
 import os
+import signal
 import stat
 import sys
 import tempfile
@@ -340,5 +341,19 @@ def main(argv=None) -> int:
         return EXIT_INTERRUPTED
 
 
+def script() -> None:
+    """The ``pa`` console script: exit with :func:`main`'s code, except that
+    after an interrupt the process ends itself by SIGINT, as Python does with
+    an uncaught ``KeyboardInterrupt``, so a shell running it stops its loop."""
+    code = main()
+    if code == EXIT_INTERRUPTED:
+        for stream in (sys.stdout, sys.stderr):
+            with suppress(OSError):
+                stream.flush()
+        signal.signal(signal.SIGINT, signal.SIG_DFL)
+        os.kill(os.getpid(), signal.SIGINT)
+    raise SystemExit(code)
+
+
 if __name__ == "__main__":
-    raise SystemExit(main())
+    script()

@@ -44,7 +44,7 @@ from itertools import accumulate
 from math import gcd, prod
 from operator import mul
 
-from .limits import check_cap, check_n, check_realization_cap
+from .limits import CHECK_MAX_N, CHECK_WHY, check_cap, check_n
 from .nestedsets import (
     Chain,
     NestedSet,
@@ -410,7 +410,7 @@ def realization_report(n: int, perturb: bool = False, max_n: int | None = None) 
     """
     from .brackets import SIGMA, build_graph, from_nested, print_bracketing
 
-    check_realization_cap(n, max_n)
+    check_cap(n, max_n, CHECK_MAX_N, CHECK_WHY)
     table = _facet_table(n)
     if perturb and n < 2:
         raise ValueError(f"perturb needs n >= 2, got {n}: a lowered bound still leaves a segment")

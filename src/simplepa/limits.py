@@ -12,41 +12,20 @@ import os
 
 DEFAULT_MAX_N = 6
 CHECK_MAX_N = 5
+CHECK_WHY = " of the full check, whose vertex list alone measured 1,130 MB at n = 6"
 ENV_VAR = "PA_MAX_N"
 
 
 class ResourceCapError(RuntimeError):
     """An enumeration was asked to run above the configured size cap."""
 
-    def __init__(self, n: int, cap: int, reason: str = ""):
+    def __init__(self, n: int, cap: int, why: str = ""):
         super().__init__(
-            f"n={n} exceeds the enumeration cap {cap}{reason}; "
+            f"n={n} exceeds the enumeration cap {cap}{why}; "
             f"pass max_n or set {ENV_VAR} to override"
         )
         self.n = n
         self.cap = cap
-
-
-def resource_cap(max_n: int | None = None) -> int:
-    """The effective cap: explicit argument, else environment, else default.
-
-    Raises ValueError, naming the source, when the cap is not an integer of
-    at least 1.
-    """
-    if max_n is not None:
-        source, cap = "max_n", max_n
-    else:
-        value = os.environ.get(ENV_VAR)
-        if value is None:
-            return DEFAULT_MAX_N
-        try:
-            cap = int(value)
-        except ValueError:
-            raise ValueError(f"{ENV_VAR} must be an integer, got {value!r}") from None
-        source = ENV_VAR
-    if cap < 1:
-        raise ValueError(f"{source} must be at least 1, got {cap}")
-    return cap
 
 
 def check_n(n: int) -> None:
@@ -55,17 +34,29 @@ def check_n(n: int) -> None:
         raise ValueError(f"n must be at least 1, got {n}")
 
 
-def check_cap(n: int, max_n: int | None = None) -> None:
-    cap = resource_cap(max_n)
+def check_cap(
+    n: int, max_n: int | None = None, default: int = DEFAULT_MAX_N, why: str = ""
+) -> None:
+    """Refuse n above the cap: ``max_n``, else ``PA_MAX_N``, else ``default``,
+    whose reason ``why`` then joins the message.
+
+    Raises ValueError, naming the source, when a cap asked for is not an
+    integer of at least 1.
+    """
+    if max_n is not None:
+        source, cap = "max_n", max_n
+    elif ENV_VAR in os.environ:
+        value = os.environ[ENV_VAR]
+        try:
+            cap = int(value)
+        except ValueError:
+            raise ValueError(f"{ENV_VAR} must be an integer, got {value!r}") from None
+        source = ENV_VAR
+    else:
+        if n > default:
+            raise ResourceCapError(n, default, why)
+        return
+    if cap < 1:
+        raise ValueError(f"{source} must be at least 1, got {cap}")
     if n > cap:
         raise ResourceCapError(n, cap)
-
-
-def check_realization_cap(n: int, max_n: int | None = None) -> None:
-    """The cap of the full check: CHECK_MAX_N unless ``max_n`` or ``PA_MAX_N``
-    names one, and then that one, as :func:`check_cap` reads it."""
-    if max_n is None and os.environ.get(ENV_VAR) is None and n > CHECK_MAX_N:
-        raise ResourceCapError(
-            n, CHECK_MAX_N, " of the full check, whose vertex list alone measured 1,130 MB at n = 6"
-        )
-    check_cap(n, max_n)

@@ -2,6 +2,8 @@ import contextlib
 import io
 import json
 import os
+import shutil
+import signal
 import stat
 import subprocess
 import sys
@@ -460,6 +462,47 @@ def test_an_interrupt_exits_130_in_one_line_and_leaves_the_target(tmp_path, monk
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err == "pa: interrupted\n"
     assert list(tmp_path.iterdir()) == [out] and out.read_text() == "old"
+
+
+# Runs the console script with a renderer that sends SIGINT to its whole
+# process group, as a terminal's Ctrl-C does.
+CTRL_C_SCRIPT = """\
+import os, signal
+from simplepa import cli
+cli.render_ine = lambda n: os.killpg(os.getpgrp(), signal.SIGINT)
+cli.script()
+"""
+
+
+def _ctrl_c(tmp_path, argv):
+    (tmp_path / "pa_ctrl_c.py").write_text(CTRL_C_SCRIPT)
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(cli.__file__))}
+    return subprocess.run(
+        argv, cwd=tmp_path, env=env, capture_output=True, text=True, start_new_session=True,
+        timeout=60,
+    )
+
+
+def test_the_console_script_dies_by_sigint_after_an_interrupt(tmp_path):
+    out = tmp_path / "pa.ine"
+    out.write_text("old")
+    result = _ctrl_c(
+        tmp_path, [sys.executable, "pa_ctrl_c.py", "generate", "--n", "2", "--hrep", str(out)]
+    )
+    assert result.returncode == -signal.SIGINT
+    assert result.stdout == "" and result.stderr == "pa: interrupted\n"
+    assert sorted(tmp_path.iterdir()) == [out, tmp_path / "pa_ctrl_c.py"]
+    assert out.read_text() == "old"
+
+
+@pytest.mark.skipif(shutil.which("bash") is None, reason="needs bash")
+def test_an_interrupt_stops_a_shell_loop(tmp_path):
+    # bash goes on with a loop whose command exited 130, and stops it only
+    # when the command died of the SIGINT that bash received too
+    loop = 'for n in 1 2; do "$0" pa_ctrl_c.py generate --n "$n" --hrep "pa$n.ine"; echo "$n"; done'
+    result = _ctrl_c(tmp_path, ["bash", "-c", loop, sys.executable])
+    assert result.returncode == -signal.SIGINT
+    assert result.stdout == "" and result.stderr == "pa: interrupted\n"
 
 
 def test_the_resource_cap_keeps_its_own_message(monkeypatch, capsys):
