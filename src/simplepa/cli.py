@@ -1,11 +1,14 @@
 """Command-line front end: generate, check, faces, graph, bracketing, export.
 
 All outputs are deterministic: canonical chain and bracketing order, exact
-rationals ("p/q", or "p" when the denominator is 1).  Each output is built
-whole, then streamed to stdout or to an atomically written file.  Exit
-codes: 0 success, 1 a failed verification, 2 a usage or I/O error or a
-broken internal invariant, 130 an interrupt (Ctrl-C): :func:`main` returns
-it, and the console script then ends by SIGINT, which a shell reports as 130.
+rationals ("p/q", or "p" when the denominator is 1).  Each output is
+computed whole (every face, type and vertex solve that can fail is done
+before the first byte), then streamed to stdout or to an atomically written
+file; the JSON face and vertex lists are joined piece by piece as they are
+written, so their text is never held whole.  Exit codes: 0 success, 1 a
+failed verification, 2 a usage or I/O error or a broken internal invariant,
+130 an interrupt (Ctrl-C): :func:`main` returns it, and the console script
+then ends by SIGINT, which a shell reports as 130.
 """
 
 from __future__ import annotations
@@ -19,10 +22,11 @@ import signal
 import stat
 import sys
 import tempfile
+from collections.abc import Callable, Iterable, Iterator
 from contextlib import suppress
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, TextIO
+from typing import TextIO
 
 from .brackets import (
     BracketSyntaxError,
@@ -42,8 +46,8 @@ from .geometry import (
     realization_report,
     vertex_coordinates,
 )
-from .limits import CHECK_MAX_N, DEFAULT_MAX_N, ResourceCapError, check_cap
-from .nestedsets import Chain, enumerate_chains, faces, nested_key
+from .limits import CHECK_MAX_N, CHECK_WHY, DEFAULT_MAX_N, ResourceCapError, check_cap
+from .nestedsets import Chain, chain_rank, enumerate_chains, faces
 
 EXIT_OK = 0
 EXIT_VERIFICATION = 1
@@ -87,19 +91,90 @@ def _write_atomic(path: str, write: Callable[[TextIO], None]) -> None:
         raise
 
 
-def _emit(path: str | None, content: str | dict) -> None:
-    """Stream text, or a JSON payload, to ``path`` atomically; ``None`` is stdout.
-    JSON goes 4096 tokens a write: under ``python -u`` each write is a syscall."""
+def _batched(pieces: Iterable[str], size: int = 1 << 16) -> Iterator[str]:
+    """Join text pieces into writes of at least ``size`` characters (the
+    last one shorter): under ``python -u`` each write is a syscall."""
+    batch, length = [], 0
+    for piece in pieces:
+        batch.append(piece)
+        length += len(piece)
+        if length >= size:
+            yield "".join(batch)
+            batch, length = [], 0
+    yield "".join(batch)
+
+
+def _emit(path: str | None, content: str | dict | Iterable[str]) -> None:
+    """Stream text to ``path`` atomically; ``None`` is stdout.  ``content`` is
+    the whole text, a JSON payload (written as ``json.dumps(content,
+    indent=2, sort_keys=True)`` and a newline) or the text in pieces, which
+    are joined only as they are written, so the text is never held whole."""
     if isinstance(content, str):
-        pieces = [content]
-    else:
+        content = [content]
+    elif isinstance(content, dict):
         encoded = json.JSONEncoder(indent=2, sort_keys=True).iterencode(content)
-        tokens = itertools.chain(encoded, ["\n"])
-        pieces = iter(lambda: "".join(itertools.islice(tokens, 4096)), "")
+        content = itertools.chain(encoded, ["\n"])
+    pieces = _batched(content)
     if path is None:
         sys.stdout.writelines(pieces)
     else:
         _write_atomic(path, lambda handle: handle.writelines(pieces))
+
+
+# ---------------------------------------------------------------------------
+# JSON text in pieces
+#
+# The face and vertex lists repeat the same few thousand chain records
+# (2,102 at n = 5) in every entry, and ``json`` lays out indented text in
+# pure Python.  So each chain record is encoded once, by ``json``, at the
+# depth where it sits, and the documents are joined around those
+# fragments, laid out as ``json.dumps(payload, indent=2, sort_keys=True)``
+# would lay them out.  ``tests/oracles.py`` keeps the dict payloads that
+# the tests compare this text with.
+
+def _nested(value, depth: int) -> str:
+    """``value`` as ``json.dumps(value, indent=2, sort_keys=True)`` lays it out
+    ``depth`` levels deep: each line after the first indented to match."""
+    return json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n" + "  " * depth)
+
+
+def _list(items: Iterable[str], depth: int) -> Iterator[str]:
+    """A JSON list ``depth`` levels deep, of items already laid out one level
+    deeper, in pieces: one per item, then the closing bracket."""
+    pad = "\n" + "  " * (depth + 1)
+    opening = "[" + pad
+    separator = opening
+    for item in items:
+        yield separator + item
+        separator = "," + pad
+    yield "[]" if separator is opening else "\n" + "  " * depth + "]"
+
+
+def _records(n: int, rows: Iterable[tuple[list[int], dict]]) -> Iterator[str]:
+    """The face or vertex records of a document, two levels deep.  Each row
+    is the ranks (:func:`chain_rank`) of the record's chains, in order, and
+    its other fields as plain values.  Every chain record is encoded here,
+    before the first row is joined."""
+    chains = [_nested(_chain_record(c), 4) for c in enumerate_chains(n)]
+
+    def record(ranks: list[int], fields: dict) -> str:
+        values = {key: _nested(value, 3) for key, value in fields.items()}
+        values["chains"] = "".join(_list([chains[r] for r in ranks], 3))
+        lines = [f"      {json.dumps(key)}: {values[key]}" for key in sorted(values)]
+        return "{\n" + ",\n".join(lines) + "\n    }"
+
+    return (record(ranks, fields) for ranks, fields in rows)
+
+
+def _document(fields: dict, key: str, records: Iterable[str]) -> Iterator[str]:
+    """``json.dumps({**fields, key: [...]}, indent=2, sort_keys=True)`` and a
+    newline, in pieces: ``fields`` are plain values, and the list under
+    ``key`` is ``records``, joined one by one as the pieces are taken."""
+    lines = {k: f"  {json.dumps(k)}: {_nested(v, 1)}" for k, v in fields.items()}
+    yield "{\n" + "".join(lines[k] + ",\n" for k in sorted(lines) if k < key)
+    yield f"  {json.dumps(key)}: "
+    yield from _list(records, 1)
+    yield "".join(",\n" + lines[k] for k in sorted(lines) if k > key) + "\n}\n"
 
 
 # ---------------------------------------------------------------------------
@@ -123,17 +198,20 @@ def render_ine(n: int) -> str:
     return "\n".join(lines) + "\n"
 
 
-def render_vrep(n: int, max_n: int | None = None) -> dict:
-    records = []
-    for b in all_bracketings(n, max_n=max_n):
+def render_vrep(n: int, max_n: int | None = None) -> Iterator[str]:
+    """The ``pa generate --vrep`` JSON text, in pieces.  Every vertex is
+    solved before this returns; only the joins are left to the pieces."""
+    bracketings = all_bracketings(n, max_n=max_n)
+    rank = chain_rank(n)
+    rows = []
+    for b in bracketings:
         v = to_nested(b)
-        records.append({
+        rows.append((sorted(map(rank.__getitem__, v)), {
             "bracketing": print_bracketing(b),
             "permutation": list(b.perm),
             "coordinates": [_fmt_rational(x) for x in vertex_coordinates(v, n)],
-            "chains": [_chain_record(c) for c in sorted(v, key=Chain.sort_key)],
-        })
-    return {"n": n, "count": len(records), "vertices": records}
+        }))
+    return _document({"n": n, "count": len(rows)}, "vertices", _records(n, rows))
 
 
 def render_dot(graph: RewriteGraph) -> str:
@@ -146,26 +224,29 @@ def render_dot(graph: RewriteGraph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def render_faces(n: int, dim: int, classify: bool, max_n: int | None = None) -> dict:
+def render_faces(n: int, dim: int, classify: bool, max_n: int | None = None) -> Iterator[str]:
+    """The ``pa faces`` JSON text, in pieces.  Every face is found, and
+    classified, before this returns; only the joins are left to the pieces."""
+    fields: dict = {"n": n, "dim": dim}
     if classify:
         if dim != 2:
             raise ValueError("--classify only applies to --dim 2")
         census = diagram_census(n, max_n=max_n)
-        labelled = census.faces
+        rank = chain_rank(n)
+        rows = (
+            (sorted(map(rank.__getitem__, f)), {} if kind is None else {"type": kind.value})
+            for f, kind in census.faces
+        )
+        fields["count"] = len(census.faces)
+        fields["census"] = {kind.value: count for kind, count in census.counts.items()}
+        fields["body_faces"] = census.body_faces
     else:
-        labelled = [(f, None) for f in sorted(faces(n, dim, max_n=max_n), key=nested_key)]
-    records = {c: _chain_record(c) for c in enumerate_chains(n)}
-    entries = []
-    for f, kind in labelled:
-        entry: dict = {"chains": [records[c] for c in sorted(f, key=Chain.sort_key)]}
-        if kind is not None:
-            entry["type"] = kind.value
-        entries.append(entry)
-    payload = {"n": n, "dim": dim, "count": len(entries), "faces": entries}
-    if classify:
-        payload["census"] = {kind.value: count for kind, count in sorted(census.counts.items())}
-        payload["body_faces"] = census.body_faces
-    return payload
+        found = faces(n, dim, max_n=max_n)
+        rank = chain_rank(n)
+        ranked = sorted(sorted(map(rank.__getitem__, f)) for f in found)  # the canonical order
+        rows = zip(ranked, itertools.repeat({}))
+        fields["count"] = len(ranked)
+    return _document(fields, "faces", _records(n, rows))
 
 
 def render_bracketing_record(text: str, n: int) -> dict:
@@ -266,7 +347,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, cap=DEFAULT_MAX_N):
+    def common(p, cap=DEFAULT_MAX_N, why=""):
         p.add_argument("--n", type=int, required=True, help="dimension of the polytope")
         p.add_argument(
             "--max-n",
@@ -274,6 +355,7 @@ def _build_parser() -> argparse.ArgumentParser:
             default=None,
             help=f"override the enumeration cap (default {cap}, or PA_MAX_N)",
         )
+        p.set_defaults(cap=cap, cap_why=why)
 
     p = sub.add_parser("generate", help="write the H- and/or V-representation")
     common(p)
@@ -282,7 +364,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_generate)
 
     p = sub.add_parser("check", help="run the full verification suite")
-    common(p, CHECK_MAX_N)
+    common(p, CHECK_MAX_N, CHECK_WHY)
     p.add_argument(
         "--report", metavar="PATH", type=_output_path, help="also write the JSON report here"
     )
@@ -322,7 +404,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
-        check_cap(args.n, args.max_n)  # every subcommand refuses n above the cap
+        check_cap(args.n, args.max_n, args.cap, args.cap_why)  # each subcommand's own cap
         return args.func(args)
     except BracketSyntaxError as exc:
         print(f"pa: parse error: {exc}", file=sys.stderr)

@@ -22,7 +22,7 @@ class ResourceCapError(RuntimeError):
     def __init__(self, n: int, cap: int, why: str = ""):
         super().__init__(
             f"n={n} exceeds the enumeration cap {cap}{why}; "
-            f"pass max_n or set {ENV_VAR} to override"
+            f"pass --max-n (max_n from Python) or set {ENV_VAR} to override"
         )
         self.n = n
         self.cap = cap

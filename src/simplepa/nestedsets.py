@@ -14,9 +14,10 @@ maximal ones (cardinality n) are the vertices.
 from __future__ import annotations
 
 import itertools
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
+from types import MappingProxyType
 
 from .limits import check_cap, check_n
 
@@ -141,6 +142,15 @@ def enumerate_chains(n: int) -> list[Chain]:
     """All chains over 0..n in canonical order (one per facet of the polytope)."""
     check_n(n)
     return list(_enumerate_chains(n))
+
+
+@lru_cache(maxsize=None)
+def chain_rank(n: int) -> Mapping[Chain, int]:
+    """Each chain's index in :func:`enumerate_chains`, read-only.  Ordering
+    chains by rank, and faces by their sorted lists of ranks, gives the
+    canonical orders of :meth:`Chain.sort_key` and :func:`nested_key`."""
+    check_n(n)
+    return MappingProxyType({c: i for i, c in enumerate(_enumerate_chains(n))})
 
 
 def is_full_chain(chain: Chain, n: int) -> bool:

@@ -11,7 +11,11 @@ different method, something the package computes on its production route:
 * ``value`` and ``tight`` evaluate a facet in ``Fraction`` arithmetic, where
   ``verify_vertex`` compares integer rows;
 * ``normalized_functional`` and ``top_simplex_points`` work in the paper's
-  normalisation chart, which ``normalization_map`` builds.
+  normalisation chart, which ``normalization_map`` builds;
+* ``faces_payload`` and ``vrep_payload`` build the ``pa faces`` and ``pa
+  generate --vrep`` documents as dicts for ``json`` to encode, in the
+  order of ``Chain.sort_key`` and ``nested_key``, where the command joins
+  its text around chain records encoded once each, in chain-rank order.
 
 pytest does not collect this module (its name does not start with ``test_``);
 the tests import it as they import ``conftest``.
@@ -20,6 +24,7 @@ the tests import it as they import ``conftest``.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from operator import mul
@@ -30,9 +35,16 @@ from simplepa import (
     DiagramType,
     Hyperplane,
     NestedSet,
+    all_bracketings,
     ambient_plane,
+    classify_2_face,
+    faces,
     fractional_offset,
+    nested_key,
     normalization_map,
+    print_bracketing,
+    to_nested,
+    vertex_coordinates,
 )
 from simplepa.limits import check_cap, check_n
 from simplepa.nestedsets import _compatible, _enumerate_chains, _union_admissible
@@ -200,3 +212,46 @@ def top_simplex_points(n: int) -> list[Point]:
         coords[i] += eps
         points.append(tuple(coords))
     return points
+
+
+# ---------------------------------------------------------------------------
+# the JSON documents as payloads
+
+def chain_record(chain: Chain) -> dict:
+    """A chain as the JSON documents record it: core, ext and every set."""
+    return {
+        "core": sorted(chain.core),
+        "ext": list(chain.ext),
+        "sets": [sorted(s) for s in chain.sets()],
+    }
+
+
+def faces_payload(n: int, dim: int, classify: bool) -> dict:
+    """``pa faces --n N --dim D [--classify]``: ``json.dumps(payload,
+    indent=2, sort_keys=True)`` and a newline is its output."""
+    entries = []
+    for f in sorted(faces(n, dim), key=nested_key):
+        entry: dict = {"chains": [chain_record(c) for c in sorted(f, key=Chain.sort_key)]}
+        if classify and f:
+            entry["type"] = classify_2_face(f, n).value
+        entries.append(entry)
+    payload = {"n": n, "dim": dim, "count": len(entries), "faces": entries}
+    if classify:
+        payload["census"] = dict(Counter(entry["type"] for entry in entries if "type" in entry))
+        payload["body_faces"] = sum(1 for entry in entries if not entry["chains"])
+    return payload
+
+
+def vrep_payload(n: int) -> dict:
+    """``pa generate --n N --vrep``: ``json.dumps(payload, indent=2,
+    sort_keys=True)`` and a newline is the file."""
+    records = []
+    for b in all_bracketings(n):
+        v = to_nested(b)
+        records.append({
+            "bracketing": print_bracketing(b),
+            "permutation": list(b.perm),
+            "coordinates": [str(x) for x in vertex_coordinates(v, n)],
+            "chains": [chain_record(c) for c in sorted(v, key=Chain.sort_key)],
+        })
+    return {"n": n, "count": len(records), "vertices": records}

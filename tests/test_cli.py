@@ -15,7 +15,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import bracketings
-from simplepa import Hyperplane, brackets, classify, cli, geometry, print_bracketing
+from simplepa import (
+    Hyperplane,
+    brackets,
+    classify,
+    cli,
+    faces,
+    geometry,
+    nested_key,
+    print_bracketing,
+)
 from simplepa.cli import main
 
 EXPECTED_INE_N1 = """H-representation
@@ -122,6 +131,23 @@ def test_faces_census(tmp_path):
     assert all("type" in entry for entry in data["faces"])
 
 
+def test_every_face_is_classified_before_the_first_byte(monkeypatch, capsys):
+    # the n = 4 census spans many writes; a failure at its last face prints nothing
+    last = max(faces(4, 2), key=nested_key)
+    original = classify.classify_2_face
+
+    def failing_at_the_last(f, n):
+        if f == last:
+            raise RuntimeError("unexpected superficiality profile")
+        return original(f, n)
+
+    monkeypatch.setattr(classify, "classify_2_face", failing_at_the_last)
+    assert run(["faces", "--n", "4", "--dim", "2", "--classify"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "pa: internal error: unexpected superficiality profile\n"
+
+
 def test_faces_classify_needs_dim2(tmp_path, capsys):
     argv = ["faces", "--n", "3", "--dim", "1", "--classify"]
     for destination in ([], ["--out", str(tmp_path / "faces.json")]):
@@ -201,24 +227,29 @@ def test_an_encoding_that_fails_midway_leaves_the_target_as_it_was(tmp_path, mon
 
 
 def test_census_is_written_in_less_memory_than_its_size(tmp_path, monkeypatch):
-    """From the point where the n = 4 census payload is complete, writing it
-    to its file never holds the whole output at once."""
-    render = cli.render_faces
+    """From the point where the n = 4 census, or the n = 4 vertex list, has
+    been computed, writing it to its file never holds the whole output at once."""
+    cases = [
+        ("render_faces", ["faces", "--n", "4", "--dim", "2", "--classify", "--out"], 1_465_375),
+        ("render_vrep", ["generate", "--n", "4", "--vrep"], 2_647_730),
+    ]
+    for name, argv, size in cases:
+        render = getattr(cli, name)
 
-    def render_then_trace(*args):
-        payload = render(*args)
-        tracemalloc.start()
-        return payload
+        def render_then_trace(*args, render=render):
+            pieces = render(*args)
+            tracemalloc.start()
+            return pieces
 
-    monkeypatch.setattr(cli, "render_faces", render_then_trace)
-    out = tmp_path / "faces.json"
-    try:
-        assert run(["faces", "--n", "4", "--dim", "2", "--classify", "--out", str(out)]) == 0
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert out.stat().st_size == 1_465_375
-    assert peak < out.stat().st_size
+        monkeypatch.setattr(cli, name, render_then_trace)
+        out = tmp_path / f"{name}.json"
+        try:
+            assert run([*argv, str(out)]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.stat().st_size == size
+        assert peak < size
 
 
 def test_graph_dot_n2(tmp_path):
@@ -331,7 +362,8 @@ def test_every_subcommand_refuses_n_above_the_cap(argv, monkeypatch, capsys, tmp
     monkeypatch.delenv("PA_MAX_N", raising=False)
     assert run([*argv, "--n", "7"]) == 2
     err = capsys.readouterr().err
-    assert "cap 6" in err and err.count("\n") == 1
+    cap = 5 if argv == ["check"] else 6  # the cap that the subcommand's --help names
+    assert f"cap {cap}" in err and err.count("\n") == 1
     assert list(tmp_path.iterdir()) == []
 
 
@@ -440,7 +472,8 @@ def test_check_refuses_n6_by_default_before_enumerating(tmp_path, monkeypatch, c
     assert captured.out == ""
     assert captured.err == (
         "pa: n=6 exceeds the enumeration cap 5 of the full check, whose vertex list alone "
-        "measured 1,130 MB at n = 6; pass max_n or set PA_MAX_N to override\n"
+        "measured 1,130 MB at n = 6; pass --max-n (max_n from Python) or set PA_MAX_N to "
+        "override\n"
     )
     assert list(tmp_path.iterdir()) == []
 
@@ -510,7 +543,8 @@ def test_the_resource_cap_keeps_its_own_message(monkeypatch, capsys):
     monkeypatch.setenv("PA_MAX_N", "2")
     assert run(["check", "--n", "3"]) == 2
     assert capsys.readouterr().err == (
-        "pa: n=3 exceeds the enumeration cap 2; pass max_n or set PA_MAX_N to override\n"
+        "pa: n=3 exceeds the enumeration cap 2; pass --max-n (max_n from Python) or set "
+        "PA_MAX_N to override\n"
     )
 
 

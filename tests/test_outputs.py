@@ -8,11 +8,13 @@ checked on every run instead of by hand.
 """
 
 import hashlib
+import json
 
 import pytest
 
+from oracles import faces_payload, vrep_payload
 from simplepa import classify, cli
-from simplepa.cli import main, render_faces
+from simplepa.cli import main, render_faces, render_vrep
 from simplepa.nestedsets import faces
 
 _FILE_FLAGS = ("--hrep", "--vrep", "--dot", "--off")
@@ -82,3 +84,27 @@ def test_classified_faces_classify_each_face_once(monkeypatch):
     render_faces(4, 2, True)
     assert len(faces(4, 2)) == len(calls) == 2020
     assert len(set(calls)) == len(calls)
+
+
+def _json(payload: dict) -> str:
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+# every face list up to n = 4, then the 2-face census
+STREAMED_FACES = [(n, dim, False) for n in range(1, 5) for dim in range(n + 1)] + [
+    (n, 2, True) for n in range(2, 5)
+]
+
+
+@pytest.mark.parametrize(
+    ("n", "dim", "labelled"),
+    STREAMED_FACES,
+    ids=[f"n{n}-dim{dim}" + ("-classify" if c else "") for n, dim, c in STREAMED_FACES],
+)
+def test_streamed_faces_are_the_json_of_the_payload(n, dim, labelled):
+    assert "".join(render_faces(n, dim, labelled)) == _json(faces_payload(n, dim, labelled))
+
+
+@pytest.mark.parametrize("n", range(1, 5))
+def test_streamed_vertices_are_the_json_of_the_payload(n):
+    assert "".join(render_vrep(n)) == _json(vrep_payload(n))
