@@ -59,10 +59,10 @@ from .nestedsets import (
     comparable,
     enumerate_chains,
     enumerate_vertices,
+    face_ranks,
     faces,
     is_full_chain,
     is_nested,
-    nested_key,
     superficial_count,
 )
 
@@ -97,6 +97,7 @@ __all__ = [
     "enumerate_chains",
     "enumerate_vertices",
     "f_vector",
+    "face_ranks",
     "faces",
     "facet_inequality",
     "facet_rhs",
@@ -105,7 +106,6 @@ __all__ = [
     "h_representation",
     "is_full_chain",
     "is_nested",
-    "nested_key",
     "normalization_map",
     "parse_bracketing",
     "polytope_graph",

@@ -147,10 +147,17 @@ def enumerate_chains(n: int) -> list[Chain]:
 @lru_cache(maxsize=None)
 def chain_rank(n: int) -> Mapping[Chain, int]:
     """Each chain's index in :func:`enumerate_chains`, read-only.  Ordering
-    chains by rank, and faces by their sorted lists of ranks, gives the
-    canonical orders of :meth:`Chain.sort_key` and :func:`nested_key`."""
+    chains by rank gives the canonical order of :meth:`Chain.sort_key`;
+    :func:`face_ranks` orders faces by it."""
     check_n(n)
     return MappingProxyType({c: i for i, c in enumerate(_enumerate_chains(n))})
+
+
+def face_ranks(face: Iterable[Chain], n: int) -> list[int]:
+    """The sorted :func:`chain_rank` of each chain of a face over 0..n: the
+    canonical sort key of faces and vertices.  Faces of one size compare by
+    it as by their chains' :meth:`Chain.sort_key` tuples, sorted."""
+    return sorted(map(chain_rank(n).__getitem__, face))
 
 
 def is_full_chain(chain: Chain, n: int) -> bool:
@@ -169,19 +176,13 @@ def suffix_interval(chain: Chain, perm: Sequence[int]) -> tuple[int, int] | None
     return a, b
 
 
-def nested_key(chains: Iterable[Chain]):
-    """Canonical sort key for a set of chains."""
-    return tuple(sorted(c.sort_key() for c in chains))
-
-
 @lru_cache(maxsize=None)
 def _vertices(n: int) -> tuple[NestedSet, ...]:
     from .brackets import all_bracketings, to_nested
 
-    canonical = {c: c for c in _enumerate_chains(n)}  # every vertex shares these objects
-    verts = [frozenset(canonical[c] for c in to_nested(b)) for b in all_bracketings(n, max_n=n)]
-    verts.sort(key=nested_key)
-    return tuple(verts)
+    chains = _enumerate_chains(n)  # every vertex holds these objects
+    ranked = sorted(face_ranks(to_nested(b), n) for b in all_bracketings(n, max_n=n))
+    return tuple(frozenset(map(chains.__getitem__, ranks)) for ranks in ranked)
 
 
 def enumerate_vertices(n: int, max_n: int | None = None) -> list[NestedSet]:
@@ -200,7 +201,7 @@ def faces(n: int, dim: int, max_n: int | None = None) -> frozenset[NestedSet]:
 
     Computed by taking subsets of the maximal nested sets; ``dim == n`` gives
     the empty nested set, the polytope body itself.  The result is a set, in
-    no order: sort by :func:`nested_key` where the order is shown.
+    no order: sort by :func:`face_ranks` where the order is shown.
     """
     check_n(n)
     if not 0 <= dim <= n:

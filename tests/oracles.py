@@ -12,6 +12,9 @@ different method, something the package computes on its production route:
   ``verify_vertex`` compares integer rows;
 * ``normalized_functional`` and ``top_simplex_points`` work in the paper's
   normalisation chart, which ``normalization_map`` builds;
+* ``nested_key`` orders faces by their chains' ``Chain.sort_key`` tuples,
+  where the package orders them by ``face_ranks``, their chains' ranks in
+  ``enumerate_chains``;
 * ``faces_payload`` and ``vrep_payload`` build the ``pa faces`` and ``pa
   generate --vrep`` documents as dicts for ``json`` to encode, in the
   order of ``Chain.sort_key`` and ``nested_key``, where the command joins
@@ -40,7 +43,6 @@ from simplepa import (
     classify_2_face,
     faces,
     fractional_offset,
-    nested_key,
     normalization_map,
     print_bracketing,
     to_nested,
@@ -216,6 +218,11 @@ def top_simplex_points(n: int) -> list[Point]:
 
 # ---------------------------------------------------------------------------
 # the JSON documents as payloads
+
+def nested_key(chains: Iterable[Chain]) -> tuple:
+    """Canonical sort key for a set of chains: their sort keys, sorted."""
+    return tuple(sorted(c.sort_key() for c in chains))
+
 
 def chain_record(chain: Chain) -> dict:
     """A chain as the JSON documents record it: core, ext and every set."""

@@ -1,7 +1,7 @@
 import pytest
 
 from conftest import chain_of
-from oracles import CYCLE_LENGTHS
+from oracles import CYCLE_LENGTHS, nested_key
 from simplepa import (
     ALPHA,
     SIGMA,
@@ -13,7 +13,6 @@ from simplepa import (
     enumerate_chains,
     enumerate_vertices,
     faces,
-    nested_key,
 )
 
 

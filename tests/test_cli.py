@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import bracketings
+from oracles import nested_key
 from simplepa import (
     Hyperplane,
     brackets,
@@ -22,7 +23,6 @@ from simplepa import (
     cli,
     faces,
     geometry,
-    nested_key,
     print_bracketing,
 )
 from simplepa.cli import main
@@ -214,10 +214,13 @@ def test_an_empty_output_path_is_an_io_error(argv, tmp_path, monkeypatch, capsys
 
 
 def test_an_encoding_that_fails_midway_leaves_the_target_as_it_was(tmp_path, monkeypatch, capsys):
-    # a payload whose JSON fails only after more than a batch of tokens is out
+    # JSON text in pieces that fails only after more than a 64 KiB batch is out
     cycle = []
     cycle.append(cycle)
-    monkeypatch.setattr(cli, "render_faces", lambda *args: {"a": list(range(10_000)), "b": cycle})
+    payload = {"a": list(range(10_000)), "b": cycle}
+    monkeypatch.setattr(
+        cli, "render_faces", lambda *args: json.JSONEncoder(indent=2).iterencode(payload)
+    )
     out = tmp_path / "faces.json"
     out.write_text("old")
     assert run(["faces", "--n", "1", "--dim", "0", "--out", str(out)]) == 2
@@ -479,12 +482,11 @@ def test_check_refuses_n6_by_default_before_enumerating(tmp_path, monkeypatch, c
 
 
 def test_an_interrupt_exits_130_in_one_line_and_leaves_the_target(tmp_path, monkeypatch, capsys):
-    class Interrupted(list):  # encodes more than a batch of tokens, then Ctrl-C
-        def __iter__(self):
-            yield from range(10_000)
-            raise KeyboardInterrupt
+    def interrupted(*args):  # text in pieces, more than a 64 KiB batch, then Ctrl-C
+        yield from ["0123456789abcdef"] * 10_000
+        raise KeyboardInterrupt
 
-    monkeypatch.setattr(cli, "render_faces", lambda *args: {"faces": Interrupted([0])})
+    monkeypatch.setattr(cli, "render_faces", interrupted)
     out = tmp_path / "faces.json"
     out.write_text("old")
     try:

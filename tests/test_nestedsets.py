@@ -5,7 +5,7 @@ import random
 import pytest
 
 from conftest import CHAINS_N2, VERTICES_N2, chain_of
-from oracles import faces_via_cliques, is_nested_oracle
+from oracles import faces_via_cliques, is_nested_oracle, nested_key
 from simplepa import (
     Chain,
     ResourceCapError,
@@ -14,6 +14,7 @@ from simplepa import (
     faces,
     is_full_chain,
     is_nested,
+    nestedsets,
     superficial_count,
 )
 
@@ -131,6 +132,22 @@ def test_enumerate_vertices_counts():
 
 def test_enumerate_vertices_n2_matches_explicit_list():
     assert set(enumerate_vertices(2)) == set(VERTICES_N2)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_enumerate_vertices_in_the_order_of_nested_key(n):
+    vertices = enumerate_vertices(n)
+    assert vertices == sorted(vertices, key=nested_key)
+
+
+def test_vertex_build_calls_no_sort_key(monkeypatch):
+    expected = enumerate_vertices(4)  # warms the chain cache
+
+    def refuse(chain):
+        raise AssertionError("_vertices sorted by Chain.sort_key")
+
+    monkeypatch.setattr(Chain, "sort_key", refuse)
+    assert list(nestedsets._vertices.__wrapped__(4)) == expected
 
 
 def test_vertices_are_nested_with_one_full_chain():
