@@ -24,7 +24,6 @@ import sys
 import tempfile
 from collections.abc import Callable, Iterable, Iterator
 from contextlib import suppress
-from fractions import Fraction
 from functools import lru_cache
 from typing import TextIO
 
@@ -53,10 +52,6 @@ EXIT_OK = 0
 EXIT_VERIFICATION = 1
 EXIT_USAGE = 2
 EXIT_INTERRUPTED = 130
-
-
-def _fmt_rational(x: Fraction) -> str:
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
 def _chain_record(chain: Chain) -> dict:
@@ -190,7 +185,7 @@ def render_ine(n: int) -> str:
         f"{len(facets) + 1} {n + 2} rational",
     ]
     for h in (ambient, *facets):
-        cells = [_fmt_rational(-h.rhs)] + [str(c) for c in h.coeffs]
+        cells = [str(-h.rhs)] + [str(c) for c in h.coeffs]
         lines.append(" ".join(cells))
     lines.append("end")
     return "\n".join(lines) + "\n"
@@ -205,7 +200,7 @@ def render_vrep(n: int, max_n: int | None = None) -> Iterator[str]:
         rows.append((face_ranks(v, n), {
             "bracketing": print_bracketing(b),
             "permutation": list(b.perm),
-            "coordinates": [_fmt_rational(x) for x in vertex_coordinates(v, n)],
+            "coordinates": [str(x) for x in vertex_coordinates(v, n)],
         }))
     return _document({"n": n, "count": len(rows)}, "vertices", _records(n, rows))
 
@@ -249,7 +244,7 @@ def render_bracketing_record(text: str, n: int) -> dict:
         "n": n,
         "bracketing": print_bracketing(b),
         "permutation": list(b.perm),
-        "coordinates": [_fmt_rational(x) for x in vertex_coordinates(v, n)],
+        "coordinates": [str(x) for x in vertex_coordinates(v, n)],
         # by sort key, not face_ranks: its rank table holds every chain, and
         # at n = 7 building it takes 1.0-1.3 s and lifts peak RSS 16 -> 86 MB
         "tight": [_chain_record(c) for c in sorted(v, key=Chain.sort_key)],

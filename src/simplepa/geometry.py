@@ -29,13 +29,15 @@ coordinates are distinct, that one placement is the only one to attain it.
 So one sort of a vertex's n+1 coordinates checks the whole canonical table,
 one integer comparison per class: a class whose least value clears its
 bound is strict throughout, and a class that meets its bound has exactly
-one tight facet.  A point with two equal coordinates, or below some class
-bound, is scanned facet by facet instead; that brute-force scan also serves
-an explicit facet table, such as the ``--perturb`` control's.
+one tight facet.  Rows that replace canonical ones, such as the
+``--perturb`` control's lowered bound, are then compared one by one.  A
+point with two equal coordinates, or below some class bound, is scanned
+facet by facet instead.
 """
 
 from __future__ import annotations
 
+from collections import ChainMap
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
@@ -155,14 +157,9 @@ Point = tuple[Fraction, ...]
 ScaledPoint = tuple[tuple[int, ...], int]  # (X, d), the point X/d in lowest terms, d > 0
 
 
-class _CanonicalTable(dict):
-    """The facet of every chain, in canonical order; ``verify_vertex`` checks
-    this table class by class, and a copy, a plain dict, facet by facet."""
-
-
 @lru_cache(maxsize=None)
-def _facet_table(n: int) -> _CanonicalTable:
-    return _CanonicalTable((c, facet_inequality(c, n)) for c in enumerate_chains(n))
+def _facet_table(n: int) -> dict[Chain, Hyperplane]:
+    return {c: facet_inequality(c, n) for c in enumerate_chains(n)}
 
 
 def _solve_vertex(v: Iterable[Chain], n: int, table: Mapping[Chain, Hyperplane]) -> ScaledPoint:
@@ -252,7 +249,7 @@ class VertexReport:
 
 
 def verify_vertex(
-    v: NestedSet, n: int, facets: Mapping[Chain, Hyperplane] | None = None
+    v: NestedSet, n: int, altered: Mapping[Chain, Hyperplane] | None = None
 ) -> VertexReport:
     """Solve the vertex from its defining system, then report which facets it
     meets with equality and whether all remaining ones hold strictly.
@@ -260,22 +257,30 @@ def verify_vertex(
     On a correct realization, ``tight`` equals ``v``, every other facet is
     strict, and the vertex lies on exactly n facet hyperplanes.
 
-    With ``facets`` None the canonical table is meant, and n must be within
-    the enumeration cap.  That table is checked class by class: by the
-    rearrangement inequality (see the module docstring) one sort of the
-    vertex's coordinates gives each class's least value and the one facet
-    that can attain it, so ``tight`` is the set of those that do and
-    ``strict_ok`` is ``tight <= v``.  A vertex with two equal coordinates, or
-    below some class bound, falls back to the brute-force scan, one integer
-    comparison per facet, which also serves any other ``facets`` mapping.
+    The table is the canonical one with the rows of ``altered``, a map from
+    chains to the rows that replace theirs, put in their place.  With
+    ``altered`` None, n must be within the enumeration cap; a caller that
+    passes a mapping, even an empty one, has checked its own cap.
+
+    The canonical rows are checked class by class (see the module
+    docstring): one sort of the vertex's coordinates gives each class's
+    least value and the one facet that can attain it.  The altered rows are
+    then compared one by one.  A vertex with two equal coordinates, or below
+    some class bound, falls back to the brute-force scan of the whole table.
     """
     v = frozenset(v)
-    if facets is None:
+    if altered is None:
         check_cap(n)
-        facets = _facet_table(n)
-    point = _solve_vertex(v, n, facets)
-    verdict = _class_scan(v, point, n) if isinstance(facets, _CanonicalTable) else None
-    tight, strict_ok = verdict or _facet_scan(v, point, facets)
+    table = ChainMap(altered, _facet_table(n)) if altered else _facet_table(n)
+    point = _solve_vertex(v, n, table)
+    verdict = _class_scan(v, point, n)
+    if verdict is None:
+        verdict = _facet_scan(v, point, table)
+    elif altered:  # no canonical row is below its bound: only the altered ones are left
+        own_tight, own_ok = _facet_scan(v, point, altered)
+        tight = verdict[0].difference(altered) | own_tight
+        verdict = tight, own_ok and tight <= v
+    tight, strict_ok = verdict
     return VertexReport(point, tight, strict_ok, len(tight) == n)
 
 
@@ -403,10 +408,9 @@ def realization_report(n: int, perturb: bool = False, max_n: int | None = None) 
     negative control: the report must then flag failures.  It needs n >= 2,
     since at n = 1 the lowered bound still cuts out a valid segment.
 
-    The vertex check is ``verify_vertex``.  On the canonical table it
-    compares each facet class's least value, found by the rearrangement
-    inequality, with the class bound; under ``perturb`` it scans the altered
-    copy facet by facet.
+    The vertex check is ``verify_vertex``: one comparison per facet class,
+    then one per altered row.  It is handed the altered rows, none or the
+    lowered one, so the cap is checked here alone.
     """
     from .brackets import SIGMA, build_graph, from_nested, print_bracketing
 
@@ -414,13 +418,13 @@ def realization_report(n: int, perturb: bool = False, max_n: int | None = None) 
     table = _facet_table(n)
     if perturb and n < 2:
         raise ValueError(f"perturb needs n >= 2, got {n}: a lowered bound still leaves a segment")
+    altered = {}
     if perturb:
         # relax the last canonical facet (a complete descending chain); the
         # vertices on it then cross their neighboring facets
-        table = dict(table)
         target = list(table)[-1]
         h = table[target]
-        table[target] = Hyperplane(h.coeffs, h.rhs - 1)
+        altered[target] = Hyperplane(h.coeffs, h.rhs - 1)
 
     verts = enumerate_vertices(n, max_n=max_n)
     points: list[ScaledPoint] = []
@@ -431,7 +435,7 @@ def realization_report(n: int, perturb: bool = False, max_n: int | None = None) 
 
     def vertices():
         for v in verts:
-            report = verify_vertex(v, n, facets=table)
+            report = verify_vertex(v, n, altered)
             points.append(report.scaled)
             for chain in report.tight:
                 tight_points[chain].append(report.scaled)

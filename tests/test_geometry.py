@@ -199,7 +199,7 @@ def test_verify_vertex_negative_control():
     target = list(table)[-1]
     h = table[target]
     table[target] = Hyperplane(h.coeffs, h.rhs - 1)
-    reports = [verify_vertex(v, 2, facets=table) for v in enumerate_vertices(2)]
+    reports = [verify_vertex(v, 2, table) for v in enumerate_vertices(2)]
     assert any(not r.strict_ok for r in reports)
 
 
@@ -232,12 +232,13 @@ def test_verify_vertex_agrees_with_fraction_oracle_on_shifted_tables(n, shift):
         table = dict(base)
         h = table[target]
         table[target] = Hyperplane(h.coeffs, h.rhs + shift)
-        for v in enumerate_vertices(n):
-            report = verify_vertex(v, n, facets=table)
-            scaled, d = report.scaled
-            assert all(type(x) is int for x in scaled)
-            assert d > 0 and gcd(d, *scaled) == 1
-            assert (report.tight, report.strict_ok) == _fraction_verdict(v, table, report)
+        for altered in (table, {target: table[target]}):
+            for v in enumerate_vertices(n):
+                report = verify_vertex(v, n, altered)
+                scaled, d = report.scaled
+                assert all(type(x) is int for x in scaled)
+                assert d > 0 and gcd(d, *scaled) == 1
+                assert (report.tight, report.strict_ok) == _fraction_verdict(v, table, report)
 
 
 def test_verify_vertex_flags_a_facet_moved_onto_an_outside_vertex():
@@ -248,19 +249,21 @@ def test_verify_vertex_flags_a_facet_moved_onto_an_outside_vertex():
     h = base[target]
     table = dict(base)
     table[target] = Hyperplane(h.coeffs, value(h, vertex_coordinates(outside, n)))
-    report = verify_vertex(outside, n, facets=table)
-    assert report.tight == outside | {target}
-    assert not report.strict_ok and not report.multiplicity_ok
-    for v in enumerate_vertices(n):
-        report = verify_vertex(v, n, facets=table)
-        assert (report.tight, report.strict_ok) == _fraction_verdict(v, table, report)
+    for altered in (table, {target: table[target]}):
+        report = verify_vertex(outside, n, altered)
+        assert report.tight == outside | {target}
+        assert not report.strict_ok and not report.multiplicity_ok
+        for v in enumerate_vertices(n):
+            report = verify_vertex(v, n, altered)
+            assert (report.tight, report.strict_ok) == _fraction_verdict(v, table, report)
 
 
 def test_class_check_agrees_with_the_facet_scan_on_every_vertex():
     for n in (1, 2, 3, 4):
-        brute = dict(_facet_table(n))  # a plain dict: scanned facet by facet
+        table = _facet_table(n)
         for v in enumerate_vertices(n):
-            assert verify_vertex(v, n) == verify_vertex(v, n, facets=brute)
+            report = verify_vertex(v, n)
+            assert (report.tight, report.strict_ok) == geometry._facet_scan(v, report.scaled, table)
 
 
 def test_class_check_never_falls_back_on_a_vertex(monkeypatch):
@@ -272,8 +275,29 @@ def test_class_check_never_falls_back_on_a_vertex(monkeypatch):
         for v in enumerate_vertices(n):
             report = verify_vertex(v, n)
             assert report.tight == v and report.strict_ok and report.multiplicity_ok
+    # altered rows, here every row, are compared by the facet scan
     with pytest.raises(AssertionError, match="fell back"):
-        verify_vertex(enumerate_vertices(2)[0], 2, facets=dict(_facet_table(2)))
+        verify_vertex(enumerate_vertices(2)[0], 2, dict(_facet_table(2)))
+
+
+@pytest.mark.parametrize(("n", "catalan"), [(2, 2), (3, 5), (4, 14)])
+def test_the_perturb_control_runs_the_class_check(n, catalan, monkeypatch):
+    # a vertex solved from the lowered row falls below a class bound and is
+    # scanned over the whole table; every other vertex takes the class check
+    # and compares the lowered row alone
+    scan = geometry._facet_scan
+    full = []
+
+    def spy(v, point, facets):
+        if len(facets) > 1:
+            full.append(v)
+        return scan(v, point, facets)
+
+    monkeypatch.setattr(geometry, "_facet_scan", spy)
+    assert not realization_report(n, perturb=True)["ok"]
+    target = list(_facet_table(n))[-1]
+    assert len(full) == catalan
+    assert set(full) == {v for v in enumerate_vertices(n) if target in v}
 
 
 @st.composite
@@ -658,7 +682,7 @@ def test_realization_report_refuses_perturb_at_n1():
 
 
 def test_realization_report_interleaves_vertex_failures_and_caps_them(monkeypatch):
-    def nothing_tight(v, n, facets=None):
+    def nothing_tight(v, n, altered=None):
         scaled = geometry._solve_vertex(v, n, _facet_table(n))
         return VertexReport(scaled, frozenset(), False, False)
 
