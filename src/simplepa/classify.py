@@ -30,7 +30,6 @@ from .nestedsets import (
     NestedSet,
     comparable,
     enumerate_vertices,
-    face_ranks,
     faces,
     is_full_chain,
     is_nested,
@@ -133,13 +132,10 @@ class DiagramCensus:
 
 
 def diagram_census(n: int, max_n: int | None = None) -> DiagramCensus:
-    """Classify every 2-face once and tally the counts per diagram type
-    (n >= 2: PA_1 has no 2-faces, and ``faces`` rejects dim 2 there).  The
-    faces are sorted once, by :func:`face_ranks`, before they are
-    classified: at n = 5 this peaks at 69.8 MB RSS, and sorting the
-    labelled pairs afterwards at 70.8 MB."""
-    ordered = sorted(faces(n, 2, max_n=max_n), key=lambda f: face_ranks(f, n))
-    labelled = tuple((f, classify_2_face(f, n) if f else None) for f in ordered)
+    """Classify every 2-face once, in the canonical order that
+    :func:`faces` returns, and tally the counts per diagram type (n >= 2:
+    PA_1 has no 2-faces, and ``faces`` rejects dim 2 there)."""
+    labelled = tuple((f, classify_2_face(f, n) if f else None) for f in faces(n, 2, max_n=max_n))
     counts = Counter(kind for _, kind in labelled)
     body = counts.pop(None, 0)
     return DiagramCensus(dict(counts), body, labelled)

@@ -231,7 +231,7 @@ def render_faces(n: int, dim: int, classify: bool, max_n: int | None = None) -> 
         fields["census"] = {kind.value: count for kind, count in census.counts.items()}
         fields["body_faces"] = census.body_faces
     else:
-        ranked = sorted(face_ranks(f, n) for f in faces(n, dim, max_n=max_n))  # canonical order
+        ranked = [face_ranks(f, n) for f in faces(n, dim, max_n=max_n)]
         rows = zip(ranked, itertools.repeat({}))
         fields["count"] = len(ranked)
     return _document(fields, "faces", _records(n, rows))

@@ -31,11 +31,13 @@ class Chain:
     chain, counted from the largest, is ``core | set(ext[j:])``; the chain
     has ``len(ext) + 1`` sets in total.  Construction rejects an empty core
     and repeated or negative labels; ``mask`` is the top set as a bitmask.
+    The hash is the dataclass one, ``hash((core, ext))``, computed once.
     """
 
     core: frozenset[int]
     ext: tuple[int, ...] = ()
     mask: int = field(init=False, repr=False, compare=False)
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         core, ext = frozenset(self.core), tuple(self.ext)
@@ -49,6 +51,10 @@ class Chain:
         if min(labels) < 0:
             raise ValueError(f"labels of {self} must be non-negative")
         object.__setattr__(self, "mask", sum(1 << lab for lab in labels))
+        object.__setattr__(self, "_hash", hash((core, ext)))
+
+    def __hash__(self):
+        return self._hash
 
     def sets(self) -> tuple[frozenset[int], ...]:
         """The sets of the chain, largest first."""
@@ -178,10 +184,19 @@ def suffix_interval(chain: Chain, perm: Sequence[int]) -> tuple[int, int] | None
 
 @lru_cache(maxsize=None)
 def _vertices(n: int) -> tuple[NestedSet, ...]:
-    from .brackets import all_bracketings, to_nested
+    from .brackets import all_bracketings
 
     chains = _enumerate_chains(n)  # every vertex holds these objects
-    ranked = sorted(face_ranks(to_nested(b), n) for b in all_bracketings(n, max_n=n))
+    # the node over positions lo..hi is the chain (perm[hi:], perm[lo+1:hi]);
+    # look its rank up by core bitmask and ext, so no Chain is built
+    rank = {(sum(1 << lab for lab in c.core), c.ext): i for i, c in enumerate(chains)}
+    ranked = []
+    for b in all_bracketings(n, max_n=n):
+        perm, suffix = b.perm, [0] * (n + 2)
+        for j in range(n, -1, -1):
+            suffix[j] = suffix[j + 1] | 1 << perm[j]
+        ranked.append(sorted(rank[suffix[hi], perm[lo + 1:hi]] for lo, hi in b.spans))
+    ranked.sort()
     return tuple(frozenset(map(chains.__getitem__, ranks)) for ranks in ranked)
 
 
@@ -196,24 +211,26 @@ def enumerate_vertices(n: int, max_n: int | None = None) -> list[NestedSet]:
     return list(_vertices(n))
 
 
-def faces(n: int, dim: int, max_n: int | None = None) -> frozenset[NestedSet]:
-    """All faces of the given dimension, as nested sets of cardinality n - dim.
+def faces(n: int, dim: int, max_n: int | None = None) -> list[NestedSet]:
+    """All faces of the given dimension, as nested sets of cardinality n - dim,
+    in canonical order (by :func:`face_ranks`), each once.
 
-    Computed by taking subsets of the maximal nested sets; ``dim == n`` gives
-    the empty nested set, the polytope body itself.  The result is a set, in
-    no order: sort by :func:`face_ranks` where the order is shown.
+    Computed by taking subsets of the maximal nested sets, as sorted rank
+    tuples, so each face is deduplicated and ordered as a tuple of ints and
+    built once; ``dim == n`` gives the empty nested set, the polytope body.
     """
     check_n(n)
     if not 0 <= dim <= n:
         raise ValueError(f"dim must lie in 0..{n}, got {dim}")
     if dim == n:
-        return frozenset([frozenset()])
-    size = n - dim
-    return frozenset(
-        frozenset(sub)
+        return [frozenset()]
+    keys = {
+        sub
         for v in enumerate_vertices(n, max_n=max_n)
-        for sub in itertools.combinations(v, size)
-    )
+        for sub in itertools.combinations(face_ranks(v, n), n - dim)
+    }
+    chains = _enumerate_chains(n)
+    return [frozenset(map(chains.__getitem__, key)) for key in sorted(keys)]
 
 
 def superficial_count(face: Iterable[Chain], chain: Chain) -> int:

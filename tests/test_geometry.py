@@ -667,7 +667,7 @@ def test_realization_report_caps_at_5_unless_asked(n, max_n, env, monkeypatch):
 def test_realization_report_refuses_n6_by_default(monkeypatch):
     monkeypatch.delenv("PA_MAX_N", raising=False)
     monkeypatch.setattr(geometry, "_facet_table", None)  # a call would fail with TypeError
-    with pytest.raises(ResourceCapError, match="cap 5 of the full check.*1,130 MB"):
+    with pytest.raises(ResourceCapError, match="cap 5 of the full check.*668 MB"):
         realization_report(6)
     monkeypatch.setenv("PA_MAX_N", "5")
     with pytest.raises(ResourceCapError, match="enumeration cap 5;"):

@@ -9,13 +9,16 @@ from oracles import faces_via_cliques, is_nested_oracle, nested_key
 from simplepa import (
     Chain,
     ResourceCapError,
+    all_bracketings,
     enumerate_chains,
     enumerate_vertices,
+    face_ranks,
     faces,
     is_full_chain,
     is_nested,
     nestedsets,
     superficial_count,
+    to_nested,
 )
 
 
@@ -64,6 +67,14 @@ def test_chain_mask_and_family_stay_out_of_equality():
     assert c.family == frozenset(sum(1 << lab for lab in s) for s in c.sets())
     assert c == Chain(frozenset({1}), (3, 0)) and hash(c) == hash(Chain({1}, [3, 0]))
     assert repr(c) == "Chain({1}, [3, 0])"
+
+
+def test_chain_hash_is_cached_and_matches_the_field_tuple():
+    core, ext = frozenset({1, 4}), (3, 0)
+    a, b = Chain(core, ext), Chain(set(core), list(ext))
+    assert a == b and a is not b
+    assert hash(a) == hash(b) == hash((core, ext))
+    assert nestedsets.chain_rank(4)[Chain(core, ext)] == enumerate_chains(4).index(a)
 
 
 def test_vertices_share_the_enumerated_chain_objects():
@@ -150,6 +161,41 @@ def test_vertex_build_calls_no_sort_key(monkeypatch):
     assert list(nestedsets._vertices.__wrapped__(4)) == expected
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_rank_route_vertices_match_to_nested(n):
+    via_to_nested = sorted(
+        (to_nested(b) for b in all_bracketings(n)), key=lambda v: face_ranks(v, n)
+    )
+    assert enumerate_vertices(n) == via_to_nested
+
+
+def test_rank_route_vertices_hold_a_to_nested_sample_n5():
+    vertices = set(enumerate_vertices(5))
+    for b in random.Random(5).sample(all_bracketings(5), 200):
+        assert to_nested(b) in vertices
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_faces_come_once_each_in_canonical_order(n):
+    for dim in range(n + 1):
+        found = faces(n, dim)
+        assert found == sorted(found, key=lambda f: face_ranks(f, n))
+        assert len(found) == len(set(found))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_vertex_and_face_builds_make_no_chain(n, monkeypatch):
+    expected = enumerate_vertices(n)  # warms the chain cache
+    expected_faces = [faces(n, dim) for dim in range(n + 1)]
+
+    def refuse(chain):
+        raise AssertionError("a Chain was built")
+
+    monkeypatch.setattr(Chain, "__post_init__", refuse)
+    assert list(nestedsets._vertices.__wrapped__(n)) == expected
+    assert [faces(n, dim) for dim in range(n + 1)] == expected_faces
+
+
 def test_vertices_are_nested_with_one_full_chain():
     for n in (1, 2, 3):
         for v in enumerate_vertices(n):
@@ -179,8 +225,10 @@ def test_catalan_recurrence():
 
 
 def test_faces_examples():
-    assert faces(2, 0) == frozenset(VERTICES_N2)
-    assert faces(2, 2) == {frozenset()}
+    assert set(faces(2, 0)) == frozenset(VERTICES_N2)
+    assert len(faces(2, 0)) == len(set(faces(2, 0)))
+    assert set(faces(2, 2)) == {frozenset()}
+    assert len(faces(2, 2)) == len(set(faces(2, 2)))
     two_faces = faces(3, 2)
     assert len(two_faces) == 62
     assert all(len(f) == 1 for f in two_faces)
@@ -203,7 +251,9 @@ def test_faces_reject_n_below_one_before_the_dimension(route, dim):
 def test_faces_agree_with_clique_route():
     for n in (1, 2, 3):
         for dim in range(n + 1):
-            assert faces(n, dim) == faces_via_cliques(n, dim)
+            found = faces(n, dim)
+            assert set(found) == faces_via_cliques(n, dim)
+            assert len(found) == len(set(found))
 
 
 def test_clique_route_calls_no_sort_key(monkeypatch):
