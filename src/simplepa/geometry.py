@@ -46,6 +46,9 @@ from itertools import accumulate
 from math import gcd, prod
 from operator import mul
 
+from .brackets import (
+    ALPHA, SIGMA, RewriteGraph, all_bracketings, build_graph, from_nested, print_bracketing
+)
 from .limits import CHECK_MAX_N, CHECK_WHY, check_cap, check_n
 from .nestedsets import (
     Chain,
@@ -354,16 +357,14 @@ def polytope_graph(n: int, max_n: int | None = None):
     """The graph of the polytope, built from face combinatorics alone:
     vertices are maximal nested sets, edges join pairs sharing n-1 chains.
     Must coincide with the rewrite graph under the bracketing bijection."""
-    from .brackets import ALPHA, SIGMA, RewriteGraph, from_nested, print_bracketing
-
-    # the bracketings come from from_nested, so comparing this graph with the
-    # rewrite graph also tests the bijection
-    order = [(from_nested(v), v) for v in enumerate_vertices(n, max_n=max_n)]
-    order.sort(key=lambda pair: print_bracketing(pair[0]))
-    index = {v: i for i, (_, v) in enumerate(order)}
-
+    vertices = all_bracketings(n, max_n=max_n)
+    position = {b: i for i, b in enumerate(vertices)}
+    # each maximal nested set sits at its from_nested bracketing, so the check
+    # still tests the bijection: were from_nested not injective, some index
+    # would have no edges here, while the rewrite graph gives it n
     buckets: dict[NestedSet, list[int]] = {}
-    for v, i in index.items():
+    for v in enumerate_vertices(n, max_n=max_n):
+        i = position[from_nested(v)]
         for chain in v:
             buckets.setdefault(v - {chain}, []).append(i)
     edges = set()
@@ -373,7 +374,7 @@ def polytope_graph(n: int, max_n: int | None = None):
         i, j = sorted(pair)
         kind = ALPHA if any(is_full_chain(c, n) for c in edge_face) else SIGMA
         edges.add((i, j, kind))
-    return RewriteGraph(tuple(b for b, _ in order), frozenset(edges))
+    return RewriteGraph(tuple(vertices), frozenset(edges))
 
 
 def f_vector(n: int, max_n: int | None = None) -> tuple[int, ...]:
@@ -412,8 +413,6 @@ def realization_report(n: int, perturb: bool = False, max_n: int | None = None) 
     then one per altered row.  It is handed the altered rows, none or the
     lowered one, so the cap is checked here alone.
     """
-    from .brackets import SIGMA, build_graph, from_nested, print_bracketing
-
     check_cap(n, max_n, CHECK_MAX_N, CHECK_WHY)
     table = _facet_table(n)
     if perturb and n < 2:

@@ -18,6 +18,7 @@ from simplepa import (
     ResourceCapError,
     SingularSystemError,
     affine_dimension,
+    all_bracketings,
     ambient_plane,
     build_graph,
     enumerate_chains,
@@ -603,6 +604,32 @@ def test_graph_degree_memo_leaves_equality_and_hash_alone():
     assert g.degree(0) == 3
     assert hash(g) == before
     assert g == polytope_graph(3)
+
+
+def test_polytope_graph_shares_the_bracketing_objects():
+    for n in (1, 2, 3, 4):
+        g = polytope_graph(n)
+        assert len(g.vertices) == len(all_bracketings(n))
+        assert all(a is b for a, b in zip(g.vertices, all_bracketings(n)))
+
+
+def _remap_two_vertices(swap):
+    """A from_nested that sends the second vertex at n = 3 to the first one's
+    bracketing, and with ``swap`` the first to the second one's as well."""
+    first, second = enumerate_vertices(3)[:2]
+    images = {second: from_nested(first)}
+    if swap:
+        images[first] = from_nested(second)
+    return lambda v: images.get(v) or from_nested(v)
+
+
+@pytest.mark.parametrize("swap", [False, True], ids=["collision", "swap"])
+def test_a_broken_bijection_fails_the_graph_check(swap, monkeypatch):
+    monkeypatch.setattr(geometry, "from_nested", _remap_two_vertices(swap))
+    assert polytope_graph(3) != build_graph(3)
+    report = realization_report(3)
+    assert not report["graphs_equal"]
+    assert not report["ok"]
 
 
 def test_f_vector():

@@ -53,6 +53,7 @@ PINNED = [
     ("faces --n 4 --dim 0", 0, "31242133771cb8e569430d37382286ef54e06ba2f5a372a0131497680f7af8ca"),
     ("faces --n 4 --dim 1", 0, "562ac87911c163d34d0c0b3d06913b3b1a117d7f99743855c76628b11d1aa996"),
     ("faces --n 4 --dim 3", 0, "6d9612266c6b0295a35845d71b9b5b4e047e89db77dab22f322605e6574c1601"),
+    ("check --n 4", 0, "ef388ac5b8a0e0f07743c43269f0b3ea2010e3bbf32151767cf5596b955c2d7b"),
     ("check --n 4 --perturb", 1, "efa97d09887ab09061fa9b92b7f1ac3ec36073dc5b19a800ea8762680087d152"),
 ]
 
