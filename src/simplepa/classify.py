@@ -15,6 +15,12 @@ a reassociation (``alpha``), any other is a transposition (``sigma``).  The
 
 Boundary walks recover each face's polygon; a pentagon is bounded by five
 alpha edges, the dodecagon alternates alpha and sigma all the way round.
+
+The type of a 2-face depends only on its span class: the bracketing spans
+its chains come from, read off as (len(core), len(ext)) per chain.  Faces of
+one class are relabellings of each other, and the classification reads
+nothing that relabelling changes, so the census classifies one face per
+class: 6, 30 and 140 at n = 3, 4 and 5 (see :func:`diagram_census`).
 """
 
 from __future__ import annotations
@@ -132,10 +138,31 @@ class DiagramCensus:
 
 
 def diagram_census(n: int, max_n: int | None = None) -> DiagramCensus:
-    """Classify every 2-face once, in the canonical order that
-    :func:`faces` returns, and tally the counts per diagram type (n >= 2:
-    PA_1 has no 2-faces, and ``faces`` rejects dim 2 there)."""
-    labelled = tuple((f, classify_2_face(f, n) if f else None) for f in faces(n, 2, max_n=max_n))
+    """Type every 2-face, in the canonical order that :func:`faces` returns,
+    and tally the counts per diagram type (n >= 2: PA_1 has no 2-faces, and
+    ``faces`` rejects dim 2 there).
+
+    :func:`classify_2_face` runs once per span class, not once per face.
+    The node over positions lo..hi of bracketing (perm, spans) is the chain
+    (perm[hi:], perm[lo+1:hi]), so a chain's (len(core), len(ext)) =
+    (n+1-hi, hi-lo-1) names its span, with no label involved.  A 2-face is a
+    subset of some vertex (perm, spans), hence the image, under the relabelling
+    j -> perm[j], of the identity-permutation face on the same span set.
+    ``classify_2_face`` reads only set sizes, containment and full-chain
+    status, which relabelling keeps, so every face of one span class has the
+    type of the class's first face.  There are 6, 30 and 140 classes at
+    n = 3, 4 and 5, against 62, 2,020 and 64,680 faces.
+    """
+    types: dict[frozenset[tuple[int, int]], DiagramType] = {}
+    labelled = []
+    for f in faces(n, 2, max_n=max_n):
+        if not f:  # the polytope body
+            labelled.append((f, None))
+            continue
+        span_class = frozenset((len(c.core), len(c.ext)) for c in f)
+        if span_class not in types:
+            types[span_class] = classify_2_face(f, n)
+        labelled.append((f, types[span_class]))
     counts = Counter(kind for _, kind in labelled)
     body = counts.pop(None, 0)
-    return DiagramCensus(dict(counts), body, labelled)
+    return DiagramCensus(dict(counts), body, tuple(labelled))

@@ -124,6 +124,12 @@ def _emit(path: str | None, content: str | Iterable[str]) -> None:
 # fragments, laid out as ``json.dumps(payload, indent=2, sort_keys=True)``
 # would lay them out.  ``tests/oracles.py`` keeps the dict payloads that
 # the tests compare this text with.
+#
+# The other repeated fragments are encoded once per document too: each key
+# line's prefix (``"chains": ``, ``"type": ``) and each face type, six
+# values over 64,680 census records at n = 5.  The values that differ from
+# record to record (bracketings, coordinates) are encoded as they come and
+# not kept, so no cache grows with the document.
 
 def _nested(value, depth: int) -> str:
     """``value`` as ``json.dumps(value, indent=2, sort_keys=True)`` lays it out
@@ -143,17 +149,25 @@ def _list(items: Iterable[str], depth: int) -> Iterator[str]:
     yield "[]" if separator is opening else "\n" + "  " * depth + "]"
 
 
-def _records(n: int, rows: Iterable[tuple[list[int], dict]]) -> Iterator[str]:
+def _records(
+    n: int, rows: Iterable[tuple[list[int], dict]], repeated: frozenset[str] = frozenset()
+) -> Iterator[str]:
     """The face or vertex records of a document, two levels deep.  Each row
     is the :func:`face_ranks` of the record's chains and its other fields
     as plain values.  Every chain record is encoded here, before the first
-    row is joined."""
+    row is joined.  Key prefixes, and the values of the fields named in
+    ``repeated`` (hashable values only), are encoded once each."""
     chains = [_nested(_chain_record(c), 4) for c in enumerate_chains(n)]
+    prefix = lru_cache(maxsize=None)(lambda key: f"      {json.dumps(key)}: ")
+    shared = lru_cache(maxsize=None)(_nested)
 
     def record(ranks: list[int], fields: dict) -> str:
-        values = {key: _nested(value, 3) for key, value in fields.items()}
+        values = {
+            key: (shared if key in repeated else _nested)(value, 3)
+            for key, value in fields.items()
+        }
         values["chains"] = "".join(_list([chains[r] for r in ranks], 3))
-        lines = [f"      {json.dumps(key)}: {values[key]}" for key in sorted(values)]
+        lines = [prefix(key) + values[key] for key in sorted(values)]
         return "{\n" + ",\n".join(lines) + "\n    }"
 
     return (record(ranks, fields) for ranks, fields in rows)
@@ -234,7 +248,7 @@ def render_faces(n: int, dim: int, classify: bool, max_n: int | None = None) -> 
         ranked = [face_ranks(f, n) for f in faces(n, dim, max_n=max_n)]
         rows = zip(ranked, itertools.repeat({}))
         fields["count"] = len(ranked)
-    return _document(fields, "faces", _records(n, rows))
+    return _document(fields, "faces", _records(n, rows, repeated=frozenset({"type"})))
 
 
 def render_bracketing_record(text: str, n: int) -> dict:

@@ -42,7 +42,7 @@ from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import accumulate
+from itertools import accumulate, combinations
 from math import gcd, prod
 from operator import mul
 
@@ -55,6 +55,7 @@ from .nestedsets import (
     NestedSet,
     enumerate_chains,
     enumerate_vertices,
+    face_ranks,
     faces,
     is_full_chain,
     is_nested,
@@ -362,17 +363,20 @@ def polytope_graph(n: int, max_n: int | None = None):
     # each maximal nested set sits at its from_nested bracketing, so the check
     # still tests the bijection: were from_nested not injective, some index
     # would have no edges here, while the rewrite graph gives it n
-    buckets: dict[NestedSet, list[int]] = {}
+    # edge faces are keyed by their sorted chain ranks: a tuple of ints is a
+    # fraction of the size of a frozenset of chains
+    buckets: dict[tuple[int, ...], list[int]] = {}
     for v in enumerate_vertices(n, max_n=max_n):
         i = position[from_nested(v)]
-        for chain in v:
-            buckets.setdefault(v - {chain}, []).append(i)
+        for edge_face in combinations(face_ranks(v, n), n - 1):
+            buckets.setdefault(edge_face, []).append(i)
+    chains = enumerate_chains(n)
     edges = set()
     for edge_face, pair in buckets.items():
         if len(pair) != 2:
             raise RuntimeError(f"edge face shared by {len(pair)} vertices, expected 2")
         i, j = sorted(pair)
-        kind = ALPHA if any(is_full_chain(c, n) for c in edge_face) else SIGMA
+        kind = ALPHA if any(is_full_chain(chains[r], n) for r in edge_face) else SIGMA
         edges.add((i, j, kind))
     return RewriteGraph(tuple(vertices), frozenset(edges))
 

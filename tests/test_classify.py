@@ -1,3 +1,7 @@
+import itertools
+import random
+from collections import defaultdict
+
 import pytest
 
 from conftest import chain_of
@@ -5,8 +9,10 @@ from oracles import CYCLE_LENGTHS, nested_key
 from simplepa import (
     ALPHA,
     SIGMA,
+    Chain,
     DiagramType,
     boundary_cycle,
+    classify,
     classify_1_face,
     classify_2_face,
     diagram_census,
@@ -156,3 +162,44 @@ def test_diagram_census_carries_each_face_with_its_type():
         assert repr(census) == (
             f"DiagramCensus(counts={census.counts!r}, body_faces={census.body_faces})"
         )
+
+
+def _span_class(f):
+    return frozenset((len(c.core), len(c.ext)) for c in f)
+
+
+def _relabel(f, perm):
+    return frozenset(
+        Chain(frozenset(perm[x] for x in c.core), tuple(perm[x] for x in c.ext)) for c in f
+    )
+
+
+@pytest.mark.parametrize(("n", "classes"), [(3, 6), (4, 30)])
+def test_each_span_class_is_one_label_orbit_of_one_type(n, classes):
+    # the lemma behind diagram_census: faces with the same spans are exactly
+    # the relabellings of one face, and relabelling keeps the diagram type
+    by_class = defaultdict(set)
+    for f in faces(n, 2):
+        by_class[_span_class(f)].add(f)
+    assert len(by_class) == classes
+    perms = list(itertools.permutations(range(n + 1)))
+    for members in by_class.values():
+        representative = min(members, key=nested_key)
+        assert {_relabel(representative, p) for p in perms} == members
+        assert len({classify_2_face(f, n) for f in members}) == 1
+
+
+def test_census_classifies_once_per_span_class_n5(monkeypatch):
+    calls = []
+    original = classify.classify_2_face
+
+    def counting(f, n):
+        calls.append(f)
+        return original(f, n)
+
+    monkeypatch.setattr(classify, "classify_2_face", counting)
+    census = diagram_census(5)
+    assert len(calls) == len({_span_class(f) for f in calls}) == 140
+    assert len(census.faces) == 64680
+    for f, kind in random.Random(23).sample(census.faces, 2000):
+        assert kind is original(f, 5)

@@ -15,13 +15,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import bracketings
-from oracles import nested_key
 from simplepa import (
     Hyperplane,
     brackets,
     classify,
     cli,
-    faces,
     geometry,
     print_bracketing,
 )
@@ -132,12 +130,24 @@ def test_faces_census(tmp_path):
 
 
 def test_every_face_is_classified_before_the_first_byte(monkeypatch, capsys):
-    # the n = 4 census spans many writes; a failure at its last face prints nothing
-    last = max(faces(4, 2), key=nested_key)
+    # the n = 4 census spans many writes; a failure at its last classification
+    # (one per span class) prints nothing
     original = classify.classify_2_face
+    calls = []
+
+    def counting(f, n):
+        calls.append(f)
+        return original(f, n)
+
+    monkeypatch.setattr(classify, "classify_2_face", counting)
+    classify.diagram_census(4)
+    last = len(calls)
+    assert last > 1
+    calls.clear()
 
     def failing_at_the_last(f, n):
-        if f == last:
+        calls.append(f)
+        if len(calls) == last:
             raise RuntimeError("unexpected superficiality profile")
         return original(f, n)
 

@@ -84,8 +84,11 @@ def test_classified_faces_classify_each_face_once(monkeypatch):
     monkeypatch.setattr(classify, "classify_2_face", counting)
     monkeypatch.setattr(cli, "classify_2_face", counting, raising=False)
     render_faces(4, 2, True)
-    assert len(faces(4, 2)) == len(calls) == 2020
-    assert len(set(calls)) == len(calls)
+    # one call per span class of the 2,020 faces (see classify.diagram_census)
+    span_classes = {frozenset((len(c.core), len(c.ext)) for c in f) for f in calls}
+    assert len(faces(4, 2)) == 2020
+    assert len(calls) == 30
+    assert len(set(calls)) == len(span_classes) == len(calls)
 
 
 def _json(payload: dict) -> str:
