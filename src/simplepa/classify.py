@@ -122,6 +122,13 @@ def boundary_cycle(f: Iterable[Chain], n: int, max_n: int | None = None) -> list
     return cycle
 
 
+def span_class(f: Iterable[Chain]) -> frozenset[tuple[int, int]]:
+    """The (len(core), len(ext)) of each chain of ``f``: the bracketing spans
+    its chains come from, with the labels forgotten (see
+    :func:`diagram_census`)."""
+    return frozenset((len(c.core), len(c.ext)) for c in f)
+
+
 @dataclass(frozen=True)
 class DiagramCensus:
     """Counts of 2-face diagram types; the polytope body (only a 2-face when
@@ -142,7 +149,7 @@ def diagram_census(n: int, max_n: int | None = None) -> DiagramCensus:
     and tally the counts per diagram type (n >= 2: PA_1 has no 2-faces, and
     ``faces`` rejects dim 2 there).
 
-    :func:`classify_2_face` runs once per span class, not once per face.
+    :func:`classify_2_face` runs once per :func:`span_class`, not once per face.
     The node over positions lo..hi of bracketing (perm, spans) is the chain
     (perm[hi:], perm[lo+1:hi]), so a chain's (len(core), len(ext)) =
     (n+1-hi, hi-lo-1) names its span, with no label involved.  A 2-face is a
@@ -159,10 +166,10 @@ def diagram_census(n: int, max_n: int | None = None) -> DiagramCensus:
         if not f:  # the polytope body
             labelled.append((f, None))
             continue
-        span_class = frozenset((len(c.core), len(c.ext)) for c in f)
-        if span_class not in types:
-            types[span_class] = classify_2_face(f, n)
-        labelled.append((f, types[span_class]))
+        key = span_class(f)
+        if key not in types:
+            types[key] = classify_2_face(f, n)
+        labelled.append((f, types[key]))
     counts = Counter(kind for _, kind in labelled)
     body = counts.pop(None, 0)
     return DiagramCensus(dict(counts), body, tuple(labelled))

@@ -149,21 +149,18 @@ def _list(items: Iterable[str], depth: int) -> Iterator[str]:
     yield "[]" if separator is opening else "\n" + "  " * depth + "]"
 
 
-def _records(
-    n: int, rows: Iterable[tuple[list[int], dict]], repeated: frozenset[str] = frozenset()
-) -> Iterator[str]:
+def _records(n: int, rows: Iterable[tuple[list[int], dict]]) -> Iterator[str]:
     """The face or vertex records of a document, two levels deep.  Each row
     is the :func:`face_ranks` of the record's chains and its other fields
     as plain values.  Every chain record is encoded here, before the first
-    row is joined.  Key prefixes, and the values of the fields named in
-    ``repeated`` (hashable values only), are encoded once each."""
+    row is joined.  Key prefixes and ``type`` values are encoded once each."""
     chains = [_nested(_chain_record(c), 4) for c in enumerate_chains(n)]
     prefix = lru_cache(maxsize=None)(lambda key: f"      {json.dumps(key)}: ")
     shared = lru_cache(maxsize=None)(_nested)
 
     def record(ranks: list[int], fields: dict) -> str:
         values = {
-            key: (shared if key in repeated else _nested)(value, 3)
+            key: (shared if key == "type" else _nested)(value, 3)
             for key, value in fields.items()
         }
         values["chains"] = "".join(_list([chains[r] for r in ranks], 3))
@@ -248,7 +245,7 @@ def render_faces(n: int, dim: int, classify: bool, max_n: int | None = None) -> 
         ranked = [face_ranks(f, n) for f in faces(n, dim, max_n=max_n)]
         rows = zip(ranked, itertools.repeat({}))
         fields["count"] = len(ranked)
-    return _document(fields, "faces", _records(n, rows, repeated=frozenset({"type"})))
+    return _document(fields, "faces", _records(n, rows))
 
 
 def render_bracketing_record(text: str, n: int) -> dict:

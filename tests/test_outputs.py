@@ -83,12 +83,14 @@ def test_classified_faces_classify_each_face_once(monkeypatch):
     # there would show up as extra calls
     monkeypatch.setattr(classify, "classify_2_face", counting)
     monkeypatch.setattr(cli, "classify_2_face", counting, raising=False)
-    render_faces(4, 2, True)
-    # one call per span class of the 2,020 faces (see classify.diagram_census)
-    span_classes = {frozenset((len(c.core), len(c.ext)) for c in f) for f in calls}
+    # one call per span class of the 2,020 and 64,680 faces (see
+    # classify.diagram_census)
+    for n, classes in [(4, 30), (5, 140)]:
+        calls.clear()
+        render_faces(n, 2, True)
+        assert len(calls) == classes
+        assert len(set(calls)) == len(set(map(classify.span_class, calls))) == classes
     assert len(faces(4, 2)) == 2020
-    assert len(calls) == 30
-    assert len(set(calls)) == len(span_classes) == len(calls)
 
 
 def _json(payload: dict) -> str:
