@@ -35,6 +35,7 @@ from .nestedsets import (
     Chain,
     NestedSet,
     comparable,
+    enumerate_chains,
     enumerate_vertices,
     faces,
     is_full_chain,
@@ -122,22 +123,31 @@ def boundary_cycle(f: Iterable[Chain], n: int, max_n: int | None = None) -> list
     return cycle
 
 
-def span_class(f: Iterable[Chain]) -> frozenset[tuple[int, int]]:
-    """The (len(core), len(ext)) of each chain of ``f``: the bracketing spans
-    its chains come from, with the labels forgotten (see
-    :func:`diagram_census`)."""
-    return frozenset((len(c.core), len(c.ext)) for c in f)
+def _span_bit(c: Chain) -> int:
+    """One bit per (len(core), len(ext)): the triangular index of the pair
+    (top size, len(ext)), with len(ext) below the top size."""
+    top = len(c.core) + len(c.ext)
+    return 1 << (top * (top - 1) // 2 + len(c.ext))
+
+
+def span_class(f: Iterable[Chain]) -> int:
+    """The (len(core), len(ext)) of each chain of ``f`` as a bitmask: the
+    bracketing spans its chains come from, with the labels forgotten (see
+    :func:`diagram_census`).  The chains of a face come from distinct spans
+    of one bracketing, so their bits are distinct and add up to the set."""
+    return sum(map(_span_bit, f))
 
 
 @dataclass(frozen=True)
 class DiagramCensus:
     """Counts of 2-face diagram types; the polytope body (only a 2-face when
     n = 2) is tallied separately rather than classified.  ``faces`` pairs each
-    2-face, in canonical order, with the type it was counted under (or None)."""
+    2-face, as the chain-rank key that :func:`faces` returns, in canonical
+    order, with the type it was counted under (None for the body, ``()``)."""
 
     counts: Mapping[DiagramType, int]
     body_faces: int
-    faces: tuple[tuple[NestedSet, DiagramType | None], ...] = field(default=(), repr=False)
+    faces: tuple[tuple[tuple[int, ...], DiagramType | None], ...] = field(default=(), repr=False)
 
     @property
     def total(self) -> int:
@@ -147,29 +157,36 @@ class DiagramCensus:
 def diagram_census(n: int, max_n: int | None = None) -> DiagramCensus:
     """Type every 2-face, in the canonical order that :func:`faces` returns,
     and tally the counts per diagram type (n >= 2: PA_1 has no 2-faces, and
-    ``faces`` rejects dim 2 there).
+    ``faces`` rejects dim 2 there).  Faces stay chain-rank keys throughout.
 
-    :func:`classify_2_face` runs once per :func:`span_class`, not once per face.
-    The node over positions lo..hi of bracketing (perm, spans) is the chain
-    (perm[hi:], perm[lo+1:hi]), so a chain's (len(core), len(ext)) =
-    (n+1-hi, hi-lo-1) names its span, with no label involved.  A 2-face is a
-    subset of some vertex (perm, spans), hence the image, under the relabelling
-    j -> perm[j], of the identity-permutation face on the same span set.
-    ``classify_2_face`` reads only set sizes, containment and full-chain
-    status, which relabelling keeps, so every face of one span class has the
-    type of the class's first face.  There are 6, 30 and 140 classes at
-    n = 3, 4 and 5, against 62, 2,020 and 64,680 faces.
+    :func:`classify_2_face` runs once per :func:`span_class`, not once per
+    face, on the chains of the class's first face.  A face's class is the
+    sum of a per-rank table of :func:`span_class` bits, so no chain set is
+    built for the other faces.  The node over positions lo..hi of
+    bracketing (perm, spans) is the chain (perm[hi:], perm[lo+1:hi]), so a
+    chain's (len(core), len(ext)) = (n+1-hi, hi-lo-1) names its span, with
+    no label involved.  A 2-face is a subset of some vertex (perm, spans),
+    hence the image, under the relabelling j -> perm[j], of the
+    identity-permutation face on the same span set.  ``classify_2_face``
+    reads only set sizes, containment and full-chain status, which
+    relabelling keeps, so every face of one span class has the type of the
+    class's first face.  There are 6, 30 and 140 classes at n = 3, 4 and 5,
+    against 62, 2,020 and 64,680 faces.
     """
-    types: dict[frozenset[tuple[int, int]], DiagramType] = {}
+    keys = faces(n, 2, max_n=max_n)
+    chains = enumerate_chains(n)
+    bits = [_span_bit(c) for c in chains]
+    types: dict[int, DiagramType] = {}
     labelled = []
-    for f in faces(n, 2, max_n=max_n):
-        if not f:  # the polytope body
-            labelled.append((f, None))
+    for key in keys:
+        if not key:  # the polytope body
+            labelled.append((key, None))
             continue
-        key = span_class(f)
-        if key not in types:
-            types[key] = classify_2_face(f, n)
-        labelled.append((f, types[key]))
+        cls = sum(map(bits.__getitem__, key))
+        kind = types.get(cls)
+        if kind is None:
+            kind = types[cls] = classify_2_face(frozenset(map(chains.__getitem__, key)), n)
+        labelled.append((key, kind))
     counts = Counter(kind for _, kind in labelled)
     body = counts.pop(None, 0)
     return DiagramCensus(dict(counts), body, tuple(labelled))

@@ -15,14 +15,13 @@ from __future__ import annotations
 
 import argparse
 import errno
-import itertools
 import json
 import os
 import signal
 import stat
 import sys
 import tempfile
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from contextlib import suppress
 from functools import lru_cache
 from typing import TextIO
@@ -125,11 +124,14 @@ def _emit(path: str | None, content: str | Iterable[str]) -> None:
 # would lay them out.  ``tests/oracles.py`` keeps the dict payloads that
 # the tests compare this text with.
 #
-# The other repeated fragments are encoded once per document too: each key
-# line's prefix (``"chains": ``, ``"type": ``) and each face type, six
-# values over 64,680 census records at n = 5.  The values that differ from
-# record to record (bracketings, coordinates) are encoded as they come and
-# not kept, so no cache grows with the document.
+# A record is its chain ranks plus the laid-out text of its other fields,
+# split at ``"chains"``, where they sort around it.  A face list encodes
+# that text once per face type (six types and the body: 64,680 census
+# records at n = 5), so a face record is one join over its ranks' chain
+# fragments; no face record is encoded, built as a dict or sorted.  The
+# vertex list encodes each record's fields (bracketing, coordinates,
+# permutation) as it comes and keeps none, so no cache grows with the
+# document.
 
 def _nested(value, depth: int) -> str:
     """``value`` as ``json.dumps(value, indent=2, sort_keys=True)`` lays it out
@@ -137,48 +139,55 @@ def _nested(value, depth: int) -> str:
     return json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n" + "  " * depth)
 
 
+def _split(fields: dict, key: str, depth: int) -> tuple[str, str]:
+    """The lines of an object ``depth`` levels deep holding ``fields`` and
+    ``key``: those of the fields that sort before ``key``, each with its
+    comma and newline, and those that sort after it, each after a comma
+    and newline."""
+    pad = "  " * depth
+    lines = {k: f"{pad}{json.dumps(k)}: {_nested(v, depth)}" for k, v in fields.items()}
+    before = "".join(lines[k] + ",\n" for k in sorted(lines) if k < key)
+    after = "".join(",\n" + lines[k] for k in sorted(lines) if k > key)
+    return before, after
+
+
 def _list(items: Iterable[str], depth: int) -> Iterator[str]:
     """A JSON list ``depth`` levels deep, of items already laid out one level
-    deeper, in pieces: one per item, then the closing bracket."""
+    deeper, in pieces: each item after its separator, then the closing
+    bracket.  An item is not copied to prefix its separator."""
     pad = "\n" + "  " * (depth + 1)
     opening = "[" + pad
     separator = opening
     for item in items:
-        yield separator + item
+        yield separator
+        yield item
         separator = "," + pad
     yield "[]" if separator is opening else "\n" + "  " * depth + "]"
 
 
-def _records(n: int, rows: Iterable[tuple[list[int], dict]]) -> Iterator[str]:
+def _records(n: int, rows: Iterable[tuple[Sequence[int], str, str]]) -> Iterator[str]:
     """The face or vertex records of a document, two levels deep.  Each row
-    is the :func:`face_ranks` of the record's chains and its other fields
-    as plain values.  Every chain record is encoded here, before the first
-    row is joined.  Key prefixes and ``type`` values are encoded once each."""
+    is the ranks of the record's chains in :func:`enumerate_chains` and the
+    :func:`_split` text of its other fields around ``"chains"``.  Every
+    chain record is encoded here, before the first row is joined."""
     chains = [_nested(_chain_record(c), 4) for c in enumerate_chains(n)]
-    prefix = lru_cache(maxsize=None)(lambda key: f"      {json.dumps(key)}: ")
-    shared = lru_cache(maxsize=None)(_nested)
-
-    def record(ranks: list[int], fields: dict) -> str:
-        values = {
-            key: (shared if key == "type" else _nested)(value, 3)
-            for key, value in fields.items()
-        }
-        values["chains"] = "".join(_list([chains[r] for r in ranks], 3))
-        lines = [prefix(key) + values[key] for key in sorted(values)]
-        return "{\n" + ",\n".join(lines) + "\n    }"
-
-    return (record(ranks, fields) for ranks, fields in rows)
+    separator = ",\n" + "  " * 4
+    for ranks, before, after in rows:
+        if ranks:
+            joined = separator.join(map(chains.__getitem__, ranks))
+            yield f'{{\n{before}      "chains": [\n        {joined}\n      ]{after}\n    }}'
+        else:
+            yield f'{{\n{before}      "chains": []{after}\n    }}'
 
 
 def _document(fields: dict, key: str, records: Iterable[str]) -> Iterator[str]:
     """``json.dumps({**fields, key: [...]}, indent=2, sort_keys=True)`` and a
     newline, in pieces: ``fields`` are plain values, and the list under
     ``key`` is ``records``, joined one by one as the pieces are taken."""
-    lines = {k: f"  {json.dumps(k)}: {_nested(v, 1)}" for k, v in fields.items()}
-    yield "{\n" + "".join(lines[k] + ",\n" for k in sorted(lines) if k < key)
-    yield f"  {json.dumps(key)}: "
+    before, after = _split(fields, key, 1)
+    yield f"{{\n{before}  {json.dumps(key)}: "
     yield from _list(records, 1)
-    yield "".join(",\n" + lines[k] for k in sorted(lines) if k > key) + "\n}\n"
+    yield after + "\n}\n"
 
 
 # ---------------------------------------------------------------------------
@@ -208,11 +217,11 @@ def render_vrep(n: int, max_n: int | None = None) -> Iterator[str]:
     rows = []
     for b in all_bracketings(n, max_n=max_n):
         v = to_nested(b)
-        rows.append((face_ranks(v, n), {
+        rows.append((face_ranks(v, n), *_split({
             "bracketing": print_bracketing(b),
             "permutation": list(b.perm),
             "coordinates": [str(x) for x in vertex_coordinates(v, n)],
-        }))
+        }, "chains", 3)))
     return _document({"n": n, "count": len(rows)}, "vertices", _records(n, rows))
 
 
@@ -234,17 +243,16 @@ def render_faces(n: int, dim: int, classify: bool, max_n: int | None = None) -> 
         if dim != 2:
             raise ValueError("--classify only applies to --dim 2")
         census = diagram_census(n, max_n=max_n)
-        rows = (
-            (face_ranks(f, n), {} if kind is None else {"type": kind.value})
-            for f, kind in census.faces
-        )
+        text = {kind: _split({} if kind is None else {"type": kind.value}, "chains", 3)
+                for kind in {*census.counts, None}}
+        rows = ((key, *text[kind]) for key, kind in census.faces)
         fields["count"] = len(census.faces)
         fields["census"] = {kind.value: count for kind, count in census.counts.items()}
         fields["body_faces"] = census.body_faces
     else:
-        ranked = [face_ranks(f, n) for f in faces(n, dim, max_n=max_n)]
-        rows = zip(ranked, itertools.repeat({}))
-        fields["count"] = len(ranked)
+        keys = faces(n, dim, max_n=max_n)
+        rows = ((key, "", "") for key in keys)
+        fields["count"] = len(keys)
     return _document(fields, "faces", _records(n, rows))
 
 

@@ -211,26 +211,26 @@ def enumerate_vertices(n: int, max_n: int | None = None) -> list[NestedSet]:
     return list(_vertices(n))
 
 
-def faces(n: int, dim: int, max_n: int | None = None) -> list[NestedSet]:
-    """All faces of the given dimension, as nested sets of cardinality n - dim,
-    in canonical order (by :func:`face_ranks`), each once.
+def faces(n: int, dim: int, max_n: int | None = None) -> list[tuple[int, ...]]:
+    """All faces of the given dimension, each once, in canonical order.
 
-    Computed by taking subsets of the maximal nested sets, as sorted rank
-    tuples, so each face is deduplicated and ordered as a tuple of ints and
-    built once; ``dim == n`` gives the empty nested set, the polytope body.
+    A face is its key: the strictly increasing tuple of the ranks of its
+    n - dim chains in :func:`enumerate_chains`, as :func:`face_ranks` gives
+    them, so ``[enumerate_chains(n)[r] for r in key]`` are its chains, and
+    the keys sort in canonical order.  Computed by taking subsets of the
+    maximal nested sets' keys, so each face is deduplicated and ordered as
+    a tuple of ints and no set of chains is built; ``dim == n`` gives
+    ``()``, the empty nested set, the polytope body.
     """
     check_n(n)
     if not 0 <= dim <= n:
         raise ValueError(f"dim must lie in 0..{n}, got {dim}")
     if dim == n:
-        return [frozenset()]
-    keys = {
-        sub
-        for v in enumerate_vertices(n, max_n=max_n)
-        for sub in itertools.combinations(face_ranks(v, n), n - dim)
-    }
-    chains = _enumerate_chains(n)
-    return [frozenset(map(chains.__getitem__, key)) for key in sorted(keys)]
+        return [()]
+    keys: set[tuple[int, ...]] = set()
+    for v in enumerate_vertices(n, max_n=max_n):
+        keys.update(itertools.combinations(face_ranks(v, n), n - dim))
+    return sorted(keys)
 
 
 def superficial_count(face: Iterable[Chain], chain: Chain) -> int:

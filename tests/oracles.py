@@ -14,7 +14,8 @@ different method, something the package computes on its production route:
   normalisation chart, which ``normalization_map`` builds;
 * ``nested_key`` orders faces by their chains' ``Chain.sort_key`` tuples,
   where the package orders them by ``face_ranks``, their chains' ranks in
-  ``enumerate_chains``;
+  ``enumerate_chains``, and ``face_of`` turns such a rank key, which is how
+  ``faces`` hands a face out, back into its nested set of chains;
 * ``faces_payload`` and ``vrep_payload`` build the ``pa faces`` and ``pa
   generate --vrep`` documents as dicts for ``json`` to encode, in the
   order of ``Chain.sort_key`` and ``nested_key``, where the command joins
@@ -219,6 +220,13 @@ def top_simplex_points(n: int) -> list[Point]:
 # ---------------------------------------------------------------------------
 # the JSON documents as payloads
 
+def face_of(key: Iterable[int], n: int) -> NestedSet:
+    """The nested set a face key of ``faces(n, dim)`` names: the chains at
+    those ranks of ``enumerate_chains(n)``."""
+    chains = _enumerate_chains(n)
+    return frozenset(chains[r] for r in key)
+
+
 def nested_key(chains: Iterable[Chain]) -> tuple:
     """Canonical sort key for a set of chains: their sort keys, sorted."""
     return tuple(sorted(c.sort_key() for c in chains))
@@ -237,7 +245,7 @@ def faces_payload(n: int, dim: int, classify: bool) -> dict:
     """``pa faces --n N --dim D [--classify]``: ``json.dumps(payload,
     indent=2, sort_keys=True)`` and a newline is its output."""
     entries = []
-    for f in sorted(faces(n, dim), key=nested_key):
+    for f in sorted((face_of(key, n) for key in faces(n, dim)), key=nested_key):
         entry: dict = {"chains": [chain_record(c) for c in sorted(f, key=Chain.sort_key)]}
         if classify and f:
             entry["type"] = classify_2_face(f, n).value

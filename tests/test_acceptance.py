@@ -21,6 +21,7 @@ from conftest import CHAINS_N2, chain_of
 from oracles import (
     CYCLE_LENGTHS,
     chain_incident,
+    face_of,
     faces_via_cliques,
     is_nested_oracle,
     normalized_functional,
@@ -102,7 +103,7 @@ def test_criterion_03_f_vectors_with_independent_enumeration():
     assert f_vector(2) == (12, 12)
     for n in (2, 3):
         for dim in range(n + 1):
-            found = faces(n, dim)
+            found = [face_of(key, n) for key in faces(n, dim)]
             assert set(found) == faces_via_cliques(n, dim)
             assert len(found) == len(set(found))
     _passed(3, "f-vectors, Euler relation, clique-oracle agreement")
@@ -147,7 +148,7 @@ def _independent_2_face_profile(f, n):
 def test_criterion_05_two_face_classification():
     # total and single-valued on every proper 2-face, n <= 4
     for n in (2, 3, 4):
-        for f in faces(n, 2):
+        for f in (face_of(key, n) for key in faces(n, 2)):
             if not f:
                 continue  # the body of the 12-gon, excluded from the census
             kind = classify_2_face(f, n)
@@ -177,7 +178,7 @@ def test_criterion_05_two_face_classification():
     }
 
     for n in (3, 4):
-        for f in faces(n, 2):
+        for f in (face_of(key, n) for key in faces(n, 2)):
             if not f:
                 continue
             assert len(boundary_cycle(f, n)) == CYCLE_LENGTHS[classify_2_face(f, n)]

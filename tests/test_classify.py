@@ -5,7 +5,7 @@ from collections import defaultdict
 import pytest
 
 from conftest import chain_of
-from oracles import CYCLE_LENGTHS, nested_key
+from oracles import CYCLE_LENGTHS, face_of, nested_key
 from simplepa import (
     ALPHA,
     SIGMA,
@@ -36,7 +36,7 @@ def test_classify_1_face_validation():
 
 
 def test_edge_census_n3():
-    kinds = [classify_1_face(e, 3) for e in faces(3, 1)]
+    kinds = [classify_1_face(face_of(key, 3), 3) for key in faces(3, 1)]
     assert kinds.count(SIGMA) == 60
     assert kinds.count(ALPHA) == 120
 
@@ -83,7 +83,7 @@ def test_classify_2_face_validation():
 
 
 def test_boundary_cycle_lengths_match_types_n3():
-    for f in faces(3, 2):
+    for f in (face_of(key, 3) for key in faces(3, 2)):
         kind = classify_2_face(f, 3)
         cycle = boundary_cycle(f, 3)
         assert len(cycle) == CYCLE_LENGTHS[kind]
@@ -95,7 +95,7 @@ def test_boundary_cycle_lengths_match_types_n3():
 def test_boundary_cycle_edge_patterns_n3():
     # pentagons are bounded by rotations only; the larger polygons alternate
     patterns = {}
-    for f in faces(3, 2):
+    for f in (face_of(key, 3) for key in faces(3, 2)):
         kind = classify_2_face(f, 3)
         cycle = boundary_cycle(f, 3)
         edges = [
@@ -112,7 +112,7 @@ def test_boundary_cycle_edge_patterns_n3():
 def test_boundary_cycle_agrees_with_a_brute_force_oracle():
     for n in (3, 4):
         verts = enumerate_vertices(n)
-        for f in faces(n, 2):
+        for f in (face_of(key, n) for key in faces(n, 2)):
             incident = {v for v in verts if f <= v}
             start = min(incident, key=nested_key)
             neighbours = [v for v in incident if len(v & start) == n - 1]
@@ -156,8 +156,10 @@ def test_diagram_census_validation():
 def test_diagram_census_carries_each_face_with_its_type():
     for n in (2, 3, 4):
         census = diagram_census(n)
-        assert [f for f, _ in census.faces] == sorted(faces(n, 2), key=nested_key)
-        assert all(kind == (classify_2_face(f, n) if f else None) for f, kind in census.faces)
+        labelled = [(face_of(key, n), kind) for key, kind in census.faces]
+        every = sorted((face_of(key, n) for key in faces(n, 2)), key=nested_key)
+        assert [f for f, _ in labelled] == every
+        assert all(kind == (classify_2_face(f, n) if f else None) for f, kind in labelled)
         assert census.total + census.body_faces == len(census.faces)
         assert repr(census) == (
             f"DiagramCensus(counts={census.counts!r}, body_faces={census.body_faces})"
@@ -175,7 +177,7 @@ def test_each_span_class_is_one_label_orbit_of_one_type(n, classes):
     # the lemma behind diagram_census: faces with the same spans are exactly
     # the relabellings of one face, and relabelling keeps the diagram type
     by_class = defaultdict(set)
-    for f in faces(n, 2):
+    for f in (face_of(key, n) for key in faces(n, 2)):
         by_class[classify.span_class(f)].add(f)
     assert len(by_class) == classes
     perms = list(itertools.permutations(range(n + 1)))
@@ -188,5 +190,5 @@ def test_each_span_class_is_one_label_orbit_of_one_type(n, classes):
 def test_census_types_agree_with_per_face_classification_n5():
     census = diagram_census(5)
     assert len(census.faces) == 64680
-    for f, kind in random.Random(23).sample(census.faces, 2000):
-        assert kind is classify_2_face(f, 5)
+    for key, kind in random.Random(23).sample(census.faces, 2000):
+        assert kind is classify_2_face(face_of(key, 5), 5)

@@ -5,11 +5,12 @@ import random
 import pytest
 
 from conftest import CHAINS_N2, VERTICES_N2, chain_of
-from oracles import faces_via_cliques, is_nested_oracle, nested_key
+from oracles import face_of, faces_via_cliques, is_nested_oracle, nested_key
 from simplepa import (
     Chain,
     ResourceCapError,
     all_bracketings,
+    diagram_census,
     enumerate_chains,
     enumerate_vertices,
     face_ranks,
@@ -78,11 +79,12 @@ def test_chain_hash_is_cached_and_matches_the_field_tuple():
 
 
 def test_vertices_share_the_enumerated_chain_objects():
-    chains = {id(c) for c in enumerate_chains(3)}
+    chains = enumerate_chains(3)
+    ids = {id(c) for c in chains}
     for v in enumerate_vertices(3):
-        assert all(id(c) in chains for c in v)
-    for f in faces(3, 1):
-        assert all(id(c) in chains for c in f)
+        assert all(id(c) in ids for c in v)
+    for key in faces(3, 1):
+        assert all(r in range(len(chains)) for r in key)
 
 
 def test_enumerate_chains_n1():
@@ -178,7 +180,7 @@ def test_rank_route_vertices_hold_a_to_nested_sample_n5():
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_faces_come_once_each_in_canonical_order(n):
     for dim in range(n + 1):
-        found = faces(n, dim)
+        found = [face_of(key, n) for key in faces(n, dim)]
         assert found == sorted(found, key=lambda f: face_ranks(f, n))
         assert len(found) == len(set(found))
 
@@ -225,13 +227,31 @@ def test_catalan_recurrence():
 
 
 def test_faces_examples():
-    assert set(faces(2, 0)) == frozenset(VERTICES_N2)
-    assert len(faces(2, 0)) == len(set(faces(2, 0)))
-    assert set(faces(2, 2)) == {frozenset()}
-    assert len(faces(2, 2)) == len(set(faces(2, 2)))
-    two_faces = faces(3, 2)
+    vertices = [face_of(key, 2) for key in faces(2, 0)]
+    assert set(vertices) == frozenset(VERTICES_N2)
+    assert len(vertices) == len(set(vertices))
+    body = [face_of(key, 2) for key in faces(2, 2)]
+    assert set(body) == {frozenset()}
+    assert len(body) == len(set(body))
+    two_faces = [face_of(key, 3) for key in faces(3, 2)]
     assert len(two_faces) == 62
     assert all(len(f) == 1 for f in two_faces)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_faces_are_chain_rank_keys(n):
+    chains = enumerate_chains(n)
+    for dim in range(n + 1):
+        keys = faces(n, dim)
+        assert all(a < b for a, b in zip(keys, keys[1:]))
+        for key in keys:
+            assert type(key) is tuple and len(key) == n - dim
+            assert all(a < b for a, b in zip(key, key[1:]))
+            assert all(r in range(len(chains)) for r in key)
+            assert is_nested([chains[r] for r in key], n)
+        assert keys == sorted(tuple(face_ranks(f, n)) for f in faces_via_cliques(n, dim))
+    if n >= 2:
+        assert [key for key, _ in diagram_census(n).faces] == faces(n, 2)
 
 
 def test_faces_rejects_bad_dimension():
@@ -251,7 +271,7 @@ def test_faces_reject_n_below_one_before_the_dimension(route, dim):
 def test_faces_agree_with_clique_route():
     for n in (1, 2, 3):
         for dim in range(n + 1):
-            found = faces(n, dim)
+            found = [face_of(key, n) for key in faces(n, dim)]
             assert set(found) == faces_via_cliques(n, dim)
             assert len(found) == len(set(found))
 

@@ -52,7 +52,9 @@ PINNED = [
     ("graph --n 4 --dot", 0, "43bc15738c7cfc8554e9862bfe23768f9f371053fdc3ff8cce331ae1d05643be"),
     ("faces --n 4 --dim 0", 0, "31242133771cb8e569430d37382286ef54e06ba2f5a372a0131497680f7af8ca"),
     ("faces --n 4 --dim 1", 0, "562ac87911c163d34d0c0b3d06913b3b1a117d7f99743855c76628b11d1aa996"),
+    ("faces --n 4 --dim 2", 0, "5962b39392b10d413cba84b3c4975a4b4fe56d0aaf16f282c2f50e67e674ffc5"),
     ("faces --n 4 --dim 3", 0, "6d9612266c6b0295a35845d71b9b5b4e047e89db77dab22f322605e6574c1601"),
+    ("faces --n 4 --dim 4", 0, "17df947242ade1072142522554cfa100b7ce5357f61b819ec1deb990296c0ff4"),
     ("check --n 4", 0, "ef388ac5b8a0e0f07743c43269f0b3ea2010e3bbf32151767cf5596b955c2d7b"),
     ("check --n 4 --perturb", 1, "efa97d09887ab09061fa9b92b7f1ac3ec36073dc5b19a800ea8762680087d152"),
 ]
