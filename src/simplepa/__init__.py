@@ -50,6 +50,7 @@ from .geometry import (
     realization_report,
     solve_exact,
     vertex_coordinates,
+    vertex_point,
     verify_vertex,
 )
 from .limits import DEFAULT_MAX_N, ResourceCapError
@@ -64,6 +65,7 @@ from .nestedsets import (
     is_full_chain,
     is_nested,
     superficial_count,
+    vertex_keys,
 )
 
 __version__ = "0.1.0"
@@ -116,5 +118,7 @@ __all__ = [
     "superficial_count",
     "to_nested",
     "vertex_coordinates",
+    "vertex_keys",
+    "vertex_point",
     "verify_vertex",
 ]

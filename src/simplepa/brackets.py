@@ -344,13 +344,27 @@ def _tree_shapes(n: int) -> list[tuple[tuple[int, int], ...]]:
     return shapes[n]
 
 
+def _shape_template(spans: tuple[tuple[int, int], ...], n: int) -> str:
+    """The printed form of every bracketing of one tree shape over 0..n, as
+    a ``str.format`` template with one ``{}`` per position: its labels fill
+    it in to give :func:`print_bracketing`."""
+    pieces = ["{}"] * (n + 1)
+    for lo, hi in spans:
+        pieces[lo] = "(" + pieces[lo]
+        pieces[hi] += ")"
+    return "*".join(pieces)
+
+
 @lru_cache(maxsize=None)
 def _all_bracketings(n: int) -> tuple[Bracketing, ...]:
     shapes = _tree_shapes(n)  # one tuple per shape, shared by every permutation
     out = [
         Bracketing(perm, spans) for perm in itertools.permutations(range(n + 1)) for spans in shapes
     ]
-    out.sort(key=print_bracketing)
+    # sorted by printed string, each printed by its shape's template; the
+    # templates live only for this call, since shapes grow without bound in n
+    formats = {spans: _shape_template(spans, n).format for spans in shapes}
+    out.sort(key=lambda b: formats[b.spans](*b.perm))
     return tuple(out)
 
 

@@ -33,10 +33,10 @@ from enum import Enum
 from .brackets import ALPHA, SIGMA
 from .nestedsets import (
     Chain,
-    NestedSet,
     comparable,
     enumerate_chains,
     enumerate_vertices,
+    face_ranks,
     faces,
     is_full_chain,
     is_nested,
@@ -98,8 +98,9 @@ def classify_2_face(f: Iterable[Chain], n: int) -> DiagramType:
     raise ValueError("not a two-dimensional face")
 
 
-def boundary_cycle(f: Iterable[Chain], n: int, max_n: int | None = None) -> list[NestedSet]:
-    """The vertices around a 2-face, walked in cycle order.
+def boundary_cycle(f: Iterable[Chain], n: int, max_n: int | None = None) -> list[tuple[int, ...]]:
+    """The vertices around a 2-face, given by its chains, walked in cycle
+    order, each as the key that :func:`enumerate_vertices` gives it.
 
     Starts at the canonically least vertex and walks towards its canonically
     lesser neighbor; consecutive entries share n-1 chains.  The vertices keep
@@ -107,10 +108,12 @@ def boundary_cycle(f: Iterable[Chain], n: int, max_n: int | None = None) -> list
     """
     f = frozenset(f)
     classify_2_face(f, n)  # validates that f really is a proper 2-face
-    verts = [v for v in enumerate_vertices(n, max_n=max_n) if f <= v]
+    own = frozenset(face_ranks(f, n))
+    verts = [v for v in enumerate_vertices(n, max_n=max_n) if own.issubset(v)]
     cycle, previous = [verts[0]], None
     while True:
-        nbrs = [w for w in verts if len(cycle[-1] & w) == n - 1]
+        here = frozenset(cycle[-1])
+        nbrs = [w for w in verts if len(here.intersection(w)) == n - 1]
         if len(nbrs) != 2:
             raise RuntimeError("boundary of the face is not a disjoint union of cycles")
         nxt = nbrs[1] if nbrs[0] == previous else nbrs[0]

@@ -43,9 +43,10 @@ from .geometry import (
     normalization_map,
     realization_report,
     vertex_coordinates,
+    vertex_point,
 )
 from .limits import CHECK_MAX_N, CHECK_WHY, DEFAULT_MAX_N, ResourceCapError, check_cap
-from .nestedsets import Chain, enumerate_chains, face_ranks, faces
+from .nestedsets import Chain, enumerate_chains, faces, vertex_keys
 
 EXIT_OK = 0
 EXIT_VERIFICATION = 1
@@ -118,7 +119,7 @@ def _emit(path: str | None, content: str | Iterable[str]) -> None:
 #
 # The face and vertex lists repeat the same few thousand chain records
 # (2,102 at n = 5) in every entry, and ``json`` lays out indented text in
-# pure Python.  So each chain record is encoded once, by ``json``, at the
+# pure Python.  So each chain record is laid out once, by hand, at the
 # depth where it sits, and the documents are joined around those
 # fragments, laid out as ``json.dumps(payload, indent=2, sort_keys=True)``
 # would lay them out.  ``tests/oracles.py`` keeps the dict payloads that
@@ -165,12 +166,28 @@ def _list(items: Iterable[str], depth: int) -> Iterator[str]:
     yield "[]" if separator is opening else "\n" + "  " * depth + "]"
 
 
+def _ints(values: Iterable[int], depth: int) -> str:
+    """A list of ints ``depth`` levels deep, laid out as ``json`` would."""
+    return "".join(_list(map(str, values), depth))
+
+
+def _chain_text(chain: Chain, depth: int) -> str:
+    """``_nested(_chain_record(chain), depth)``, laid out by hand."""
+    pad = "\n" + "  " * (depth + 1)
+    sets = "".join(_list((_ints(sorted(s), depth + 2) for s in chain.sets()), depth + 1))
+    return (
+        f'{{{pad}"core": {_ints(sorted(chain.core), depth + 1)},'
+        f'{pad}"ext": {_ints(chain.ext, depth + 1)},'
+        f'{pad}"sets": {sets}\n{"  " * depth}}}'
+    )
+
+
 def _records(n: int, rows: Iterable[tuple[Sequence[int], str, str]]) -> Iterator[str]:
     """The face or vertex records of a document, two levels deep.  Each row
     is the ranks of the record's chains in :func:`enumerate_chains` and the
     :func:`_split` text of its other fields around ``"chains"``.  Every
-    chain record is encoded here, before the first row is joined."""
-    chains = [_nested(_chain_record(c), 4) for c in enumerate_chains(n)]
+    chain record is laid out here, before the first row is joined."""
+    chains = [_chain_text(c, 4) for c in enumerate_chains(n)]
     separator = ",\n" + "  " * 4
     for ranks, before, after in rows:
         if ranks:
@@ -215,12 +232,12 @@ def render_vrep(n: int, max_n: int | None = None) -> Iterator[str]:
     """The ``pa generate --vrep`` JSON text, in pieces.  Every vertex is
     solved before this returns; only the joins are left to the pieces."""
     rows = []
-    for b in all_bracketings(n, max_n=max_n):
-        v = to_nested(b)
-        rows.append((face_ranks(v, n), *_split({
+    bracketings = all_bracketings(n, max_n=max_n)
+    for b, v in zip(bracketings, vertex_keys(bracketings, n)):
+        rows.append((v, *_split({
             "bracketing": print_bracketing(b),
             "permutation": list(b.perm),
-            "coordinates": [str(x) for x in vertex_coordinates(v, n)],
+            "coordinates": [str(x) for x in vertex_point(v, n)],
         }, "chains", 3)))
     return _document({"n": n, "count": len(rows)}, "vertices", _records(n, rows))
 
@@ -276,12 +293,12 @@ def render_off(n: int, max_n: int | None = None) -> str:
     if n != 3:
         raise ValueError("OFF export is only defined for n = 3")
     chart = normalization_map(n)
-    order = [to_nested(b) for b in all_bracketings(n, max_n=max_n)]
+    order = list(vertex_keys(all_bracketings(n, max_n=max_n), n))
     index = {v: i for i, v in enumerate(order)}
     fv = f_vector(n, max_n=max_n)
     lines = ["OFF", f"{fv[0]} {fv[2]} {fv[1]}"]
     for v in order:
-        image = chart.apply(vertex_coordinates(v, n))
+        image = chart.apply(vertex_point(v, n))
         lines.append(" ".join(f"{float(x):.17g}" for x in image))
     for chain in enumerate_chains(n):
         cycle = boundary_cycle(frozenset([chain]), n, max_n=max_n)

@@ -14,7 +14,9 @@ The check runs in integers: each vertex is solved from the facets' integer
 rows by fraction-free elimination as X/d over one common denominator d, and
 kept as (X, d) to rank the facet hulls.  Fractions appear only at input and
 output: facet right-hand sides, the coordinates a caller reads, the
-normalization chart.
+normalization chart.  The check takes each vertex as its key, the ranks
+of its chains in ``enumerate_chains(n)``, reads the facet rows by rank,
+and reports the tight facets as a set of ranks.
 
 The facets fall into n(n+1)/2 classes (k, l), 1 <= k and k+l <= n.  All
 facets of a class share one right-hand side, and their rows are the
@@ -44,7 +46,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import accumulate, combinations
 from math import gcd, prod
-from operator import mul
+from operator import mul, or_
 
 from .brackets import (
     ALPHA, SIGMA, RewriteGraph, all_bracketings, build_graph, from_nested, print_bracketing
@@ -53,9 +55,9 @@ from .limits import CHECK_MAX_N, CHECK_WHY, check_cap, check_n
 from .nestedsets import (
     Chain,
     NestedSet,
+    _rank_by_mask,
     enumerate_chains,
     enumerate_vertices,
-    face_ranks,
     faces,
     is_full_chain,
     is_nested,
@@ -159,15 +161,19 @@ def solve_exact(matrix: Sequence[Sequence[int]], rhs: Sequence[int]) -> ScaledPo
 
 Point = tuple[Fraction, ...]
 ScaledPoint = tuple[tuple[int, ...], int]  # (X, d), the point X/d in lowest terms, d > 0
+Key = tuple[int, ...]  # a vertex: the ranks of its chains in enumerate_chains(n)
 
 
 @lru_cache(maxsize=None)
-def _facet_table(n: int) -> dict[Chain, Hyperplane]:
-    return {c: facet_inequality(c, n) for c in enumerate_chains(n)}
+def _facet_table(n: int) -> dict[int, Hyperplane]:
+    """Each chain's facet halfspace, keyed by the chain's rank."""
+    return {r: facet_inequality(c, n) for r, c in enumerate(enumerate_chains(n))}
 
 
-def _solve_vertex(v: Iterable[Chain], n: int, table: Mapping[Chain, Hyperplane]) -> ScaledPoint:
-    coeffs, rhs = zip(*(table[chain].row for chain in v), ((1,) * (n + 1), 3 ** (n + 1)))
+def _solve_vertex(v: Iterable, n: int, table: Mapping) -> ScaledPoint:
+    """The point where the facets ``table[c]``, c in ``v``, meet the ambient
+    plane: ``v`` holds ranks into the facet table, or chains into their own."""
+    coeffs, rhs = zip(*(table[c].row for c in v), ((1,) * (n + 1), 3 ** (n + 1)))
     return solve_exact(coeffs, rhs)
 
 
@@ -182,10 +188,11 @@ def _facet_classes(n: int) -> tuple[tuple[int, int, int, int], ...]:
     return tuple(classes)
 
 
-def _class_scan(v: NestedSet, point: ScaledPoint, n: int) -> tuple[frozenset[Chain], bool] | None:
-    """The tight canonical facets at X/d and whether every facet outside ``v``
-    is strict, by one comparison per class; None, for the facet scan to
-    decide, when two coordinates tie or some class falls below its bound."""
+def _class_scan(v: Key, point: ScaledPoint, n: int) -> tuple[frozenset[int], bool] | None:
+    """The ranks of the tight canonical facets at X/d and whether every facet
+    outside ``v`` is strict, by one comparison per class; None, for the
+    facet scan to decide, when two coordinates tie or some class falls
+    below its bound."""
     scaled, d = point
     order = sorted(range(n + 1), key=scaled.__getitem__)
     xs = [scaled[i] for i in order]
@@ -195,7 +202,8 @@ def _class_scan(v: NestedSet, point: ScaledPoint, n: int) -> tuple[frozenset[Cha
     # xs[l+1..l+k-1]; that is P_(l+1) + ... + P_(l+k) over the prefix sums
     # P_m = xs[0] + ... + xs[m-1], so one more prefix sum S gives S_(l+k) - S_l
     sums = list(accumulate(accumulate(xs), initial=0))
-    own = {(c.core, c.ext): c for c in v}  # a lookup costs less than building a Chain
+    cores = list(accumulate((1 << i for i in order), or_))  # cores[l]: the l+1 smallest
+    rank = _rank_by_mask(n)
     tight = []
     for k, l, q, p in _facet_classes(n):
         least, bound = q * (sums[l + k] - sums[l]), p * d
@@ -203,29 +211,28 @@ def _class_scan(v: NestedSet, point: ScaledPoint, n: int) -> tuple[frozenset[Cha
             return None
         if least == bound:
             # the minimizer: core the l+1 smallest, ext outermost on the largest
-            key = (frozenset(order[: l + 1]), tuple(order[l + k - 1 : l : -1]))
-            tight.append(own.get(key) or Chain(*key))
+            tight.append(rank[cores[l], tuple(order[l + k - 1 : l : -1])])
     tight = frozenset(tight)
-    return tight, tight <= v
+    return tight, tight.issubset(v)
 
 
 def _facet_scan(
-    v: NestedSet, point: ScaledPoint, facets: Mapping[Chain, Hyperplane]
-) -> tuple[frozenset[Chain], bool]:
-    """The tight facets at X/d and whether every facet outside ``v`` is
-    strict, by one comparison per facet."""
+    v: Key, point: ScaledPoint, facets: Mapping[int, Hyperplane]
+) -> tuple[frozenset[int], bool]:
+    """The ranks of the tight facets at X/d and whether every facet outside
+    ``v`` is strict, by one comparison per facet."""
     # with x = X/d, a.x >= p/q compares exactly as (q*a).X >= p*d, since d, q > 0
     scaled, d = point
     tight = []
     strict_ok = True
-    for c, h in facets.items():
+    for r, h in facets.items():
         coeffs, p = h.row
         lhs = sum(map(mul, coeffs, scaled))
         bound = p * d
         if lhs <= bound:
             if lhs == bound:
-                tight.append(c)
-            if c not in v:
+                tight.append(r)
+            if r not in v:
                 strict_ok = False
     return frozenset(tight), strict_ok
 
@@ -242,29 +249,42 @@ def vertex_coordinates(v: NestedSet, n: int) -> Point:
     return tuple(Fraction(x, d) for x in scaled)
 
 
+def vertex_point(v: Key, n: int) -> Point:
+    """The point of the vertex with key ``v``, as :func:`enumerate_vertices`
+    and :func:`~simplepa.nestedsets.vertex_keys` give it, solved from the
+    rows of the cached facet table; ``v`` is taken as a vertex unchecked.
+    The vertex lists of ``pa generate --vrep`` and ``pa export --off`` take
+    this route, while :func:`vertex_coordinates` checks a chain set and
+    solves it from its own rows, with no table."""
+    scaled, d = _solve_vertex(v, n, _facet_table(n))
+    return tuple(Fraction(x, d) for x in scaled)
+
+
 @dataclass(frozen=True)
 class VertexReport:
-    """Outcome of checking one vertex, solved as ``scaled`` = (X, d), against every facet."""
+    """Outcome of checking one vertex, solved as ``scaled`` = (X, d), against
+    every facet; ``tight`` holds the ranks of the facets it meets."""
 
     scaled: ScaledPoint
-    tight: frozenset[Chain]
+    tight: frozenset[int]
     strict_ok: bool
     multiplicity_ok: bool
 
 
-def verify_vertex(
-    v: NestedSet, n: int, altered: Mapping[Chain, Hyperplane] | None = None
-) -> VertexReport:
-    """Solve the vertex from its defining system, then report which facets it
-    meets with equality and whether all remaining ones hold strictly.
+def verify_vertex(v: Key, n: int, altered: Mapping[int, Hyperplane] | None = None) -> VertexReport:
+    """Solve the vertex with key ``v`` (as :func:`enumerate_vertices` gives
+    it) from its defining system, then report which facets it meets with
+    equality and whether all remaining ones hold strictly.
 
-    On a correct realization, ``tight`` equals ``v``, every other facet is
-    strict, and the vertex lies on exactly n facet hyperplanes.
+    On a correct realization, ``tight`` holds the ranks in ``v``, every
+    other facet is strict, and the vertex lies on exactly n facet
+    hyperplanes.
 
-    The table is the canonical one with the rows of ``altered``, a map from
-    chains to the rows that replace theirs, put in their place.  With
-    ``altered`` None, n must be within the enumeration cap; a caller that
-    passes a mapping, even an empty one, has checked its own cap.
+    The table is the canonical one, keyed by chain rank, with the rows of
+    ``altered``, a map from ranks to the rows that replace theirs, put in
+    their place.  With ``altered`` None, n must be within the enumeration
+    cap; a caller that passes a mapping, even an empty one, has checked its
+    own cap.
 
     The canonical rows are checked class by class (see the module
     docstring): one sort of the vertex's coordinates gives each class's
@@ -272,7 +292,6 @@ def verify_vertex(
     then compared one by one.  A vertex with two equal coordinates, or below
     some class bound, falls back to the brute-force scan of the whole table.
     """
-    v = frozenset(v)
     if altered is None:
         check_cap(n)
     table = ChainMap(altered, _facet_table(n)) if altered else _facet_table(n)
@@ -283,7 +302,7 @@ def verify_vertex(
     elif altered:  # no canonical row is below its bound: only the altered ones are left
         own_tight, own_ok = _facet_scan(v, point, altered)
         tight = verdict[0].difference(altered) | own_tight
-        verdict = tight, own_ok and tight <= v
+        verdict = tight, own_ok and tight.issubset(v)
     tight, strict_ok = verdict
     return VertexReport(point, tight, strict_ok, len(tight) == n)
 
@@ -360,17 +379,15 @@ def polytope_graph(n: int, max_n: int | None = None):
     Must coincide with the rewrite graph under the bracketing bijection."""
     vertices = all_bracketings(n, max_n=max_n)
     position = {b: i for i, b in enumerate(vertices)}
+    chains = enumerate_chains(n)
     # each maximal nested set sits at its from_nested bracketing, so the check
     # still tests the bijection: were from_nested not injective, some index
     # would have no edges here, while the rewrite graph gives it n
-    # edge faces are keyed by their sorted chain ranks: a tuple of ints is a
-    # fraction of the size of a frozenset of chains
-    buckets: dict[tuple[int, ...], list[int]] = {}
+    buckets: dict[Key, list[int]] = {}
     for v in enumerate_vertices(n, max_n=max_n):
-        i = position[from_nested(v)]
-        for edge_face in combinations(face_ranks(v, n), n - 1):
+        i = position[from_nested(map(chains.__getitem__, v))]
+        for edge_face in combinations(v, n - 1):
             buckets.setdefault(edge_face, []).append(i)
-    chains = enumerate_chains(n)
     edges = set()
     for edge_face, pair in buckets.items():
         if len(pair) != 2:
@@ -425,13 +442,14 @@ def realization_report(n: int, perturb: bool = False, max_n: int | None = None) 
     if perturb:
         # relax the last canonical facet (a complete descending chain); the
         # vertices on it then cross their neighboring facets
-        target = list(table)[-1]
+        target = len(table) - 1
         h = table[target]
         altered[target] = Hyperplane(h.coeffs, h.rhs - 1)
 
     verts = enumerate_vertices(n, max_n=max_n)
+    chains = enumerate_chains(n)
     points: list[ScaledPoint] = []
-    tight_points: dict[Chain, list[ScaledPoint]] = {c: [] for c in table}
+    tight_points: dict[int, list[ScaledPoint]] = {r: [] for r in table}
 
     rewrite = build_graph(n, max_n=max_n)  # shared by several checks
     fv = f_vector(n, max_n=max_n)
@@ -440,17 +458,17 @@ def realization_report(n: int, perturb: bool = False, max_n: int | None = None) 
         for v in verts:
             report = verify_vertex(v, n, altered)
             points.append(report.scaled)
-            for chain in report.tight:
-                tight_points[chain].append(report.scaled)
+            for r in report.tight:
+                tight_points[r].append(report.scaled)
             problems = []
-            if report.tight != v:
+            if report.tight != frozenset(v):
                 problems.append(("tight_sets_match", "tight facets differ from its own chains"))
             if not report.strict_ok:
                 problems.append(("strict_inequalities", "some outside facet is not strict"))
             if not report.multiplicity_ok:
                 problems.append(("simple", f"tight on {len(report.tight)} facets, expected {n}"))
             if problems:  # the label is printed only for a vertex that fails
-                label = print_bracketing(from_nested(v))
+                label = print_bracketing(from_nested(map(chains.__getitem__, v)))
                 for key, problem in problems:
                     yield key, f"vertex {label}: {problem}"
 
@@ -459,10 +477,10 @@ def realization_report(n: int, perturb: bool = False, max_n: int | None = None) 
             yield "vertices_distinct", "vertex coordinates collide"
 
     def irredundant():
-        for chain, pts in tight_points.items():
+        for r, pts in tight_points.items():
             if affine_dimension(pts, stop_at=n - 1) < n - 1:
                 yield "facets_irredundant", (
-                    f"facet {chain!r} is not facet-defining (affine dimension < {n - 1})"
+                    f"facet {chains[r]!r} is not facet-defining (affine dimension < {n - 1})"
                 )
 
     def graphs_equal():

@@ -9,12 +9,16 @@ the above sense, i.e. some step of the merged family drops two or more labels
 at once.  Nested families form a flag simplicial complex; its members of
 cardinality n - d are the d-dimensional faces of the polytope, and the
 maximal ones (cardinality n) are the vertices.
+
+The enumerations hand a face or a vertex out as its key: the increasing
+tuple of its chains' ranks in :func:`enumerate_chains`.  The keys sort in
+canonical order, and no set of chains is built for them.
 """
 
 from __future__ import annotations
 
 import itertools
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from types import MappingProxyType
@@ -183,28 +187,46 @@ def suffix_interval(chain: Chain, perm: Sequence[int]) -> tuple[int, int] | None
 
 
 @lru_cache(maxsize=None)
-def _vertices(n: int) -> tuple[NestedSet, ...]:
-    from .brackets import all_bracketings
+def _rank_by_mask(n: int) -> dict[tuple[int, tuple[int, ...]], int]:
+    """Each chain's rank in :func:`enumerate_chains`, keyed by its core as a
+    label bitmask and its ext, so a chain named by its labels is ranked
+    without building a :class:`Chain`."""
+    return {
+        (sum(1 << lab for lab in c.core), c.ext): i for i, c in enumerate(_enumerate_chains(n))
+    }
 
-    chains = _enumerate_chains(n)  # every vertex holds these objects
-    # the node over positions lo..hi is the chain (perm[hi:], perm[lo+1:hi]);
-    # look its rank up by core bitmask and ext, so no Chain is built
-    rank = {(sum(1 << lab for lab in c.core), c.ext): i for i, c in enumerate(chains)}
-    ranked = []
-    for b in all_bracketings(n, max_n=n):
-        perm, suffix = b.perm, [0] * (n + 2)
+
+def vertex_keys(bracketings: Iterable, n: int) -> Iterator[tuple[int, ...]]:
+    """The key of each bracketing's vertex over 0..n, in the order given.
+
+    The node over positions lo..hi of bracketing (perm, spans) is the chain
+    (perm[hi:], perm[lo+1:hi]); its rank is looked up by core bitmask and
+    ext, so no :class:`Chain` is built.
+    """
+    rank = _rank_by_mask(n)
+    suffix = [0] * (n + 2)
+    for b in bracketings:
+        perm = b.perm
         for j in range(n, -1, -1):
             suffix[j] = suffix[j + 1] | 1 << perm[j]
-        ranked.append(sorted(rank[suffix[hi], perm[lo + 1:hi]] for lo, hi in b.spans))
-    ranked.sort()
-    return tuple(frozenset(map(chains.__getitem__, ranks)) for ranks in ranked)
+        yield tuple(sorted(rank[suffix[hi], perm[lo + 1:hi]] for lo, hi in b.spans))
 
 
-def enumerate_vertices(n: int, max_n: int | None = None) -> list[NestedSet]:
+@lru_cache(maxsize=None)
+def _vertices(n: int) -> tuple[tuple[int, ...], ...]:
+    from .brackets import all_bracketings
+
+    return tuple(sorted(vertex_keys(all_bracketings(n, max_n=n), n)))
+
+
+def enumerate_vertices(n: int, max_n: int | None = None) -> list[tuple[int, ...]]:
     """All maximal nested sets (the polytope's vertices), canonical order.
 
     There are (2n)!/n! of them: one per pair of a permutation of 0..n and a
-    complete binary bracketing shape.
+    complete binary bracketing shape.  A vertex is its key, as a face is in
+    :func:`faces`: the strictly increasing tuple of the ranks of its n
+    chains in :func:`enumerate_chains`, so ``[enumerate_chains(n)[r] for r
+    in key]`` are its chains, and the keys sort in canonical order.
     """
     check_n(n)
     check_cap(n, max_n)
@@ -229,7 +251,7 @@ def faces(n: int, dim: int, max_n: int | None = None) -> list[tuple[int, ...]]:
         return [()]
     keys: set[tuple[int, ...]] = set()
     for v in enumerate_vertices(n, max_n=max_n):
-        keys.update(itertools.combinations(face_ranks(v, n), n - dim))
+        keys.update(itertools.combinations(v, n - dim))
     return sorted(keys)
 
 

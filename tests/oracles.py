@@ -9,7 +9,10 @@ different method, something the package computes on its production route:
 * ``chain_incident`` reads facet incidence off a bracketing's spans, where
   ``to_nested`` builds the chains;
 * ``value`` and ``tight`` evaluate a facet in ``Fraction`` arithmetic, where
-  ``verify_vertex`` compares integer rows;
+  ``verify_vertex`` compares integer rows, and ``verify_chains`` checks a
+  vertex given by its chains against a table keyed by chain, solved by
+  ``gauss_jordan``, where ``verify_vertex`` takes a chain-rank key, solves
+  it fraction-free and finds the tight facets class by class;
 * ``normalized_functional`` and ``top_simplex_points`` work in the paper's
   normalisation chart, which ``normalization_map`` builds;
 * ``nested_key`` orders faces by their chains' ``Chain.sort_key`` tuples,
@@ -29,7 +32,7 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Mapping, Sequence
 from fractions import Fraction
 from operator import mul
 
@@ -173,6 +176,38 @@ def value(h: Hyperplane, point: Sequence[Fraction]) -> Fraction:
 def tight(h: Hyperplane, point: Sequence[Fraction]) -> bool:
     """Whether the point lies on the hyperplane of ``h``."""
     return value(h, point) == h.rhs
+
+
+def gauss_jordan(matrix: Sequence[Sequence], rhs: Sequence) -> Point | None:
+    """Fraction Gauss-Jordan elimination, where ``solve_exact`` eliminates
+    fraction-free; None for a singular system."""
+    size = len(matrix)
+    aug = [[Fraction(a) for a in row] + [Fraction(b)] for row, b in zip(matrix, rhs)]
+    for col in range(size):
+        pivot = next((r for r in range(col, size) if aug[r][col] != 0), None)
+        if pivot is None:
+            return None
+        aug[col], aug[pivot] = aug[pivot], aug[col]
+        aug[col] = [x / aug[col][col] for x in aug[col]]
+        for r in range(size):
+            if r != col:
+                aug[r] = [x - aug[r][col] * y for x, y in zip(aug[r], aug[col])]
+    return tuple(row[size] for row in aug)
+
+
+def verify_chains(
+    v: NestedSet, n: int, table: Mapping[Chain, Hyperplane]
+) -> tuple[Point, frozenset[Chain], bool]:
+    """A vertex's point, its tight facets and whether every facet outside it
+    is strict, in ``Fraction`` arithmetic: the rows of ``v``'s chains in
+    ``table`` meet the ambient plane at the point, and every row of the
+    table is evaluated there."""
+    ambient = ambient_plane(n)
+    rows = [table[c] for c in v] + [ambient]
+    point = gauss_jordan([h.coeffs for h in rows], [h.rhs for h in rows])
+    tight_set = frozenset(c for c, h in table.items() if tight(h, point))
+    strict_ok = all(value(h, point) > h.rhs for c, h in table.items() if c not in v)
+    return point, tight_set, strict_ok
 
 
 # ---------------------------------------------------------------------------

@@ -77,7 +77,7 @@ def test_criterion_02_realization_at_desk_scale():
         points = []
         for v in enumerate_vertices(n):
             report = verify_vertex(v, n)
-            assert report.tight == v
+            assert report.tight == frozenset(v)
             assert report.strict_ok
             assert report.multiplicity_ok
             points.append(report.scaled)
@@ -87,7 +87,7 @@ def test_criterion_02_realization_at_desk_scale():
     points = []
     for v in enumerate_vertices(4):
         report = verify_vertex(v, 4)
-        assert report.tight == v
+        assert report.tight == frozenset(v)
         assert report.strict_ok
         assert report.multiplicity_ok
         points.append(report.scaled)
@@ -247,9 +247,9 @@ def test_criterion_08_oracle_equivalence():
     for n in (1, 2, 3):
         chains = enumerate_chains(n)
         for v in enumerate_vertices(n):
-            b = from_nested(v)
-            for c in chains:
-                assert chain_incident(b, c) == (c in v)
+            b = from_nested(face_of(v, n))
+            for r, c in enumerate(chains):
+                assert chain_incident(b, c) == (r in v)
     _passed(8, "pairwise nestedness equals the antichain oracle; incidence agrees")
 
 

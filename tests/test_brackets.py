@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import bracketings, chain_of
-from oracles import chain_incident, ordered_partition
+from oracles import chain_incident, face_of, ordered_partition
 from simplepa import (
     ALPHA,
     SIGMA,
@@ -24,6 +24,7 @@ from simplepa import (
     sigma_neighbor,
     to_nested,
 )
+from simplepa.brackets import _shape_template, _tree_shapes
 
 
 def test_parse_permuted_product():
@@ -142,9 +143,9 @@ def test_from_nested_rejects_bad_input():
 def test_from_nested_accepts_exactly_the_vertices():
     for n in (1, 2, 3):
         vertices = set(enumerate_vertices(n))
-        for chains in itertools.combinations(enumerate_chains(n), n):
-            v = frozenset(chains)
-            if v in vertices:
+        for key in itertools.combinations(range(len(enumerate_chains(n))), n):
+            v = face_of(key, n)
+            if key in vertices:
                 assert to_nested(from_nested(v)) == v
             else:
                 with pytest.raises(ValueError):
@@ -193,6 +194,13 @@ def test_all_bracketings_counts_and_order():
     strings = [print_bracketing(b) for b in all_bracketings(3)]
     assert strings == sorted(strings)
     assert len(set(strings)) == len(strings)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_shape_templates_print_every_bracketing(n):
+    templates = {spans: _shape_template(spans, n) for spans in _tree_shapes(n)}
+    for b in all_bracketings(n):
+        assert templates[b.spans].format(*b.perm) == print_bracketing(b)
 
 
 def test_build_graph_small():
@@ -257,9 +265,9 @@ def test_chain_incident_agrees_with_membership():
     for n in (1, 2):
         chains = enumerate_chains(n)
         for v in enumerate_vertices(n):
-            b = from_nested(v)
-            for c in chains:
-                assert chain_incident(b, c) == (c in v)
+            b = from_nested(face_of(v, n))
+            for r, c in enumerate(chains):
+                assert chain_incident(b, c) == (r in v)
 
 
 def test_bracketing_check():

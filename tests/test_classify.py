@@ -85,7 +85,7 @@ def test_classify_2_face_validation():
 def test_boundary_cycle_lengths_match_types_n3():
     for f in (face_of(key, 3) for key in faces(3, 2)):
         kind = classify_2_face(f, 3)
-        cycle = boundary_cycle(f, 3)
+        cycle = [face_of(v, 3) for v in boundary_cycle(f, 3)]
         assert len(cycle) == CYCLE_LENGTHS[kind]
         assert len(set(cycle)) == len(cycle)
         for i in range(len(cycle)):
@@ -97,7 +97,7 @@ def test_boundary_cycle_edge_patterns_n3():
     patterns = {}
     for f in (face_of(key, 3) for key in faces(3, 2)):
         kind = classify_2_face(f, 3)
-        cycle = boundary_cycle(f, 3)
+        cycle = [face_of(v, 3) for v in boundary_cycle(f, 3)]
         edges = [
             classify_1_face(cycle[i] & cycle[(i + 1) % len(cycle)], 3)
             for i in range(len(cycle))
@@ -111,12 +111,12 @@ def test_boundary_cycle_edge_patterns_n3():
 
 def test_boundary_cycle_agrees_with_a_brute_force_oracle():
     for n in (3, 4):
-        verts = enumerate_vertices(n)
+        verts = [face_of(v, n) for v in enumerate_vertices(n)]
         for f in (face_of(key, n) for key in faces(n, 2)):
             incident = {v for v in verts if f <= v}
             start = min(incident, key=nested_key)
             neighbours = [v for v in incident if len(v & start) == n - 1]
-            cycle = boundary_cycle(f, n)
+            cycle = [face_of(v, n) for v in boundary_cycle(f, n)]
             assert cycle[0] == start
             assert len(neighbours) == 2
             assert cycle[1] == min(neighbours, key=nested_key)

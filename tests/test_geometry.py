@@ -8,7 +8,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import bracketings, chain_of
-from oracles import normalized_functional, tight, top_simplex_points, value
+from oracles import (
+    face_of, gauss_jordan, normalized_functional, tight, top_simplex_points, value, verify_chains
+)
 from simplepa import (
     ALPHA,
     SIGMA,
@@ -37,10 +39,10 @@ from simplepa import (
     verify_vertex,
 )
 from simplepa import geometry
-from simplepa.brackets import from_nested, parse_bracketing, print_bracketing, to_nested
+from simplepa.brackets import from_nested, print_bracketing, to_nested
 from simplepa.cli import render_bracketing_record
 from simplepa.geometry import VertexReport, _facet_table
-from simplepa.nestedsets import suffix_interval
+from simplepa.nestedsets import face_ranks, suffix_interval
 
 
 def test_facet_rhs_values():
@@ -115,22 +117,6 @@ def test_solve_exact():
         solve_exact([[1, 2]], [1])
 
 
-def _gauss_jordan(matrix, rhs):
-    """Fraction Gauss-Jordan elimination; None for a singular system."""
-    size = len(matrix)
-    aug = [[Fraction(a) for a in row] + [Fraction(b)] for row, b in zip(matrix, rhs)]
-    for col in range(size):
-        pivot = next((r for r in range(col, size) if aug[r][col] != 0), None)
-        if pivot is None:
-            return None
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        aug[col] = [x / aug[col][col] for x in aug[col]]
-        for r in range(size):
-            if r != col:
-                aug[r] = [x - aug[r][col] * y for x, y in zip(aug[r], aug[col])]
-    return tuple(row[size] for row in aug)
-
-
 @st.composite
 def _integer_systems(draw):
     size = draw(st.integers(1, 6))
@@ -146,7 +132,7 @@ def test_solve_exact_agrees_with_gauss_jordan(system):
     if len(matrix) > 1:
         with pytest.raises(SingularSystemError):  # the first row repeated
             solve_exact([*matrix[:-1], matrix[0]], [*rhs[:-1], rhs[0]])
-    expected = _gauss_jordan(matrix, rhs)
+    expected = gauss_jordan(matrix, rhs)
     assume(expected is not None)
     scaled, d = solve_exact(matrix, rhs)
     assert d > 0
@@ -180,17 +166,16 @@ def test_lookup_at_n7_solves_from_its_own_facets():
 def test_verify_vertex_all_pass_n2():
     for v in enumerate_vertices(2):
         report = verify_vertex(v, 2)
-        assert report.tight == v
+        assert report.tight == frozenset(v)
         assert report.strict_ok
         assert report.multiplicity_ok
 
 
 def test_verify_vertex_refuses_n_above_the_cap(monkeypatch):
     monkeypatch.delenv("PA_MAX_N", raising=False)
-    v = to_nested(parse_bracketing("((3*(7*0))*(((5*2)*6)*(1*4)))", 7))
     _facet_table.cache_clear()
-    with pytest.raises(ResourceCapError):
-        verify_vertex(v, 7)
+    with pytest.raises(ResourceCapError):  # refused before the key is read
+        verify_vertex(tuple(range(7)), 7)
     assert _facet_table.cache_info().currsize == 0  # no 118,974-row table was built
 
 
@@ -223,6 +208,28 @@ def test_verify_vertex_agrees_with_fraction_oracle():
             assert report.multiplicity_ok == (len(report.tight) == n)
 
 
+@pytest.mark.parametrize(("n", "perturb"), [(1, False), (2, False), (2, True), (3, False), (3, True)])
+def test_verify_vertex_on_keys_agrees_with_the_chain_set_oracle(n, perturb):
+    # the --perturb control lowers the last canonical facet's bound by 1
+    chains = enumerate_chains(n)
+    table = {c: facet_inequality(c, n) for c in chains}
+    altered = {}
+    if perturb:
+        h = table[chains[-1]]
+        table[chains[-1]] = altered[len(chains) - 1] = Hyperplane(h.coeffs, h.rhs - 1)
+    failing = 0
+    for v in enumerate_vertices(n):
+        report = verify_vertex(v, n, altered or None)
+        point, tight_set, strict_ok = verify_chains(face_of(v, n), n, table)
+        scaled, d = report.scaled
+        assert tuple(Fraction(x, d) for x in scaled) == point
+        assert {chains[r] for r in report.tight} == tight_set
+        assert report.strict_ok == strict_ok
+        assert report.multiplicity_ok == (len(tight_set) == n)
+        failing += tight_set != face_of(v, n) or not strict_ok
+    assert (failing > 0) == perturb
+
+
 @pytest.mark.parametrize("n", [2, 3])
 @pytest.mark.parametrize("shift", [1, -1, Fraction(1, 7), -Fraction(1, 7)])
 def test_verify_vertex_agrees_with_fraction_oracle_on_shifted_tables(n, shift):
@@ -249,10 +256,10 @@ def test_verify_vertex_flags_a_facet_moved_onto_an_outside_vertex():
     outside = next(v for v in enumerate_vertices(n) if target not in v)
     h = base[target]
     table = dict(base)
-    table[target] = Hyperplane(h.coeffs, value(h, vertex_coordinates(outside, n)))
+    table[target] = Hyperplane(h.coeffs, value(h, vertex_coordinates(face_of(outside, n), n)))
     for altered in (table, {target: table[target]}):
         report = verify_vertex(outside, n, altered)
-        assert report.tight == outside | {target}
+        assert report.tight == {*outside, target}
         assert not report.strict_ok and not report.multiplicity_ok
         for v in enumerate_vertices(n):
             report = verify_vertex(v, n, altered)
@@ -275,7 +282,7 @@ def test_class_check_never_falls_back_on_a_vertex(monkeypatch):
     for n in (1, 2, 3, 4):
         for v in enumerate_vertices(n):
             report = verify_vertex(v, n)
-            assert report.tight == v and report.strict_ok and report.multiplicity_ok
+            assert report.tight == frozenset(v) and report.strict_ok and report.multiplicity_ok
     # altered rows, here every row, are compared by the facet scan
     with pytest.raises(AssertionError, match="fell back"):
         verify_vertex(enumerate_vertices(2)[0], 2, dict(_facet_table(2)))
@@ -307,11 +314,12 @@ def _class_check_points(draw):
     it with two coordinates made equal, one coordinate lowered or d changed,
     or another vertex's point, or any point at all."""
     b = draw(bracketings(max_n=5).filter(lambda b: b.n >= 2))
-    n, v = b.n, to_nested(b)
+    n, v = b.n, tuple(face_ranks(to_nested(b), b.n))
     mode = draw(st.sampled_from(["vertex", "tie", "lower", "rescale", "other", "any"]))
     owner = v
     if mode == "other":  # the same tree over another permutation
-        owner = to_nested(Bracketing(draw(st.permutations(range(n + 1))), b.spans))
+        other = Bracketing(draw(st.permutations(range(n + 1))), b.spans)
+        owner = face_ranks(to_nested(other), n)
     scaled, d = geometry._solve_vertex(owner, n, _facet_table(n))
     scaled = list(scaled)
     labels = st.integers(0, n)
@@ -380,16 +388,17 @@ def test_vertex_denominators_divide_twice_offset_denominator():
     for n in (1, 2, 3, 4):
         bound = 2 * (3**n - n - 1)
         for v in enumerate_vertices(n):
-            assert all(bound % x.denominator == 0 for x in vertex_coordinates(v, n))
+            assert all(bound % x.denominator == 0 for x in vertex_coordinates(face_of(v, n), n))
 
 
 def test_tight_pairs_are_nested():
     # any two facets meeting at a common vertex are compatible
     for n in (1, 2, 3):
+        chains = enumerate_chains(n)
         for v in enumerate_vertices(n):
             tight = verify_vertex(v, n).tight
             for a, b in itertools.combinations(tight, 2):
-                assert is_nested({a, b}, n)
+                assert is_nested({chains[a], chains[b]}, n)
 
 
 def _construction_coordinates(v, n):
@@ -430,7 +439,7 @@ def test_recursive_construction_oracle():
     for n in (1, 2, 3, 4):
         anchor = Chain(frozenset({n}), tuple(range(1, n)))
         checked = 0
-        for v in enumerate_vertices(n):
+        for v in (face_of(key, n) for key in enumerate_vertices(n)):
             if anchor not in v:
                 continue
             assert vertex_coordinates(v, n) == _construction_coordinates(v, n)
@@ -537,7 +546,7 @@ def test_normalized_functional_turns_facets_into_subset_sums():
 def test_normalized_functional_matches_every_facet_at_every_vertex():
     for n in (1, 2, 3):
         chart = normalization_map(n)
-        points = [vertex_coordinates(v, n) for v in enumerate_vertices(n)]
+        points = [vertex_coordinates(face_of(v, n), n) for v in enumerate_vertices(n)]
         for h in h_representation(n)[1]:
             coeffs, const = normalized_functional(h, n)
             for x in points:
@@ -616,11 +625,16 @@ def test_polytope_graph_shares_the_bracketing_objects():
 def _remap_two_vertices(swap):
     """A from_nested that sends the second vertex at n = 3 to the first one's
     bracketing, and with ``swap`` the first to the second one's as well."""
-    first, second = enumerate_vertices(3)[:2]
+    first, second = (face_of(v, 3) for v in enumerate_vertices(3)[:2])
     images = {second: from_nested(first)}
     if swap:
         images[first] = from_nested(second)
-    return lambda v: images.get(v) or from_nested(v)
+
+    def remapped(chains):
+        v = frozenset(chains)
+        return images.get(v) or from_nested(v)
+
+    return remapped
 
 
 @pytest.mark.parametrize("swap", [False, True], ids=["collision", "swap"])
@@ -694,7 +708,7 @@ def test_realization_report_caps_at_5_unless_asked(n, max_n, env, monkeypatch):
 def test_realization_report_refuses_n6_by_default(monkeypatch):
     monkeypatch.delenv("PA_MAX_N", raising=False)
     monkeypatch.setattr(geometry, "_facet_table", None)  # a call would fail with TypeError
-    with pytest.raises(ResourceCapError, match="cap 5 of the full check.*668 MB"):
+    with pytest.raises(ResourceCapError, match="cap 5 of the full check.*1,475 MB"):
         realization_report(6)
     monkeypatch.setenv("PA_MAX_N", "5")
     with pytest.raises(ResourceCapError, match="enumeration cap 5;"):
@@ -715,7 +729,7 @@ def test_realization_report_interleaves_vertex_failures_and_caps_them(monkeypatc
 
     monkeypatch.setattr(geometry, "verify_vertex", nothing_tight)
     report = realization_report(3)
-    label = print_bracketing(from_nested(enumerate_vertices(3)[0]))
+    label = print_bracketing(from_nested(face_of(enumerate_vertices(3)[0], 3)))
     assert report["failures"][:3] == [
         f"vertex {label}: tight facets differ from its own chains",
         f"vertex {label}: some outside facet is not strict",

@@ -3,8 +3,9 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
 
-from conftest import CHAINS_N2, VERTICES_N2, chain_of
+from conftest import CHAINS_N2, VERTICES_N2, bracketings, chain_of
 from oracles import face_of, faces_via_cliques, is_nested_oracle, nested_key
 from simplepa import (
     Chain,
@@ -20,6 +21,7 @@ from simplepa import (
     nestedsets,
     superficial_count,
     to_nested,
+    vertex_keys,
 )
 
 
@@ -80,9 +82,8 @@ def test_chain_hash_is_cached_and_matches_the_field_tuple():
 
 def test_vertices_share_the_enumerated_chain_objects():
     chains = enumerate_chains(3)
-    ids = {id(c) for c in chains}
     for v in enumerate_vertices(3):
-        assert all(id(c) in ids for c in v)
+        assert all(r in range(len(chains)) for r in v)
     for key in faces(3, 1):
         assert all(r in range(len(chains)) for r in key)
 
@@ -144,13 +145,46 @@ def test_enumerate_vertices_counts():
 
 
 def test_enumerate_vertices_n2_matches_explicit_list():
-    assert set(enumerate_vertices(2)) == set(VERTICES_N2)
+    assert {face_of(v, 2) for v in enumerate_vertices(2)} == set(VERTICES_N2)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_enumerate_vertices_in_the_order_of_nested_key(n):
-    vertices = enumerate_vertices(n)
+    vertices = [face_of(v, n) for v in enumerate_vertices(n)]
     assert vertices == sorted(vertices, key=nested_key)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_vertices_are_chain_rank_keys(n):
+    chains = enumerate_chains(n)
+    keys = enumerate_vertices(n)
+    assert all(a < b for a, b in zip(keys, keys[1:]))
+    for key in keys:
+        assert type(key) is tuple and len(key) == n
+        assert all(a < b for a, b in zip(key, key[1:]))
+        assert all(r in range(len(chains)) for r in key)
+    bracketings = all_bracketings(n)
+    assert {face_of(key, n) for key in keys} == {to_nested(b) for b in bracketings}
+    for b, key in zip(bracketings, vertex_keys(bracketings, n), strict=True):
+        assert face_of(key, n) == to_nested(b)
+    assert keys == faces(n, 0)
+
+
+def test_vertex_keys_name_the_to_nested_chains_of_a_sample_n5():
+    keys = set(enumerate_vertices(5))
+    sample = random.Random(26).sample(all_bracketings(5), 300)
+    for b, key in zip(sample, vertex_keys(sample, 5), strict=True):
+        assert key in keys
+        assert face_of(key, 5) == to_nested(b)
+
+
+@settings(max_examples=150, deadline=None)
+@given(bracketings(max_n=6))
+def test_vertex_keys_name_the_to_nested_chains(b):
+    (key,) = vertex_keys([b], b.n)
+    assert type(key) is tuple and len(key) == b.n
+    assert all(x < y for x, y in zip(key, key[1:]))
+    assert face_of(key, b.n) == to_nested(b)
 
 
 def test_vertex_build_calls_no_sort_key(monkeypatch):
@@ -165,16 +199,14 @@ def test_vertex_build_calls_no_sort_key(monkeypatch):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_rank_route_vertices_match_to_nested(n):
-    via_to_nested = sorted(
-        (to_nested(b) for b in all_bracketings(n)), key=lambda v: face_ranks(v, n)
-    )
+    via_to_nested = sorted(tuple(face_ranks(to_nested(b), n)) for b in all_bracketings(n))
     assert enumerate_vertices(n) == via_to_nested
 
 
 def test_rank_route_vertices_hold_a_to_nested_sample_n5():
     vertices = set(enumerate_vertices(5))
     for b in random.Random(5).sample(all_bracketings(5), 200):
-        assert to_nested(b) in vertices
+        assert tuple(face_ranks(to_nested(b), 5)) in vertices
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -200,7 +232,7 @@ def test_vertex_and_face_builds_make_no_chain(n, monkeypatch):
 
 def test_vertices_are_nested_with_one_full_chain():
     for n in (1, 2, 3):
-        for v in enumerate_vertices(n):
+        for v in (face_of(key, n) for key in enumerate_vertices(n)):
             assert len(v) == n
             assert is_nested(v, n)
             assert sum(1 for c in v if is_full_chain(c, n)) == 1
@@ -209,12 +241,12 @@ def test_vertices_are_nested_with_one_full_chain():
 def test_every_chain_appears_in_some_vertex():
     for n in (1, 2, 3):
         covered = set().union(*enumerate_vertices(n))
-        assert covered == set(enumerate_chains(n))
+        assert covered == set(range(len(enumerate_chains(n))))
 
 
 def test_catalan_count_of_vertices_over_fixed_full_chain():
     for n in (1, 2, 3):
-        anchor = Chain(frozenset({n}), tuple(range(1, n)))
+        anchor = enumerate_chains(n).index(Chain(frozenset({n}), tuple(range(1, n))))
         count = sum(1 for v in enumerate_vertices(n) if anchor in v)
         assert count == math.comb(2 * n, n) // (n + 1)
 
@@ -296,7 +328,7 @@ def test_flag_property_on_subsets():
 
 
 def test_superficial_count_on_vertices():
-    for v in enumerate_vertices(2):
+    for v in (face_of(key, 2) for key in enumerate_vertices(2)):
         for c in v:
             assert superficial_count(v, c) == 1
 
