@@ -57,6 +57,10 @@ PINNED = [
     ("faces --n 4 --dim 4", 0, "17df947242ade1072142522554cfa100b7ce5357f61b819ec1deb990296c0ff4"),
     ("check --n 4", 0, "ef388ac5b8a0e0f07743c43269f0b3ea2010e3bbf32151767cf5596b955c2d7b"),
     ("check --n 4 --perturb", 1, "efa97d09887ab09061fa9b92b7f1ac3ec36073dc5b19a800ea8762680087d152"),
+    ("bracketing --n 3 --parse ((2*3)*(0*1))", 0,
+     "b1a66eea01067ba603474db766fcb3466575abbce5b25cd6204a2bcb81506cfd"),
+    ("bracketing --n 7 --max-n 7 --parse ((((0*1)*(2*3))*(4*5))*(6*7))", 0,
+     "42b703a5ef2d5e43c6596c2ffe15c6cf131db43f9f98daeb436e08101fd14d0e"),
 ]
 
 
