@@ -5,8 +5,8 @@ the completely bracketed permuted products of the labels 0..n.  The
 combinatorial side (chains, nested sets, bracketings, the rewrite graph)
 lives in :mod:`simplepa.nestedsets` and :mod:`simplepa.brackets`; the exact
 rational halfspace realization and its verification in
-:mod:`simplepa.geometry`; the coherence-diagram classification of 1- and
-2-faces in :mod:`simplepa.classify`; serialization and the ``pa`` command in
+:mod:`simplepa.geometry`; the coherence-diagram classification of 2-faces
+in :mod:`simplepa.classify`; serialization and the ``pa`` command in
 :mod:`simplepa.cli`.
 """
 
@@ -29,7 +29,6 @@ from .classify import (
     DiagramCensus,
     DiagramType,
     boundary_cycle,
-    classify_1_face,
     classify_2_face,
     diagram_census,
 )
@@ -60,7 +59,6 @@ from .nestedsets import (
     comparable,
     enumerate_chains,
     enumerate_vertices,
-    face_ranks,
     faces,
     is_full_chain,
     is_nested,
@@ -92,14 +90,12 @@ __all__ = [
     "ambient_plane",
     "boundary_cycle",
     "build_graph",
-    "classify_1_face",
     "classify_2_face",
     "comparable",
     "diagram_census",
     "enumerate_chains",
     "enumerate_vertices",
     "f_vector",
-    "face_ranks",
     "faces",
     "facet_inequality",
     "facet_rhs",

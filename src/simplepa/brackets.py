@@ -213,13 +213,8 @@ def parse_bracketing(text: str, n: int) -> Bracketing:
 
 def print_bracketing(b: Bracketing) -> str:
     """Canonical fully parenthesized string; inverse of :func:`parse_bracketing`.
-    Each position writes one ``(`` per span starting there, its label, then
-    one ``)`` per span ending there."""
-    pieces = list(map(str, b.perm))
-    for lo, hi in b.spans:
-        pieces[lo] = "(" + pieces[lo]
-        pieces[hi] += ")"
-    return "*".join(pieces)
+    The labels fill in the template of the bracketing's tree shape."""
+    return _shape_template(b.spans, b.n).format(*b.perm)
 
 
 # ---------------------------------------------------------------------------
@@ -346,8 +341,10 @@ def _tree_shapes(n: int) -> list[tuple[tuple[int, int], ...]]:
 
 def _shape_template(spans: tuple[tuple[int, int], ...], n: int) -> str:
     """The printed form of every bracketing of one tree shape over 0..n, as
-    a ``str.format`` template with one ``{}`` per position: its labels fill
-    it in to give :func:`print_bracketing`."""
+    a ``str.format`` template with one ``{}`` per position: each position
+    writes one ``(`` per span starting there, its label, then one ``)`` per
+    span ending there.  The labels fill it in to give
+    :func:`print_bracketing`."""
     pieces = ["{}"] * (n + 1)
     for lo, hi in spans:
         pieces[lo] = "(" + pieces[lo]

@@ -1,8 +1,9 @@
 """Coherence-diagram types of the polytope's low-dimensional faces.
 
-Edges come in two kinds: a 1-face containing a complete descending chain is
-a reassociation (``alpha``), any other is a transposition (``sigma``).  The
-2-faces fall into six classes, recognized purely combinatorially:
+Edges come in two kinds, the labels that rewrite-graph edges carry: a 1-face
+containing a complete descending chain is a reassociation (``alpha``), any
+other is a transposition (``sigma``).  The 2-faces fall into six classes,
+recognized purely combinatorially:
 
 * with a complete chain present, the superficiality profile of the members
   decides between the pentagon (one chain has three uncovered sets) and the
@@ -26,17 +27,15 @@ class: 6, 30 and 140 at n = 3, 4 and 5 (see :func:`diagram_census`).
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Iterable, Mapping
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .brackets import ALPHA, SIGMA
 from .nestedsets import (
     Chain,
     comparable,
     enumerate_chains,
     enumerate_vertices,
-    face_ranks,
     faces,
     is_full_chain,
     is_nested,
@@ -51,17 +50,6 @@ class DiagramType(str, Enum):
     QUAD_SIGMA = "quad8"
     OCTAGON = "octagon"
     DODECAGON = "dodecagon"
-
-
-def classify_1_face(e: Iterable[Chain], n: int) -> str:
-    """Edge kind of a 1-face (a nested set of cardinality n-1): ``ALPHA`` or
-    ``SIGMA``, the labels that :class:`RewriteGraph` edges carry."""
-    e = frozenset(e)
-    if len(e) != n - 1:
-        raise ValueError(f"a 1-face must have {n - 1} chains, got {len(e)}")
-    if not is_nested(e, n):
-        raise ValueError("the given chains are not nested")
-    return ALPHA if any(is_full_chain(c, n) for c in e) else SIGMA
 
 
 def classify_2_face(f: Iterable[Chain], n: int) -> DiagramType:
@@ -98,17 +86,23 @@ def classify_2_face(f: Iterable[Chain], n: int) -> DiagramType:
     raise ValueError("not a two-dimensional face")
 
 
-def boundary_cycle(f: Iterable[Chain], n: int, max_n: int | None = None) -> list[tuple[int, ...]]:
-    """The vertices around a 2-face, given by its chains, walked in cycle
-    order, each as the key that :func:`enumerate_vertices` gives it.
+def boundary_cycle(key: Sequence[int], n: int, max_n: int | None = None) -> list[tuple[int, ...]]:
+    """The vertices around a 2-face, walked in cycle order.  The face is
+    given as its key, the strictly increasing tuple of its chains' ranks
+    in :func:`enumerate_chains` that :func:`faces` hands out, and each
+    vertex comes back as the key that :func:`enumerate_vertices` gives it.
 
     Starts at the canonically least vertex and walks towards its canonically
     lesser neighbor; consecutive entries share n-1 chains.  The vertices keep
     the canonical order of :func:`enumerate_vertices`, so the walk sorts none.
     """
-    f = frozenset(f)
-    classify_2_face(f, n)  # validates that f really is a proper 2-face
-    own = frozenset(face_ranks(f, n))
+    key = tuple(key)
+    chains = enumerate_chains(n)
+    top = len(chains) - 1
+    if not all(0 <= r <= top for r in key) or any(a >= b for a, b in zip(key, key[1:])):
+        raise ValueError(f"face key {key} is not strictly increasing ranks in 0..{top}")
+    classify_2_face(map(chains.__getitem__, key), n)  # validates a proper 2-face
+    own = frozenset(key)
     verts = [v for v in enumerate_vertices(n, max_n=max_n) if own.issubset(v)]
     cycle, previous = [verts[0]], None
     while True:
@@ -128,17 +122,12 @@ def boundary_cycle(f: Iterable[Chain], n: int, max_n: int | None = None) -> list
 
 def _span_bit(c: Chain) -> int:
     """One bit per (len(core), len(ext)): the triangular index of the pair
-    (top size, len(ext)), with len(ext) below the top size."""
+    (top size, len(ext)), with len(ext) below the top size.  The chains of
+    a face come from distinct spans of one bracketing, so their bits are
+    distinct, and their sum is the face's span class as a bitmask (see
+    :func:`diagram_census`)."""
     top = len(c.core) + len(c.ext)
     return 1 << (top * (top - 1) // 2 + len(c.ext))
-
-
-def span_class(f: Iterable[Chain]) -> int:
-    """The (len(core), len(ext)) of each chain of ``f`` as a bitmask: the
-    bracketing spans its chains come from, with the labels forgotten (see
-    :func:`diagram_census`).  The chains of a face come from distinct spans
-    of one bracketing, so their bits are distinct and add up to the set."""
-    return sum(map(_span_bit, f))
 
 
 @dataclass(frozen=True)
@@ -162,13 +151,13 @@ def diagram_census(n: int, max_n: int | None = None) -> DiagramCensus:
     and tally the counts per diagram type (n >= 2: PA_1 has no 2-faces, and
     ``faces`` rejects dim 2 there).  Faces stay chain-rank keys throughout.
 
-    :func:`classify_2_face` runs once per :func:`span_class`, not once per
-    face, on the chains of the class's first face.  A face's class is the
-    sum of a per-rank table of :func:`span_class` bits, so no chain set is
-    built for the other faces.  The node over positions lo..hi of
-    bracketing (perm, spans) is the chain (perm[hi:], perm[lo+1:hi]), so a
-    chain's (len(core), len(ext)) = (n+1-hi, hi-lo-1) names its span, with
-    no label involved.  A 2-face is a subset of some vertex (perm, spans),
+    :func:`classify_2_face` runs once per span class, not once per face, on
+    the chains of the class's first face.  A face's class is the sum of a
+    per-rank table of :func:`_span_bit` bits, so no chain set is built for
+    the other faces.  The node over positions lo..hi of bracketing (perm,
+    spans) is the chain (perm[hi:], perm[lo+1:hi]), so a chain's
+    (len(core), len(ext)) = (n+1-hi, hi-lo-1) names its span, with no
+    label involved.  A 2-face is a subset of some vertex (perm, spans),
     hence the image, under the relabelling j -> perm[j], of the
     identity-permutation face on the same span set.  ``classify_2_face``
     reads only set sizes, containment and full-chain status, which

@@ -74,7 +74,10 @@ def _plain_write_mode(path: str) -> int:
 
 def _write_atomic(path: str, write: Callable[[TextIO], None]) -> None:
     directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".pa-tmp-")
+    try:
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".pa-tmp-")
+    except OSError as exc:  # name the user's path, not the temporary one
+        raise OSError(exc.errno, exc.strerror, path) from None
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
             write(handle)
@@ -125,32 +128,15 @@ def _emit(path: str | None, content: str | Iterable[str]) -> None:
 # would lay them out.  ``tests/oracles.py`` keeps the dict payloads that
 # the tests compare this text with.
 #
-# A record is its chain ranks plus the laid-out text of its other fields,
-# split at ``"chains"``, where they sort around it.  A face list encodes
-# that text once per face type (six types and the body: 64,680 census
-# records at n = 5), so a face record is one join over its ranks' chain
-# fragments; no face record is encoded, built as a dict or sorted.  The
-# vertex list encodes each record's fields (bracketing, coordinates,
-# permutation) as it comes and keeps none, so no cache grows with the
-# document.
-
-def _nested(value, depth: int) -> str:
-    """``value`` as ``json.dumps(value, indent=2, sort_keys=True)`` lays it out
-    ``depth`` levels deep: each line after the first indented to match."""
-    return json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n" + "  " * depth)
-
-
-def _split(fields: dict, key: str, depth: int) -> tuple[str, str]:
-    """The lines of an object ``depth`` levels deep holding ``fields`` and
-    ``key``: those of the fields that sort before ``key``, each with its
-    comma and newline, and those that sort after it, each after a comma
-    and newline."""
-    pad = "  " * depth
-    lines = {k: f"{pad}{json.dumps(k)}: {_nested(v, depth)}" for k, v in fields.items()}
-    before = "".join(lines[k] + ",\n" for k in sorted(lines) if k < key)
-    after = "".join(",\n" + lines[k] for k in sorted(lines) if k > key)
-    return before, after
-
+# A record is its chain ranks plus the text of its other fields, laid out
+# by hand around ``"chains"``, where they sort.  A face list lays out that
+# text once per face type (six types and the body: 64,680 census records
+# at n = 5), so a face record is one join over its ranks' chain fragments;
+# no face record is encoded, built as a dict or sorted.  The vertex list
+# lays out each record's fields (bracketing, coordinates, permutation) as
+# it comes and keeps none, so no cache grows with the document.  Only the
+# document frame around the record list goes through ``json``'s indented
+# encoder, once.
 
 def _list(items: Iterable[str], depth: int) -> Iterator[str]:
     """A JSON list ``depth`` levels deep, of items already laid out one level
@@ -172,7 +158,8 @@ def _ints(values: Iterable[int], depth: int) -> str:
 
 
 def _chain_text(chain: Chain, depth: int) -> str:
-    """``_nested(_chain_record(chain), depth)``, laid out by hand."""
+    """``_chain_record(chain)`` laid out ``depth`` levels deep, by hand, as
+    ``json.dumps(..., indent=2, sort_keys=True)`` would lay it out."""
     pad = "\n" + "  " * (depth + 1)
     sets = "".join(_list((_ints(sorted(s), depth + 2) for s in chain.sets()), depth + 1))
     return (
@@ -185,7 +172,9 @@ def _chain_text(chain: Chain, depth: int) -> str:
 def _records(n: int, rows: Iterable[tuple[Sequence[int], str, str]]) -> Iterator[str]:
     """The face or vertex records of a document, two levels deep.  Each row
     is the ranks of the record's chains in :func:`enumerate_chains` and the
-    :func:`_split` text of its other fields around ``"chains"``.  Every
+    text of its other fields, three levels deep: the lines of those that
+    sort before ``"chains"``, each with its comma and newline, and the
+    lines of those that sort after it, each after a comma and newline.  Every
     chain record is laid out here, before the first row is joined."""
     chains = [_chain_text(c, 4) for c in enumerate_chains(n)]
     separator = ",\n" + "  " * 4
@@ -201,10 +190,13 @@ def _document(fields: dict, key: str, records: Iterable[str]) -> Iterator[str]:
     """``json.dumps({**fields, key: [...]}, indent=2, sort_keys=True)`` and a
     newline, in pieces: ``fields`` are plain values, and the list under
     ``key`` is ``records``, joined one by one as the pieces are taken."""
-    before, after = _split(fields, key, 1)
-    yield f"{{\n{before}  {json.dumps(key)}: "
+    frame, slot = _json({**fields, key: None}), json.dumps(key) + ": null"
+    if frame.count(slot) != 1:
+        raise RuntimeError(f"the document frame does not hold {slot} exactly once")
+    before, after = frame.split(slot)
+    yield before + json.dumps(key) + ": "
     yield from _list(records, 1)
-    yield after + "\n}\n"
+    yield after
 
 
 # ---------------------------------------------------------------------------
@@ -234,11 +226,12 @@ def render_vrep(n: int, max_n: int | None = None) -> Iterator[str]:
     rows = []
     bracketings = all_bracketings(n, max_n=max_n)
     for b, v in zip(bracketings, vertex_keys(bracketings, n)):
-        rows.append((v, *_split({
-            "bracketing": print_bracketing(b),
-            "permutation": list(b.perm),
-            "coordinates": [str(x) for x in vertex_point(v, n)],
-        }, "chains", 3)))
+        coordinates = "".join(_list((json.dumps(str(x)) for x in vertex_point(v, n)), 3))
+        rows.append((
+            v,
+            f'      "bracketing": {json.dumps(print_bracketing(b))},\n',
+            f',\n      "coordinates": {coordinates},\n      "permutation": {_ints(b.perm, 3)}',
+        ))
     return _document({"n": n, "count": len(rows)}, "vertices", _records(n, rows))
 
 
@@ -260,8 +253,8 @@ def render_faces(n: int, dim: int, classify: bool, max_n: int | None = None) -> 
         if dim != 2:
             raise ValueError("--classify only applies to --dim 2")
         census = diagram_census(n, max_n=max_n)
-        text = {kind: _split({} if kind is None else {"type": kind.value}, "chains", 3)
-                for kind in {*census.counts, None}}
+        text = {kind: ("", ',\n      "type": ' + json.dumps(kind.value)) for kind in census.counts}
+        text[None] = ("", "")
         rows = ((key, *text[kind]) for key, kind in census.faces)
         fields["count"] = len(census.faces)
         fields["census"] = {kind.value: count for kind, count in census.counts.items()}
@@ -281,8 +274,8 @@ def render_bracketing_record(text: str, n: int) -> dict:
         "bracketing": print_bracketing(b),
         "permutation": list(b.perm),
         "coordinates": [str(x) for x in vertex_coordinates(v, n)],
-        # by sort key, not face_ranks: its rank table holds every chain, and
-        # at n = 7 building it takes 1.0-1.3 s and lifts peak RSS 16 -> 86 MB
+        # by sort key, not by rank: the rank table holds every chain, and at
+        # n = 7 building it takes about 1 s and lifts peak RSS 16 -> 86 MB
         "tight": [_chain_record(c) for c in sorted(v, key=Chain.sort_key)],
     }
 
@@ -300,8 +293,8 @@ def render_off(n: int, max_n: int | None = None) -> str:
     for v in order:
         image = chart.apply(vertex_point(v, n))
         lines.append(" ".join(f"{float(x):.17g}" for x in image))
-    for chain in enumerate_chains(n):
-        cycle = boundary_cycle(frozenset([chain]), n, max_n=max_n)
+    for rank in range(len(enumerate_chains(n))):
+        cycle = boundary_cycle((rank,), n, max_n=max_n)
         lines.append(" ".join([str(len(cycle))] + [str(index[v]) for v in cycle]))
     return "\n".join(lines) + "\n"
 

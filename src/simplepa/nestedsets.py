@@ -18,10 +18,9 @@ canonical order, and no set of chains is built for them.
 from __future__ import annotations
 
 import itertools
-from collections.abc import Iterable, Iterator, Mapping, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from types import MappingProxyType
 
 from .limits import check_cap, check_n
 
@@ -35,13 +34,12 @@ class Chain:
     chain, counted from the largest, is ``core | set(ext[j:])``; the chain
     has ``len(ext) + 1`` sets in total.  Construction rejects an empty core
     and repeated or negative labels; ``mask`` is the top set as a bitmask.
-    The hash is the dataclass one, ``hash((core, ext))``, computed once.
+    The hash is the dataclass one, ``hash((core, ext))``.
     """
 
     core: frozenset[int]
     ext: tuple[int, ...] = ()
     mask: int = field(init=False, repr=False, compare=False)
-    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         core, ext = frozenset(self.core), tuple(self.ext)
@@ -55,10 +53,6 @@ class Chain:
         if min(labels) < 0:
             raise ValueError(f"labels of {self} must be non-negative")
         object.__setattr__(self, "mask", sum(1 << lab for lab in labels))
-        object.__setattr__(self, "_hash", hash((core, ext)))
-
-    def __hash__(self):
-        return self._hash
 
     def sets(self) -> tuple[frozenset[int], ...]:
         """The sets of the chain, largest first."""
@@ -154,22 +148,6 @@ def enumerate_chains(n: int) -> list[Chain]:
     return list(_enumerate_chains(n))
 
 
-@lru_cache(maxsize=None)
-def chain_rank(n: int) -> Mapping[Chain, int]:
-    """Each chain's index in :func:`enumerate_chains`, read-only.  Ordering
-    chains by rank gives the canonical order of :meth:`Chain.sort_key`;
-    :func:`face_ranks` orders faces by it."""
-    check_n(n)
-    return MappingProxyType({c: i for i, c in enumerate(_enumerate_chains(n))})
-
-
-def face_ranks(face: Iterable[Chain], n: int) -> list[int]:
-    """The sorted :func:`chain_rank` of each chain of a face over 0..n: the
-    canonical sort key of faces and vertices.  Faces of one size compare by
-    it as by their chains' :meth:`Chain.sort_key` tuples, sorted."""
-    return sorted(map(chain_rank(n).__getitem__, face))
-
-
 def is_full_chain(chain: Chain, n: int) -> bool:
     """Whether the chain runs through all of n sets (a complete descending
     chain, i.e. the combinatorial shadow of a permutation of 0..n)."""
@@ -237,12 +215,12 @@ def faces(n: int, dim: int, max_n: int | None = None) -> list[tuple[int, ...]]:
     """All faces of the given dimension, each once, in canonical order.
 
     A face is its key: the strictly increasing tuple of the ranks of its
-    n - dim chains in :func:`enumerate_chains`, as :func:`face_ranks` gives
-    them, so ``[enumerate_chains(n)[r] for r in key]`` are its chains, and
-    the keys sort in canonical order.  Computed by taking subsets of the
-    maximal nested sets' keys, so each face is deduplicated and ordered as
-    a tuple of ints and no set of chains is built; ``dim == n`` gives
-    ``()``, the empty nested set, the polytope body.
+    n - dim chains in :func:`enumerate_chains`, so ``[enumerate_chains(n)[r]
+    for r in key]`` are its chains, and the keys sort in canonical order.
+    Computed by taking subsets of the maximal nested sets' keys, so each
+    face is deduplicated and ordered as a tuple of ints and no set of
+    chains is built; ``dim == n`` gives ``()``, the empty nested set, the
+    polytope body.
     """
     check_n(n)
     if not 0 <= dim <= n:

@@ -16,9 +16,15 @@ different method, something the package computes on its production route:
 * ``normalized_functional`` and ``top_simplex_points`` work in the paper's
   normalisation chart, which ``normalization_map`` builds;
 * ``nested_key`` orders faces by their chains' ``Chain.sort_key`` tuples,
-  where the package orders them by ``face_ranks``, their chains' ranks in
-  ``enumerate_chains``, and ``face_of`` turns such a rank key, which is how
-  ``faces`` hands a face out, back into its nested set of chains;
+  where the package orders them by key, their chains' ranks in
+  ``enumerate_chains``; ``face_of`` turns such a rank key, which is how
+  ``faces`` hands a face out, back into its nested set of chains, and
+  ``key_of`` turns a set of chains into its key by their positions in the
+  chain list, where the package ranks a bracketing's chains by bitmask;
+* ``classify_1_face`` reads an edge's kind off its chains, where
+  ``RewriteGraph`` labels an edge by the move that makes it, and
+  ``span_class`` gives a face's span class from its chains, where
+  ``diagram_census`` sums a per-rank table of the same bits;
 * ``faces_payload`` and ``vrep_payload`` build the ``pa faces`` and ``pa
   generate --vrep`` documents as dicts for ``json`` to encode, in the
   order of ``Chain.sort_key`` and ``nested_key``, where the command joins
@@ -34,9 +40,12 @@ import itertools
 from collections import Counter
 from collections.abc import Iterable, Mapping, Sequence
 from fractions import Fraction
+from functools import lru_cache
 from operator import mul
 
 from simplepa import (
+    ALPHA,
+    SIGMA,
     Bracketing,
     Chain,
     DiagramType,
@@ -47,11 +56,14 @@ from simplepa import (
     classify_2_face,
     faces,
     fractional_offset,
+    is_full_chain,
+    is_nested,
     normalization_map,
     print_bracketing,
     to_nested,
     vertex_coordinates,
 )
+from simplepa.classify import _span_bit
 from simplepa.limits import check_cap, check_n
 from simplepa.nestedsets import _compatible, _enumerate_chains, _union_admissible
 
@@ -132,6 +144,28 @@ def faces_via_cliques(n: int, dim: int, max_n: int | None = None) -> frozenset[N
 
     extend(0)
     return frozenset(out)
+
+
+# ---------------------------------------------------------------------------
+# edge kinds and span classes from the chains
+
+def classify_1_face(e: Iterable[Chain], n: int) -> str:
+    """Edge kind of a 1-face (a nested set of cardinality n-1): ``ALPHA`` or
+    ``SIGMA``, the labels that :class:`RewriteGraph` edges carry."""
+    e = frozenset(e)
+    if len(e) != n - 1:
+        raise ValueError(f"a 1-face must have {n - 1} chains, got {len(e)}")
+    if not is_nested(e, n):
+        raise ValueError("the given chains are not nested")
+    return ALPHA if any(is_full_chain(c, n) for c in e) else SIGMA
+
+
+def span_class(f: Iterable[Chain]) -> int:
+    """The (len(core), len(ext)) of each chain of ``f`` as a bitmask: the
+    bracketing spans its chains come from, with the labels forgotten (see
+    :func:`diagram_census`).  The chains of a face come from distinct spans
+    of one bracketing, so their bits are distinct and add up to the set."""
+    return sum(map(_span_bit, f))
 
 
 # ---------------------------------------------------------------------------
@@ -260,6 +294,18 @@ def face_of(key: Iterable[int], n: int) -> NestedSet:
     those ranks of ``enumerate_chains(n)``."""
     chains = _enumerate_chains(n)
     return frozenset(chains[r] for r in key)
+
+
+@lru_cache(maxsize=None)
+def _positions(n: int) -> dict[Chain, int]:
+    return {c: i for i, c in enumerate(_enumerate_chains(n))}
+
+
+def key_of(chains: Iterable[Chain], n: int) -> tuple[int, ...]:
+    """The key of a set of chains over 0..n, as ``faces`` hands a face out:
+    the sorted positions of its chains in ``_enumerate_chains(n)``.  The
+    inverse of ``face_of``."""
+    return tuple(sorted(map(_positions(n).__getitem__, chains)))
 
 
 def nested_key(chains: Iterable[Chain]) -> tuple:

@@ -5,15 +5,13 @@ from collections import defaultdict
 import pytest
 
 from conftest import chain_of
-from oracles import CYCLE_LENGTHS, face_of, nested_key
+from oracles import CYCLE_LENGTHS, classify_1_face, face_of, key_of, nested_key, span_class
 from simplepa import (
     ALPHA,
     SIGMA,
     Chain,
     DiagramType,
     boundary_cycle,
-    classify,
-    classify_1_face,
     classify_2_face,
     diagram_census,
     enumerate_chains,
@@ -83,9 +81,9 @@ def test_classify_2_face_validation():
 
 
 def test_boundary_cycle_lengths_match_types_n3():
-    for f in (face_of(key, 3) for key in faces(3, 2)):
-        kind = classify_2_face(f, 3)
-        cycle = [face_of(v, 3) for v in boundary_cycle(f, 3)]
+    for key in faces(3, 2):
+        kind = classify_2_face(face_of(key, 3), 3)
+        cycle = [face_of(v, 3) for v in boundary_cycle(key, 3)]
         assert len(cycle) == CYCLE_LENGTHS[kind]
         assert len(set(cycle)) == len(cycle)
         for i in range(len(cycle)):
@@ -95,9 +93,9 @@ def test_boundary_cycle_lengths_match_types_n3():
 def test_boundary_cycle_edge_patterns_n3():
     # pentagons are bounded by rotations only; the larger polygons alternate
     patterns = {}
-    for f in (face_of(key, 3) for key in faces(3, 2)):
-        kind = classify_2_face(f, 3)
-        cycle = [face_of(v, 3) for v in boundary_cycle(f, 3)]
+    for key in faces(3, 2):
+        kind = classify_2_face(face_of(key, 3), 3)
+        cycle = [face_of(v, 3) for v in boundary_cycle(key, 3)]
         edges = [
             classify_1_face(cycle[i] & cycle[(i + 1) % len(cycle)], 3)
             for i in range(len(cycle))
@@ -112,11 +110,12 @@ def test_boundary_cycle_edge_patterns_n3():
 def test_boundary_cycle_agrees_with_a_brute_force_oracle():
     for n in (3, 4):
         verts = [face_of(v, n) for v in enumerate_vertices(n)]
-        for f in (face_of(key, n) for key in faces(n, 2)):
+        for key in faces(n, 2):
+            f = face_of(key, n)
             incident = {v for v in verts if f <= v}
             start = min(incident, key=nested_key)
             neighbours = [v for v in incident if len(v & start) == n - 1]
-            cycle = [face_of(v, n) for v in boundary_cycle(f, n)]
+            cycle = [face_of(v, n) for v in boundary_cycle(key, n)]
             assert cycle[0] == start
             assert len(neighbours) == 2
             assert cycle[1] == min(neighbours, key=nested_key)
@@ -126,7 +125,21 @@ def test_boundary_cycle_agrees_with_a_brute_force_oracle():
 
 def test_boundary_cycle_rejects_non_2_faces():
     with pytest.raises(ValueError):
-        boundary_cycle(frozenset([chain_of({0}), chain_of({0, 1, 2}, {0, 1})]), 3)
+        boundary_cycle(key_of([chain_of({0}), chain_of({0, 1, 2}, {0, 1})], 3), 3)
+
+
+def test_boundary_cycle_rejects_a_key_that_is_not_increasing_ranks():
+    top = len(enumerate_chains(3)) - 1
+    assert boundary_cycle((top,), 3)  # the last rank names a facet of PA_3
+    for key in [(-1,), (top + 1,)]:  # negative, out of range
+        with pytest.raises(ValueError, match="strictly increasing ranks"):
+            boundary_cycle(key, 3)
+    a, b = faces(4, 2)[0]
+    for key in [(a, a), (b, a)]:  # repeated, unsorted
+        with pytest.raises(ValueError, match="strictly increasing ranks"):
+            boundary_cycle(key, 4)
+    with pytest.raises(ValueError, match="a 2-face must have 2 chains"):
+        boundary_cycle((a,), 4)  # one chain at n = 4 is a facet, not a 2-face
 
 
 def test_diagram_census_n2_reports_the_body():
@@ -178,7 +191,7 @@ def test_each_span_class_is_one_label_orbit_of_one_type(n, classes):
     # the relabellings of one face, and relabelling keeps the diagram type
     by_class = defaultdict(set)
     for f in (face_of(key, n) for key in faces(n, 2)):
-        by_class[classify.span_class(f)].add(f)
+        by_class[span_class(f)].add(f)
     assert len(by_class) == classes
     perms = list(itertools.permutations(range(n + 1)))
     for members in by_class.values():

@@ -223,6 +223,16 @@ def test_an_empty_output_path_is_an_io_error(argv, tmp_path, monkeypatch, capsys
     assert list(tmp_path.iterdir()) == [work] and list(work.iterdir()) == []
 
 
+def test_an_output_in_a_missing_directory_names_the_given_path(tmp_path, capsys):
+    target = tmp_path / "nodir" / "x.dot"
+    assert run(["graph", "--n", "2", "--dot", str(target)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"pa: i/o error: [Errno 2] No such file or directory: '{target}'\n"
+    assert ".pa-tmp-" not in captured.err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_an_encoding_that_fails_midway_leaves_the_target_as_it_was(tmp_path, monkeypatch, capsys):
     # JSON text in pieces that fails only after more than a 64 KiB batch is out
     cycle = []

@@ -9,7 +9,14 @@ from hypothesis import strategies as st
 
 from conftest import bracketings, chain_of
 from oracles import (
-    face_of, gauss_jordan, normalized_functional, tight, top_simplex_points, value, verify_chains
+    face_of,
+    gauss_jordan,
+    key_of,
+    normalized_functional,
+    tight,
+    top_simplex_points,
+    value,
+    verify_chains,
 )
 from simplepa import (
     ALPHA,
@@ -42,7 +49,7 @@ from simplepa import geometry
 from simplepa.brackets import from_nested, print_bracketing, to_nested
 from simplepa.cli import render_bracketing_record
 from simplepa.geometry import VertexReport, _facet_table
-from simplepa.nestedsets import face_ranks, suffix_interval
+from simplepa.nestedsets import suffix_interval
 
 
 def test_facet_rhs_values():
@@ -314,12 +321,12 @@ def _class_check_points(draw):
     it with two coordinates made equal, one coordinate lowered or d changed,
     or another vertex's point, or any point at all."""
     b = draw(bracketings(max_n=5).filter(lambda b: b.n >= 2))
-    n, v = b.n, tuple(face_ranks(to_nested(b), b.n))
+    n, v = b.n, key_of(to_nested(b), b.n)
     mode = draw(st.sampled_from(["vertex", "tie", "lower", "rescale", "other", "any"]))
     owner = v
     if mode == "other":  # the same tree over another permutation
         other = Bracketing(draw(st.permutations(range(n + 1))), b.spans)
-        owner = face_ranks(to_nested(other), n)
+        owner = key_of(to_nested(other), n)
     scaled, d = geometry._solve_vertex(owner, n, _facet_table(n))
     scaled = list(scaled)
     labels = st.integers(0, n)

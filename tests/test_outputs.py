@@ -12,7 +12,7 @@ import json
 
 import pytest
 
-from oracles import faces_payload, vrep_payload
+from oracles import faces_payload, span_class, vrep_payload
 from simplepa import classify, cli
 from simplepa.cli import main, render_faces, render_vrep
 from simplepa.nestedsets import faces
@@ -95,8 +95,28 @@ def test_classified_faces_classify_each_face_once(monkeypatch):
         calls.clear()
         render_faces(n, 2, True)
         assert len(calls) == classes
-        assert len(set(calls)) == len(set(map(classify.span_class, calls))) == classes
+        assert len(set(calls)) == len(set(map(span_class, calls))) == classes
     assert len(faces(4, 2)) == 2020
+
+
+def test_only_the_document_frame_runs_the_indented_encoder(monkeypatch):
+    # json.dumps with indent lays text out in pure Python; the records are
+    # laid out by hand, so one such call per document, for its frame
+    indented = []
+    dumps = json.dumps
+
+    def counting(*args, **kwargs):
+        if kwargs.get("indent") is not None:
+            indented.append(args[0])
+        return dumps(*args, **kwargs)
+
+    monkeypatch.setattr(cli.json, "dumps", counting)
+    for text, records in [(render_vrep(3), 120), (render_faces(3, 2, True), 62)]:
+        indented.clear()
+        document = "".join(text)
+        assert len(indented) == 1
+        assert document.count('"chains": ') == records
+    assert indented[0]["count"] == 62
 
 
 def _json(payload: dict) -> str:
