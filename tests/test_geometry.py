@@ -1,5 +1,6 @@
 import itertools
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 from math import comb, factorial, gcd
 
@@ -25,6 +26,7 @@ from simplepa import (
     Chain,
     Hyperplane,
     ResourceCapError,
+    RewriteGraph,
     SingularSystemError,
     affine_dimension,
     all_bracketings,
@@ -650,6 +652,72 @@ def test_a_broken_bijection_fails_the_graph_check(swap, monkeypatch):
     assert polytope_graph(3) != build_graph(3)
     report = realization_report(3)
     assert not report["graphs_equal"]
+    assert not report["ok"]
+
+
+_REPORT_FLAGS = (
+    "tight_sets_match", "strict_inequalities", "simple", "vertices_distinct",
+    "facets_irredundant", "graphs_equal", "graph_connected", "graph_regular",
+    "sigma_degree_ok", "euler_ok",
+)
+
+
+def _false_flags(report):
+    return [key for key in _REPORT_FLAGS if not report[key]]
+
+
+def _without_sigma_edges(count):
+    """A build_graph that drops the first ``count`` of its sigma edges, in
+    sorted order, or every one of them with None."""
+
+    def build(n, max_n=None):
+        g = build_graph(n, max_n=max_n)
+        sigma = sorted(e for e in g.edges if e[2] == SIGMA)
+        return RewriteGraph(g.vertices, g.edges.difference(sigma[:count]))
+
+    return build
+
+
+def test_a_missing_sigma_edge_fails_the_graph_checks_in_order(monkeypatch):
+    monkeypatch.setattr(geometry, "build_graph", _without_sigma_edges(1))
+    report = realization_report(3)
+    assert _false_flags(report) == ["graphs_equal", "graph_regular", "sigma_degree_ok"]
+    assert report["failures"] == [
+        "polytope graph differs from the rewrite graph",
+        "rewrite graph is not n-regular",
+        "some vertex does not have exactly one sigma edge",
+    ]
+    assert not report["ok"]
+
+
+def test_no_sigma_edges_disconnect_the_rewrite_graph(monkeypatch):
+    monkeypatch.setattr(geometry, "build_graph", _without_sigma_edges(None))
+    report = realization_report(3)
+    assert _false_flags(report) == [
+        "graphs_equal", "graph_connected", "graph_regular", "sigma_degree_ok"
+    ]
+    assert report["failures"] == [
+        "polytope graph differs from the rewrite graph",
+        "rewrite graph is not connected",
+        "rewrite graph is not n-regular",
+        "some vertex does not have exactly one sigma edge",
+    ]
+    assert not report["ok"]
+
+
+def test_colliding_vertex_points_fail_only_vertices_distinct(monkeypatch):
+    first, second = enumerate_vertices(3)[:2]
+
+    def collide(v, n, altered=None):
+        report = verify_vertex(v, n, altered)
+        if v == second:
+            return replace(report, scaled=verify_vertex(first, n, altered).scaled)
+        return report
+
+    monkeypatch.setattr(geometry, "verify_vertex", collide)
+    report = realization_report(3)
+    assert _false_flags(report) == ["vertices_distinct"]
+    assert report["failures"] == ["vertex coordinates collide"]
     assert not report["ok"]
 
 
