@@ -110,17 +110,13 @@ class RewriteGraph:
     def kind_degree(self, i: int, kind: str) -> int:
         return self._degree_counts[1][i, kind]
 
-    def adjacency(self) -> list[list[int]]:
+    def is_connected(self) -> bool:
+        if not self.vertices:
+            return True
         adj: list[list[int]] = [[] for _ in self.vertices]
         for a, b, _ in self.edges:
             adj[a].append(b)
             adj[b].append(a)
-        return adj
-
-    def is_connected(self) -> bool:
-        if not self.vertices:
-            return True
-        adj = self.adjacency()
         seen = {0}
         queue = [0]
         while queue:

@@ -31,6 +31,7 @@ from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
 from enum import Enum
 
+from .limits import check_cap
 from .nestedsets import (
     Chain,
     comparable,
@@ -96,6 +97,7 @@ def boundary_cycle(key: Sequence[int], n: int, max_n: int | None = None) -> list
     lesser neighbor; consecutive entries share n-1 chains.  The vertices keep
     the canonical order of :func:`enumerate_vertices`, so the walk sorts none.
     """
+    check_cap(n, max_n)  # before the chain list, which is 1,071,276 chains at n = 8
     key = tuple(key)
     chains = enumerate_chains(n)
     top = len(chains) - 1

@@ -407,6 +407,11 @@ def f_vector(n: int, max_n: int | None = None) -> tuple[int, ...]:
 # the full verification suite
 
 _MAX_REPORTED_FAILURES = 20
+_REPORT_KEYS = (
+    "tight_sets_match", "strict_inequalities", "simple", "vertices_distinct",
+    "facets_irredundant", "graphs_equal", "graph_connected", "graph_regular",
+    "sigma_degree_ok", "euler_ok",
+)
 
 
 def realization_report(n: int, perturb: bool = False, max_n: int | None = None) -> dict:
@@ -419,9 +424,11 @@ def realization_report(n: int, perturb: bool = False, max_n: int | None = None) 
     polytope graph equals the rewrite graph (connected, n-regular, one sigma
     edge per vertex); the face counts satisfy the Euler relation.
 
-    The checks form one ordered table.  Each check is a generator yielding a
-    ``(report_key, message)`` pair per failure; a key's flag in the report is
-    true when the key never failed, and ``ok`` when nothing failed.
+    The checks run in that order, and each phase frees its data before the
+    next builds its own.  A failure records its report key, whose flag is
+    then false, and its message: the first 20 messages are kept as they
+    come, then one line says that more were suppressed.  ``ok`` is true
+    when nothing failed.
 
     The default cap is ``CHECK_MAX_N`` (5), below the enumerations' own:
     ``max_n`` or ``PA_MAX_N`` raises it.
@@ -446,88 +453,64 @@ def realization_report(n: int, perturb: bool = False, max_n: int | None = None) 
         h = table[target]
         altered[target] = Hyperplane(h.coeffs, h.rhs - 1)
 
-    verts = enumerate_vertices(n, max_n=max_n)
-    chains = enumerate_chains(n)
-    points: list[ScaledPoint] = []
-    tight_points: dict[int, list[ScaledPoint]] = {r: [] for r in table}
-
-    rewrite = build_graph(n, max_n=max_n)  # shared by several checks
-    fv = f_vector(n, max_n=max_n)
-
-    def vertices():
-        for v in verts:
-            report = verify_vertex(v, n, altered)
-            points.append(report.scaled)
-            for r in report.tight:
-                tight_points[r].append(report.scaled)
-            problems = []
-            if report.tight != frozenset(v):
-                problems.append(("tight_sets_match", "tight facets differ from its own chains"))
-            if not report.strict_ok:
-                problems.append(("strict_inequalities", "some outside facet is not strict"))
-            if not report.multiplicity_ok:
-                problems.append(("simple", f"tight on {len(report.tight)} facets, expected {n}"))
-            if problems:  # the label is printed only for a vertex that fails
-                label = print_bracketing(from_nested(map(chains.__getitem__, v)))
-                for key, problem in problems:
-                    yield key, f"vertex {label}: {problem}"
-
-    def distinct():
-        if len(set(points)) != len(points):
-            yield "vertices_distinct", "vertex coordinates collide"
-
-    def irredundant():
-        for r, pts in tight_points.items():
-            if affine_dimension(pts, stop_at=n - 1) < n - 1:
-                yield "facets_irredundant", (
-                    f"facet {chains[r]!r} is not facet-defining (affine dimension < {n - 1})"
-                )
-
-    def graphs_equal():
-        if rewrite != polytope_graph(n, max_n=max_n):
-            yield "graphs_equal", "polytope graph differs from the rewrite graph"
-
-    def connected():
-        if not rewrite.is_connected():
-            yield "graph_connected", "rewrite graph is not connected"
-
-    def regular():
-        if any(rewrite.degree(i) != n for i in range(len(rewrite.vertices))):
-            yield "graph_regular", "rewrite graph is not n-regular"
-
-    def one_sigma_edge():
-        if any(rewrite.kind_degree(i, SIGMA) != 1 for i in range(len(rewrite.vertices))):
-            yield "sigma_degree_ok", "some vertex does not have exactly one sigma edge"
-
-    def euler():
-        if sum((-1) ** k * fv[k] for k in range(n)) != 1 - (-1) ** n:
-            yield "euler_ok", f"Euler relation fails for f-vector {fv}"
-
-    def vertex_count():
-        expected = prod(range(n + 1, 2 * n + 1))
-        if len(verts) != expected or fv[0] != expected:
-            yield None, f"vertex count {len(verts)} differs from (2n)!/n! = {expected}"
-
-    checks = (
-        (("tight_sets_match", "strict_inequalities", "simple"), vertices),
-        (("vertices_distinct",), distinct),
-        (("facets_irredundant",), irredundant),
-        (("graphs_equal",), graphs_equal),
-        (("graph_connected",), connected),
-        (("graph_regular",), regular),
-        (("sigma_degree_ok",), one_sigma_edge),
-        (("euler_ok",), euler),
-        ((), vertex_count),
-    )
     failures: list[str] = []
     failed = set()
-    for _, check in checks:
-        for key, message in check():
-            failed.add(key)
-            if len(failures) < _MAX_REPORTED_FAILURES:
-                failures.append(message)
-            elif len(failures) == _MAX_REPORTED_FAILURES:
-                failures.append("... more failures suppressed")
+
+    def fail(key: str | None, message: str) -> None:
+        failed.add(key)
+        if len(failures) < _MAX_REPORTED_FAILURES:
+            failures.append(message)
+        elif len(failures) == _MAX_REPORTED_FAILURES:
+            failures.append("... more failures suppressed")
+
+    verts = enumerate_vertices(n, max_n=max_n)
+    chains = enumerate_chains(n)
+    points: set[ScaledPoint] = set()
+    tight_points: dict[int, list[ScaledPoint]] = {r: [] for r in table}
+    for v in verts:
+        report = verify_vertex(v, n, altered)
+        points.add(report.scaled)
+        for r in report.tight:
+            tight_points[r].append(report.scaled)
+        problems = []
+        if report.tight != frozenset(v):
+            problems.append(("tight_sets_match", "tight facets differ from its own chains"))
+        if not report.strict_ok:
+            problems.append(("strict_inequalities", "some outside facet is not strict"))
+        if not report.multiplicity_ok:
+            problems.append(("simple", f"tight on {len(report.tight)} facets, expected {n}"))
+        if problems:  # the label is printed only for a vertex that fails
+            label = print_bracketing(from_nested(map(chains.__getitem__, v)))
+            for key, problem in problems:
+                fail(key, f"vertex {label}: {problem}")
+
+    if len(points) != len(verts):
+        fail("vertices_distinct", "vertex coordinates collide")
+    del points
+    for r, pts in tight_points.items():
+        if affine_dimension(pts, stop_at=n - 1) < n - 1:
+            fail("facets_irredundant",
+                 f"facet {chains[r]!r} is not facet-defining (affine dimension < {n - 1})")
+    del tight_points
+
+    rewrite = build_graph(n, max_n=max_n)
+    if rewrite != polytope_graph(n, max_n=max_n):
+        fail("graphs_equal", "polytope graph differs from the rewrite graph")
+    if not rewrite.is_connected():
+        fail("graph_connected", "rewrite graph is not connected")
+    ids = range(len(rewrite.vertices))
+    if any(rewrite.degree(i) != n for i in ids):
+        fail("graph_regular", "rewrite graph is not n-regular")
+    if any(rewrite.kind_degree(i, SIGMA) != 1 for i in ids):
+        fail("sigma_degree_ok", "some vertex does not have exactly one sigma edge")
+    del rewrite
+
+    fv = f_vector(n, max_n=max_n)
+    if sum((-1) ** k * fv[k] for k in range(n)) != 1 - (-1) ** n:
+        fail("euler_ok", f"Euler relation fails for f-vector {fv}")
+    expected = prod(range(n + 1, 2 * n + 1))
+    if len(verts) != expected or fv[0] != expected:
+        fail(None, f"vertex count {len(verts)} differs from (2n)!/n! = {expected}")
 
     return {
         "n": n,
@@ -535,7 +518,7 @@ def realization_report(n: int, perturb: bool = False, max_n: int | None = None) 
         "vertex_count": len(verts),
         "facet_count": len(table),
         "f_vector": list(fv),
-        **{key: key not in failed for keys, _ in checks for key in keys},
+        **{key: key not in failed for key in _REPORT_KEYS},
         "failures": failures,
         "ok": not failed,
     }

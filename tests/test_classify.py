@@ -11,6 +11,7 @@ from simplepa import (
     SIGMA,
     Chain,
     DiagramType,
+    ResourceCapError,
     boundary_cycle,
     classify_2_face,
     diagram_census,
@@ -18,6 +19,7 @@ from simplepa import (
     enumerate_vertices,
     faces,
 )
+from simplepa import nestedsets
 
 
 def test_classify_1_face_examples():
@@ -140,6 +142,16 @@ def test_boundary_cycle_rejects_a_key_that_is_not_increasing_ranks():
             boundary_cycle(key, 4)
     with pytest.raises(ValueError, match="a 2-face must have 2 chains"):
         boundary_cycle((a,), 4)  # one chain at n = 4 is a facet, not a 2-face
+
+
+def test_boundary_cycle_refuses_n_above_the_cap_before_listing_chains(monkeypatch):
+    def refuse(n):
+        raise AssertionError(f"the chains of n = {n} were enumerated")
+
+    monkeypatch.delenv("PA_MAX_N", raising=False)
+    monkeypatch.setattr(nestedsets, "_enumerate_chains", refuse)
+    with pytest.raises(ResourceCapError, match="n=8 exceeds the enumeration cap 6"):
+        boundary_cycle((0,), 8)
 
 
 def test_diagram_census_n2_reports_the_body():

@@ -494,8 +494,8 @@ def test_check_refuses_n6_by_default_before_enumerating(tmp_path, monkeypatch, c
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == (
-        "pa: n=6 exceeds the enumeration cap 5 of the full check, which measured 212 s and "
-        "1,475 MB at n = 6; pass --max-n (max_n from Python) or set PA_MAX_N to override\n"
+        "pa: n=6 exceeds the enumeration cap 5 of the full check, which measured 197 s and "
+        "1,183 MB at n = 6; pass --max-n (max_n from Python) or set PA_MAX_N to override\n"
     )
     assert list(tmp_path.iterdir()) == []
 
