@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import itertools
 import re
-from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -82,49 +81,42 @@ class RewriteGraph:
     """Undirected graph on bracketings with alpha/sigma edge labels.
 
     Vertex ids are indices into ``vertices``, which is sorted by the
-    canonical printed string; edges are (i, j, kind) with i < j.
+    canonical printed string; edges are (i, j, kind) with i < j.  The
+    degrees and the connectivity test read one neighbour table, built on
+    first use and memoized in the instance ``__dict__``, which the
+    dataclass ``==`` and ``hash`` ignore.
     """
 
     vertices: tuple[Bracketing, ...]
     edges: frozenset[tuple[int, int, str]]
 
     @cached_property
-    def _degree_counts(self) -> tuple[Counter, Counter]:
-        """Edges at each vertex and at each (vertex, kind), in one pass.
-
-        Memoized in the instance ``__dict__``, which the dataclass ``==`` and
-        ``hash`` ignore.
-        """
-        total: Counter = Counter()
-        by_kind: Counter = Counter()
+    def _neighbors(self) -> dict[str, list[list[int]]]:
+        """``_neighbors[kind][i]``: the neighbours of vertex i across edges
+        of that kind, in one pass over ``edges``."""
+        table = {kind: [[] for _ in self.vertices] for kind in (ALPHA, SIGMA)}
         for a, b, kind in self.edges:
-            total[a] += 1
-            total[b] += 1
-            by_kind[a, kind] += 1
-            by_kind[b, kind] += 1
-        return total, by_kind
+            table[kind][a].append(b)
+            table[kind][b].append(a)
+        return table
 
     def degree(self, i: int) -> int:
-        return self._degree_counts[0][i]
+        return len(self._neighbors[ALPHA][i]) + len(self._neighbors[SIGMA][i])
 
     def kind_degree(self, i: int, kind: str) -> int:
-        return self._degree_counts[1][i, kind]
+        return len(self._neighbors[kind][i])
 
     def is_connected(self) -> bool:
         if not self.vertices:
             return True
-        adj: list[list[int]] = [[] for _ in self.vertices]
-        for a, b, _ in self.edges:
-            adj[a].append(b)
-            adj[b].append(a)
-        seen = {0}
-        queue = [0]
+        seen, queue = {0}, [0]
         while queue:
             cur = queue.pop()
-            for nxt in adj[cur]:
-                if nxt not in seen:
-                    seen.add(nxt)
-                    queue.append(nxt)
+            for lists in self._neighbors.values():
+                for nxt in lists[cur]:
+                    if nxt not in seen:
+                        seen.add(nxt)
+                        queue.append(nxt)
         return len(seen) == len(self.vertices)
 
 

@@ -12,6 +12,7 @@ from simplepa import (
     BracketSyntaxError,
     Bracketing,
     Chain,
+    RewriteGraph,
     all_bracketings,
     alpha_neighbors,
     build_graph,
@@ -224,6 +225,43 @@ def test_build_graph_n3():
     for i in range(len(g.vertices)):
         assert g.degree(i) == 3
         assert g.kind_degree(i, SIGMA) == 1
+
+
+def _hand_built_graph():
+    """Four vertices: 0 -alpha- 1 -sigma- 2, and 3 on no edge."""
+    vertices = tuple(all_bracketings(2)[:4])
+    return RewriteGraph(vertices, frozenset({(0, 1, ALPHA), (1, 2, SIGMA)}))
+
+
+def test_hand_built_graph_degrees_match_a_brute_force_count():
+    g = _hand_built_graph()
+    for i in range(4):
+        assert g.degree(i) == sum(i in (a, b) for a, b, _ in g.edges)
+        for kind in (ALPHA, SIGMA):
+            assert g.kind_degree(i, kind) == sum(i in (a, b) for a, b, k in g.edges if k == kind)
+    assert [g.degree(i) for i in range(4)] == [1, 2, 1, 0]
+    assert not g.is_connected()
+    # one more edge reaches vertex 3
+    joined = RewriteGraph(g.vertices, g.edges | {(2, 3, ALPHA)})
+    assert joined.is_connected()
+
+
+def test_a_graph_with_its_table_built_equals_a_fresh_one():
+    for g in (_hand_built_graph(), build_graph(3)):
+        g.degree(0), g.kind_degree(1, SIGMA), g.is_connected()
+        fresh = RewriteGraph(tuple(list(g.vertices)), frozenset(set(g.edges)))
+        assert "_neighbors" in vars(g) and "_neighbors" not in vars(fresh)
+        assert g == fresh and hash(g) == hash(fresh)
+
+
+def test_an_id_outside_the_graph_or_an_unknown_kind_raises():
+    g = _hand_built_graph()
+    with pytest.raises(IndexError):
+        g.degree(4)
+    with pytest.raises(IndexError):
+        g.kind_degree(4, ALPHA)
+    with pytest.raises(KeyError):
+        g.kind_degree(0, "gamma")
 
 
 def test_graph_edges_are_one_faces():
