@@ -38,7 +38,6 @@ from .brackets import (
 from .classify import boundary_cycle, diagram_census
 from .geometry import (
     SingularSystemError,
-    f_vector,
     h_representation,
     normalization_map,
     realization_report,
@@ -73,7 +72,15 @@ def _plain_write_mode(path: str) -> int:
 
 
 def _write_atomic(path: str, write: Callable[[TextIO], None]) -> None:
-    directory = os.path.dirname(os.path.abspath(path)) or "."
+    mode = stat.S_IFREG  # a path that does not exist yet becomes a regular file
+    with suppress(FileNotFoundError):
+        mode = os.stat(path).st_mode
+    if not stat.S_ISREG(mode):  # a FIFO or a device: nothing can be renamed over it
+        with open(path, "w", encoding="utf-8") as handle:
+            write(handle)
+        return
+    target = os.path.realpath(path)  # a symlink keeps naming the file it named
+    directory = os.path.dirname(target)
     try:
         fd, tmp = tempfile.mkstemp(dir=directory, prefix=".pa-tmp-")
     except OSError as exc:  # name the user's path, not the temporary one
@@ -81,8 +88,8 @@ def _write_atomic(path: str, write: Callable[[TextIO], None]) -> None:
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
             write(handle)
-        os.chmod(tmp, _plain_write_mode(path))  # mkstemp made it 0600
-        os.replace(tmp, path)
+        os.chmod(tmp, _plain_write_mode(target))  # mkstemp made it 0600
+        os.replace(tmp, target)
     except BaseException:
         with suppress(OSError):
             os.unlink(tmp)
@@ -288,13 +295,14 @@ def render_off(n: int, max_n: int | None = None) -> str:
     chart = normalization_map(n)
     order = list(vertex_keys(all_bracketings(n, max_n=max_n), n))
     index = {v: i for i, v in enumerate(order)}
-    fv = f_vector(n, max_n=max_n)
-    lines = ["OFF", f"{fv[0]} {fv[2]} {fv[1]}"]
+    facets = range(len(enumerate_chains(n)))  # one facet per chain rank
+    polygons = [boundary_cycle((rank,), n, max_n=max_n) for rank in facets]
+    # the header counts what follows; each edge is a side of two polygons
+    lines = ["OFF", f"{len(order)} {len(polygons)} {sum(map(len, polygons)) // 2}"]
     for v in order:
         image = chart.apply(vertex_point(v, n))
         lines.append(" ".join(f"{float(x):.17g}" for x in image))
-    for rank in range(len(enumerate_chains(n))):
-        cycle = boundary_cycle((rank,), n, max_n=max_n)
+    for cycle in polygons:
         lines.append(" ".join([str(len(cycle))] + [str(index[v]) for v in cycle]))
     return "\n".join(lines) + "\n"
 

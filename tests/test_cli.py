@@ -289,6 +289,35 @@ def test_graph_dot_n2(tmp_path):
     assert sum(1 for e in edges if 'kind="sigma"' in e) == 6
 
 
+def test_an_output_through_a_symlink_replaces_the_file_it_names(tmp_path):
+    fresh = tmp_path / "fresh.dot"
+    assert run(["graph", "--n", "1", "--dot", str(fresh)]) == 0
+    real = tmp_path / "real.dot"
+    real.write_text("old bytes\n")
+    link = tmp_path / "link.dot"
+    link.symlink_to("real.dot")
+    assert run(["graph", "--n", "1", "--dot", str(link)]) == 0
+    assert link.is_symlink() and os.readlink(link) == "real.dot"
+    assert real.read_bytes() == fresh.read_bytes()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["fresh.dot", "link.dot", "real.dot"]
+
+
+def test_an_output_into_a_fifo_is_written_in_place(tmp_path):
+    fresh = tmp_path / "fresh.dot"
+    assert run(["graph", "--n", "2", "--dot", str(fresh)]) == 0
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    # a reader opened first lets the writer open without blocking; the text
+    # fits in the pipe's buffer, so the write needs no one reading meanwhile
+    reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+    try:
+        assert run(["graph", "--n", "2", "--dot", str(fifo)]) == 0
+        assert os.read(reader, 1 << 16) == fresh.read_bytes()
+    finally:
+        os.close(reader)
+    assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+
+
 def test_bracketing_record(capsys):
     assert run(["bracketing", "--n", "3", "--parse", "((2*3)*(0*1))"]) == 0
     record = json.loads(capsys.readouterr().out)
