@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import itertools
 import re
+from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -340,16 +341,20 @@ def _shape_template(spans: tuple[tuple[int, int], ...], n: int) -> str:
     return "*".join(pieces)
 
 
+def _shape_formats(n: int) -> dict[tuple[tuple[int, int], ...], Callable[..., str]]:
+    """The ``str.format`` of each tree shape's template over 0..n, keyed by
+    its spans: ``_shape_formats(n)[b.spans](*b.perm)`` is
+    ``print_bracketing(b)``.  A caller keeps it only for its own call, since
+    the shapes grow without bound in n."""
+    return {spans: _shape_template(spans, n).format for spans in _tree_shapes(n)}
+
+
 @lru_cache(maxsize=None)
 def _all_bracketings(n: int) -> tuple[Bracketing, ...]:
-    shapes = _tree_shapes(n)  # one tuple per shape, shared by every permutation
-    out = [
-        Bracketing(perm, spans) for perm in itertools.permutations(range(n + 1)) for spans in shapes
-    ]
-    # sorted by printed string, each printed by its shape's template; the
-    # templates live only for this call, since shapes grow without bound in n
-    formats = {spans: _shape_template(spans, n).format for spans in shapes}
-    out.sort(key=lambda b: formats[b.spans](*b.perm))
+    formats = _shape_formats(n)  # one spans tuple per shape, shared by every permutation
+    perms = itertools.permutations(range(n + 1))
+    out = [Bracketing(perm, spans) for perm in perms for spans in formats]
+    out.sort(key=lambda b: formats[b.spans](*b.perm))  # by printed string
     return tuple(out)
 
 

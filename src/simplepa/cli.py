@@ -29,6 +29,7 @@ from typing import TextIO
 from .brackets import (
     BracketSyntaxError,
     RewriteGraph,
+    _shape_formats,
     all_bracketings,
     build_graph,
     parse_bracketing,
@@ -51,14 +52,6 @@ EXIT_OK = 0
 EXIT_VERIFICATION = 1
 EXIT_USAGE = 2
 EXIT_INTERRUPTED = 130
-
-
-def _chain_record(chain: Chain) -> dict:
-    return {
-        "core": sorted(chain.core),
-        "ext": list(chain.ext),
-        "sets": [sorted(s) for s in chain.sets()],
-    }
 
 
 def _plain_write_mode(path: str) -> int:
@@ -141,9 +134,10 @@ def _emit(path: str | None, content: str | Iterable[str]) -> None:
 # at n = 5), so a face record is one join over its ranks' chain fragments;
 # no face record is encoded, built as a dict or sorted.  The vertex list
 # lays out each record's fields (bracketing, coordinates, permutation) as
-# it comes and keeps none, so no cache grows with the document.  Only the
-# document frame around the record list goes through ``json``'s indented
-# encoder, once.
+# it comes and keeps none, so no cache grows with the document.  The
+# document frame around a record list goes through ``json``'s indented
+# encoder, once; the ``pa bracketing`` record is laid out by hand whole,
+# so the ``pa check`` report is the only document that ``json`` lays out.
 
 def _list(items: Iterable[str], depth: int) -> Iterator[str]:
     """A JSON list ``depth`` levels deep, of items already laid out one level
@@ -159,20 +153,31 @@ def _list(items: Iterable[str], depth: int) -> Iterator[str]:
     yield "[]" if separator is opening else "\n" + "  " * depth + "]"
 
 
-def _ints(values: Iterable[int], depth: int) -> str:
+def _joined(items: Sequence[str], depth: int) -> str:
+    """:func:`_list` as one string, in one join: for a list held whole."""
+    if not items:
+        return "[]"
+    pad = "\n" + "  " * (depth + 1)
+    return f"[{pad}{(',' + pad).join(items)}\n{'  ' * depth}]"
+
+
+def _ints(values: Sequence[int], depth: int) -> str:
     """A list of ints ``depth`` levels deep, laid out as ``json`` would."""
-    return "".join(_list(map(str, values), depth))
+    return _joined(list(map(str, values)), depth)
 
 
 def _chain_text(chain: Chain, depth: int) -> str:
-    """``_chain_record(chain)`` laid out ``depth`` levels deep, by hand, as
-    ``json.dumps(..., indent=2, sort_keys=True)`` would lay it out."""
+    """A chain's record (core, ext and every set, largest first, each
+    sorted) laid out ``depth`` levels deep, by hand, as ``json.dumps(...,
+    indent=2, sort_keys=True)`` would lay out ``tests/oracles.py``'s
+    ``chain_record(chain)``."""
     pad = "\n" + "  " * (depth + 1)
-    sets = "".join(_list((_ints(sorted(s), depth + 2) for s in chain.sets()), depth + 1))
+    core, ext = sorted(chain.core), chain.ext
+    sets = [_ints(sorted([*core, *ext[j:]]), depth + 2) for j in range(len(ext) + 1)]
     return (
-        f'{{{pad}"core": {_ints(sorted(chain.core), depth + 1)},'
-        f'{pad}"ext": {_ints(chain.ext, depth + 1)},'
-        f'{pad}"sets": {sets}\n{"  " * depth}}}'
+        f'{{{pad}"core": {_ints(core, depth + 1)},'
+        f'{pad}"ext": {_ints(ext, depth + 1)},'
+        f'{pad}"sets": {_joined(sets, depth + 1)}\n{"  " * depth}}}'
     )
 
 
@@ -209,11 +214,11 @@ def _document(fields: dict, key: str, records: Iterable[str]) -> Iterator[str]:
 # ---------------------------------------------------------------------------
 # renderers
 
-def render_ine(n: int) -> str:
+def render_ine(n: int, max_n: int | None = None) -> str:
     """cdd-style .ine text: the ambient equality first (declared through the
     linearity row), then one facet row per chain in canonical order.  Each
     row is (-rhs, coefficients), meaning -rhs + a.x >= 0."""
-    ambient, facets = h_representation(n)
+    ambient, facets = h_representation(n, max_n)
     lines = [
         "H-representation",
         "linearity 1 1",
@@ -232,11 +237,12 @@ def render_vrep(n: int, max_n: int | None = None) -> Iterator[str]:
     solved before this returns; only the joins are left to the pieces."""
     rows = []
     bracketings = all_bracketings(n, max_n=max_n)
-    for b, v in zip(bracketings, vertex_keys(bracketings, n)):
-        coordinates = "".join(_list((json.dumps(str(x)) for x in vertex_point(v, n)), 3))
+    formats = _shape_formats(n)  # print_bracketing, one template per tree shape
+    for b, v in zip(bracketings, vertex_keys(bracketings, n, max_n)):
+        coordinates = _joined([json.dumps(str(x)) for x in vertex_point(v, n)], 3)
         rows.append((
             v,
-            f'      "bracketing": {json.dumps(print_bracketing(b))},\n',
+            f'      "bracketing": {json.dumps(formats[b.spans](*b.perm))},\n',
             f',\n      "coordinates": {coordinates},\n      "permutation": {_ints(b.perm, 3)}',
         ))
     return _document({"n": n, "count": len(rows)}, "vertices", _records(n, rows))
@@ -273,18 +279,24 @@ def render_faces(n: int, dim: int, classify: bool, max_n: int | None = None) -> 
     return _document(fields, "faces", _records(n, rows))
 
 
-def render_bracketing_record(text: str, n: int) -> dict:
+def render_bracketing_record(text: str, n: int) -> str:
+    """The ``pa bracketing`` JSON text: the bracketing as printed, the exact
+    point of its vertex, n, the permutation and the vertex's tight chains,
+    laid out by hand as ``json.dumps(..., indent=2, sort_keys=True)`` and a
+    newline would lay out ``tests/oracles.py``'s ``bracketing_payload``."""
     b = parse_bracketing(text, n)
     v = to_nested(b)
-    return {
-        "n": n,
-        "bracketing": print_bracketing(b),
-        "permutation": list(b.perm),
-        "coordinates": [str(x) for x in vertex_coordinates(v, n)],
-        # by sort key, not by rank: the rank table holds every chain, and at
-        # n = 7 building it takes about 1 s and lifts peak RSS 16 -> 86 MB
-        "tight": [_chain_record(c) for c in sorted(v, key=Chain.sort_key)],
-    }
+    coordinates = _joined([json.dumps(str(x)) for x in vertex_coordinates(v, n)], 1)
+    # by sort key, not by rank: the rank table holds every chain, and at
+    # n = 7 building it takes about 1 s and lifts peak RSS 16 -> 86 MB
+    tight = _joined([_chain_text(c, 2) for c in sorted(v, key=Chain.sort_key)], 1)
+    return (
+        f'{{\n  "bracketing": {json.dumps(print_bracketing(b))},'
+        f'\n  "coordinates": {coordinates},'
+        f'\n  "n": {n},'
+        f'\n  "permutation": {_ints(b.perm, 1)},'
+        f'\n  "tight": {tight}\n}}\n'
+    )
 
 
 def render_off(n: int, max_n: int | None = None) -> str:
@@ -293,7 +305,7 @@ def render_off(n: int, max_n: int | None = None) -> str:
     if n != 3:
         raise ValueError("OFF export is only defined for n = 3")
     chart = normalization_map(n)
-    order = list(vertex_keys(all_bracketings(n, max_n=max_n), n))
+    order = list(vertex_keys(all_bracketings(n, max_n=max_n), n, max_n))
     index = {v: i for i, v in enumerate(order)}
     facets = range(len(enumerate_chains(n)))  # one facet per chain rank
     polygons = [boundary_cycle((rank,), n, max_n=max_n) for rank in facets]
@@ -314,7 +326,7 @@ def _cmd_generate(args) -> int:
     if args.hrep is None and args.vrep is None:
         raise UsageError("generate needs --hrep and/or --vrep")
     if args.hrep is not None:
-        _emit(args.hrep, render_ine(args.n))
+        _emit(args.hrep, render_ine(args.n, args.max_n))
     if args.vrep is not None:
         _emit(args.vrep, render_vrep(args.n, args.max_n))
     return EXIT_OK
@@ -340,7 +352,7 @@ def _cmd_graph(args) -> int:
 
 
 def _cmd_bracketing(args) -> int:
-    _emit(args.out, _json(render_bracketing_record(args.parse, args.n)))
+    _emit(args.out, render_bracketing_record(args.parse, args.n))
     return EXIT_OK
 
 

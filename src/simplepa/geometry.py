@@ -76,6 +76,13 @@ def facet_rhs(k: int, l: int, n: int) -> Fraction:
     core has l+1 labels.  Equals 3^(l+k) + ... + 3^(l+1) plus the offset."""
     if not (1 <= k and 0 <= l and k + l <= n):
         raise ValueError(f"need 1 <= k and k+l <= n, got k={k}, l={l}, n={n}")
+    return _class_rhs(k, l, n)
+
+
+@lru_cache(maxsize=None)
+def _class_rhs(k: int, l: int, n: int) -> Fraction:
+    """:func:`facet_rhs` of a valid class (k, l), cached: at most the
+    n(n+1)/2 classes of each n, as :func:`_facet_classes` keeps them."""
     return Fraction(3 ** (k + l + 1) - 3 ** (l + 1), 2) + fractional_offset(k, n)
 
 
@@ -111,8 +118,10 @@ def ambient_plane(n: int) -> Hyperplane:
     return Hyperplane((1,) * (n + 1), Fraction(3 ** (n + 1)))
 
 
-def h_representation(n: int) -> tuple[Hyperplane, list[Hyperplane]]:
-    """The ambient equality plus one facet inequality per chain, canonical order."""
+def h_representation(n: int, max_n: int | None = None) -> tuple[Hyperplane, list[Hyperplane]]:
+    """The ambient equality plus one facet inequality per chain, canonical
+    order; n above the cap is refused before any chain is listed."""
+    check_cap(n, max_n)
     return ambient_plane(n), [facet_inequality(c, n) for c in enumerate_chains(n)]
 
 

@@ -174,13 +174,21 @@ def _rank_by_mask(n: int) -> dict[tuple[int, tuple[int, ...]], int]:
     }
 
 
-def vertex_keys(bracketings: Iterable, n: int) -> Iterator[tuple[int, ...]]:
+def vertex_keys(
+    bracketings: Iterable, n: int, max_n: int | None = None
+) -> Iterator[tuple[int, ...]]:
     """The key of each bracketing's vertex over 0..n, in the order given.
 
     The node over positions lo..hi of bracketing (perm, spans) is the chain
     (perm[hi:], perm[lo+1:hi]); its rank is looked up by core bitmask and
-    ext, so no :class:`Chain` is built.
+    ext, so no :class:`Chain` is built.  The rank map holds every chain of
+    n (118,974 at n = 7), so n above the cap is refused as the call is made.
     """
+    check_cap(n, max_n)
+    return _vertex_keys(bracketings, n)
+
+
+def _vertex_keys(bracketings: Iterable, n: int) -> Iterator[tuple[int, ...]]:
     rank = _rank_by_mask(n)
     suffix = [0] * (n + 2)
     for b in bracketings:
@@ -194,7 +202,7 @@ def vertex_keys(bracketings: Iterable, n: int) -> Iterator[tuple[int, ...]]:
 def _vertices(n: int) -> tuple[tuple[int, ...], ...]:
     from .brackets import all_bracketings
 
-    return tuple(sorted(vertex_keys(all_bracketings(n, max_n=n), n)))
+    return tuple(sorted(vertex_keys(all_bracketings(n, max_n=n), n, max_n=n)))
 
 
 def enumerate_vertices(n: int, max_n: int | None = None) -> list[tuple[int, ...]]:

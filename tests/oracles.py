@@ -28,7 +28,9 @@ different method, something the package computes on its production route:
 * ``faces_payload`` and ``vrep_payload`` build the ``pa faces`` and ``pa
   generate --vrep`` documents as dicts for ``json`` to encode, in the
   order of ``Chain.sort_key`` and ``nested_key``, where the command joins
-  its text around chain records encoded once each, in chain-rank order.
+  its text around chain records encoded once each, in chain-rank order;
+  ``bracketing_payload`` builds the ``pa bracketing`` record as a dict,
+  where the command lays out its text by hand.
 
 pytest does not collect this module (its name does not start with ``test_``);
 the tests import it as they import ``conftest``.
@@ -59,6 +61,7 @@ from simplepa import (
     is_full_chain,
     is_nested,
     normalization_map,
+    parse_bracketing,
     print_bracketing,
     to_nested,
     vertex_coordinates,
@@ -351,3 +354,17 @@ def vrep_payload(n: int) -> dict:
             "chains": [chain_record(c) for c in sorted(v, key=Chain.sort_key)],
         })
     return {"n": n, "count": len(records), "vertices": records}
+
+
+def bracketing_payload(text: str, n: int) -> dict:
+    """``pa bracketing --n N --parse TEXT``: ``json.dumps(payload,
+    indent=2, sort_keys=True)`` and a newline is its output."""
+    b = parse_bracketing(text, n)
+    v = to_nested(b)
+    return {
+        "n": n,
+        "bracketing": print_bracketing(b),
+        "permutation": list(b.perm),
+        "coordinates": [str(x) for x in vertex_coordinates(v, n)],
+        "tight": [chain_record(c) for c in sorted(v, key=Chain.sort_key)],
+    }

@@ -552,7 +552,7 @@ def test_an_interrupt_exits_130_in_one_line_and_leaves_the_target(tmp_path, monk
 CTRL_C_SCRIPT = """\
 import os, signal
 from simplepa import cli
-cli.render_ine = lambda n: os.killpg(os.getpgrp(), signal.SIGINT)
+cli.render_ine = lambda *args: os.killpg(os.getpgrp(), signal.SIGINT)
 cli.script()
 """
 

@@ -1,4 +1,5 @@
 import itertools
+import json
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
@@ -47,7 +48,7 @@ from simplepa import (
     vertex_coordinates,
     verify_vertex,
 )
-from simplepa import geometry
+from simplepa import geometry, nestedsets
 from simplepa.brackets import from_nested, print_bracketing, to_nested
 from simplepa.cli import render_bracketing_record
 from simplepa.geometry import VertexReport, _facet_table
@@ -75,12 +76,24 @@ def test_facet_rhs_decomposition_spot():
 
 
 def test_facet_rhs_rejects_bad_parameters():
-    with pytest.raises(ValueError):
-        facet_rhs(0, 0, 2)
-    with pytest.raises(ValueError):
-        facet_rhs(2, 1, 2)
+    for _ in range(2):  # the bounds are cached per class; a refusal is not
+        with pytest.raises(ValueError):
+            facet_rhs(0, 0, 2)
+        with pytest.raises(ValueError):
+            facet_rhs(2, 1, 2)
     with pytest.raises(ValueError):
         fractional_offset(3, 2)
+
+
+def test_facet_rhs_caches_one_bound_per_class():
+    geometry._class_rhs.cache_clear()
+    n = 4
+    for c in enumerate_chains(n) + enumerate_chains(n):
+        facet_inequality(c, n)
+    for k, l in [(0, 0), (2, 3), (1, -1)]:
+        with pytest.raises(ValueError):
+            facet_rhs(k, l, n)
+    assert geometry._class_rhs.cache_info().currsize == n * (n + 1) // 2
 
 
 def test_facet_inequality_examples():
@@ -114,6 +127,20 @@ def test_h_representation():
     assert all(h.rhs == 3 for h in facets)
     assert len(h_representation(2)[1]) == 12
     assert len(h_representation(3)[1]) == 62
+
+
+def test_h_representation_refuses_n_above_the_cap_before_listing_chains(monkeypatch):
+    def refuse(n):
+        raise AssertionError(f"the chains of n = {n} were enumerated")
+
+    monkeypatch.delenv("PA_MAX_N", raising=False)
+    with monkeypatch.context() as patched:
+        patched.setattr(nestedsets, "_enumerate_chains", refuse)
+        with pytest.raises(ResourceCapError, match="n=7 exceeds the enumeration cap 6"):
+            h_representation(7)
+    ambient, facets = h_representation(6, max_n=6)
+    assert ambient == ambient_plane(6)
+    assert len(facets) == len(enumerate_chains(6)) == 14_840
 
 
 def test_solve_exact():
@@ -163,7 +190,7 @@ def test_vertex_coordinates_validation():
 
 def test_lookup_at_n7_solves_from_its_own_facets():
     _facet_table.cache_clear()
-    record = render_bracketing_record("((3*(7*0))*(((5*2)*6)*(1*4)))", 7)
+    record = json.loads(render_bracketing_record("((3*(7*0))*(((5*2)*6)*(1*4)))", 7))
     assert _facet_table.cache_info().currsize == 0  # no 118,974-row table was built
     point = [Fraction(x) for x in record["coordinates"]]
     assert sum(point) == 3**8

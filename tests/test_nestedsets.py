@@ -18,6 +18,7 @@ from simplepa import (
     is_full_chain,
     is_nested,
     nestedsets,
+    parse_bracketing,
     superficial_count,
     to_nested,
     vertex_keys,
@@ -179,7 +180,7 @@ def test_vertex_keys_name_the_to_nested_chains_of_a_sample_n5():
 @settings(max_examples=150, deadline=None)
 @given(bracketings(max_n=6))
 def test_vertex_keys_name_the_to_nested_chains(b):
-    (key,) = vertex_keys([b], b.n)
+    (key,) = vertex_keys([b], b.n, max_n=b.n)
     assert type(key) is tuple and len(key) == b.n
     assert all(x < y for x, y in zip(key, key[1:]))
     assert face_of(key, b.n) == to_nested(b)
@@ -345,6 +346,21 @@ def test_resource_cap():
     with pytest.raises(ResourceCapError):
         enumerate_vertices(3, max_n=2)
     assert len(enumerate_vertices(3, max_n=3)) == 120
+
+
+def test_vertex_keys_refuses_n_above_the_cap_before_ranking_chains(monkeypatch):
+    def refuse(n):
+        raise AssertionError(f"the chains of n = {n} were ranked")
+
+    monkeypatch.delenv("PA_MAX_N", raising=False)
+    b7 = parse_bracketing("((((0*1)*(2*3))*(4*5))*(6*7))", 7)
+    with monkeypatch.context() as patched:
+        patched.setattr(nestedsets, "_rank_by_mask", refuse)
+        with pytest.raises(ResourceCapError, match="n=7 exceeds the enumeration cap 6"):
+            vertex_keys([b7], 7)  # refused as the call is made
+    b6 = parse_bracketing("(((0*1)*(2*3))*((4*5)*6))", 6)
+    (key,) = vertex_keys([b6], 6, max_n=6)
+    assert face_of(key, 6) == to_nested(b6)
 
 
 def test_resource_cap_env_override(monkeypatch):

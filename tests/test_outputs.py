@@ -9,12 +9,14 @@ checked on every run instead of by hand.
 
 import hashlib
 import json
+import random
 
 import pytest
 
-from oracles import faces_payload, span_class, vrep_payload
+from oracles import bracketing_payload, faces_payload, span_class, vrep_payload
 from simplepa import classify, cli
-from simplepa.cli import main, render_faces, render_vrep
+from simplepa.brackets import all_bracketings, print_bracketing
+from simplepa.cli import main, render_bracketing_record, render_faces, render_vrep
 from simplepa.nestedsets import faces
 
 _FILE_FLAGS = ("--hrep", "--vrep", "--dot", "--off")
@@ -99,24 +101,39 @@ def test_classified_faces_classify_each_face_once(monkeypatch):
     assert len(faces(4, 2)) == 2020
 
 
-def test_only_the_document_frame_runs_the_indented_encoder(monkeypatch):
-    # json.dumps with indent lays text out in pure Python; the records are
-    # laid out by hand, so one such call per document, for its frame
-    indented = []
+@pytest.fixture
+def indented(monkeypatch):
+    """The payloads that ``json.dumps`` is asked to lay out with ``indent``:
+    that encoder lays text out in pure Python."""
+    calls = []
     dumps = json.dumps
 
     def counting(*args, **kwargs):
         if kwargs.get("indent") is not None:
-            indented.append(args[0])
+            calls.append(args[0])
         return dumps(*args, **kwargs)
 
     monkeypatch.setattr(cli.json, "dumps", counting)
+    return calls
+
+
+def test_only_the_document_frame_runs_the_indented_encoder(indented):
+    # the records are laid out by hand, so one such call per document, for
+    # its frame
     for text, records in [(render_vrep(3), 120), (render_faces(3, 2, True), 62)]:
         indented.clear()
         document = "".join(text)
         assert len(indented) == 1
         assert document.count('"chains": ') == records
     assert indented[0]["count"] == 62
+
+
+def test_a_lookup_runs_no_indented_encoder(indented, capsys):
+    # the pa bracketing record is laid out by hand whole
+    text = "((3*(7*0))*(((5*2)*6)*(1*4)))"
+    assert main(["bracketing", "--n", "7", "--max-n", "7", "--parse", text]) == 0
+    assert indented == []
+    assert json.loads(capsys.readouterr().out)["bracketing"] == text
 
 
 def _json(payload: dict) -> str:
@@ -141,3 +158,25 @@ def test_streamed_faces_are_the_json_of_the_payload(n, dim, labelled):
 @pytest.mark.parametrize("n", range(1, 5))
 def test_streamed_vertices_are_the_json_of_the_payload(n):
     assert "".join(render_vrep(n)) == _json(vrep_payload(n))
+
+
+def _random_bracketing(rng: random.Random, n: int) -> str:
+    """A uniform permutation of 0..n on a random split tree, printed."""
+    labels = rng.sample(range(n + 1), n + 1)
+
+    def build(lo: int, hi: int) -> str:
+        if lo == hi:
+            return str(labels[lo])
+        mid = rng.randrange(lo, hi)
+        return f"({build(lo, mid)}*{build(mid + 1, hi)})"
+
+    return build(0, n)
+
+
+def test_the_lookup_record_is_the_json_of_the_payload():
+    # every bracketing up to n = 3, then a seeded sample at n = 7
+    lookups = [(print_bracketing(b), n) for n in range(1, 4) for b in all_bracketings(n)]
+    rng = random.Random(7)
+    lookups += [(_random_bracketing(rng, 7), 7) for _ in range(300)]
+    for text, n in lookups:
+        assert render_bracketing_record(text, n) == _json(bracketing_payload(text, n))
