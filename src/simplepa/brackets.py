@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 from .limits import check_cap, check_n
-from .nestedsets import Chain, NestedSet, is_full_chain, suffix_interval
+from .nestedsets import Chain, NestedSet, is_full_chain
 
 ALPHA = "alpha"
 SIGMA = "sigma"
@@ -232,13 +232,18 @@ def from_nested(v: NestedSet) -> Bracketing:
         raise ValueError(f"labels of {anchor} do not cover 0..{n} minus one")
     perm = (missing.pop(), *tail)
 
+    suffix = [0] * (n + 2)  # suffix[j]: the labels perm[j:] as a bitmask
+    for j in range(n, -1, -1):
+        suffix[j] = suffix[j + 1] | 1 << perm[j]
     spans = set()
     for c in chains:
-        interval = suffix_interval(c, perm)
-        if interval is None:
+        # the chain's sets are the suffixes perm[lo+1:], ..., perm[hi:] when
+        # its top is perm[lo+1:] and its ext, outermost first, leads that suffix
+        lo = n - c.mask.bit_count()
+        hi = lo + 1 + len(c.ext)
+        if lo < 0 or c.mask != suffix[lo + 1] or c.ext != perm[lo + 1:hi]:
             raise ValueError(f"{c} is not derived from the complete chain of the set")
-        lo, hi = interval
-        spans.add((lo - 1, hi))
+        spans.add((lo, hi))
     return Bracketing(perm, _tree_spans(spans, n))
 
 

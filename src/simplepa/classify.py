@@ -31,7 +31,6 @@ from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .limits import check_cap
 from .nestedsets import (
     Chain,
     comparable,
@@ -97,9 +96,8 @@ def boundary_cycle(key: Sequence[int], n: int, max_n: int | None = None) -> list
     lesser neighbor; consecutive entries share n-1 chains.  The vertices keep
     the canonical order of :func:`enumerate_vertices`, so the walk sorts none.
     """
-    check_cap(n, max_n)  # before the chain list, which is 1,071,276 chains at n = 8
+    chains = enumerate_chains(n, max_n)  # refuses n above the cap before listing
     key = tuple(key)
-    chains = enumerate_chains(n)
     top = len(chains) - 1
     if not all(0 <= r <= top for r in key) or any(a >= b for a, b in zip(key, key[1:])):
         raise ValueError(f"face key {key} is not strictly increasing ranks in 0..{top}")
@@ -168,7 +166,7 @@ def diagram_census(n: int, max_n: int | None = None) -> DiagramCensus:
     against 62, 2,020 and 64,680 faces.
     """
     keys = faces(n, 2, max_n=max_n)
-    chains = enumerate_chains(n)
+    chains = enumerate_chains(n, max_n)
     bits = [_span_bit(c) for c in chains]
     types: dict[int, DiagramType] = {}
     labelled = []

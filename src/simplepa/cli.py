@@ -46,7 +46,7 @@ from .geometry import (
     vertex_point,
 )
 from .limits import CHECK_MAX_N, CHECK_WHY, DEFAULT_MAX_N, ResourceCapError, check_cap
-from .nestedsets import Chain, enumerate_chains, faces, vertex_keys
+from .nestedsets import Chain, _enumerate_chains, faces, vertex_keys
 
 EXIT_OK = 0
 EXIT_VERIFICATION = 1
@@ -188,7 +188,7 @@ def _records(n: int, rows: Iterable[tuple[Sequence[int], str, str]]) -> Iterator
     sort before ``"chains"``, each with its comma and newline, and the
     lines of those that sort after it, each after a comma and newline.  Every
     chain record is laid out here, before the first row is joined."""
-    chains = [_chain_text(c, 4) for c in enumerate_chains(n)]
+    chains = [_chain_text(c, 4) for c in _enumerate_chains(n)]
     separator = ",\n" + "  " * 4
     for ranks, before, after in rows:
         if ranks:
@@ -307,7 +307,7 @@ def render_off(n: int, max_n: int | None = None) -> str:
     chart = normalization_map(n)
     order = list(vertex_keys(all_bracketings(n, max_n=max_n), n, max_n))
     index = {v: i for i, v in enumerate(order)}
-    facets = range(len(enumerate_chains(n)))  # one facet per chain rank
+    facets = range(len(_enumerate_chains(n)))  # one facet per chain rank
     polygons = [boundary_cycle((rank,), n, max_n=max_n) for rank in facets]
     # the header counts what follows; each edge is a side of two polygons
     lines = ["OFF", f"{len(order)} {len(polygons)} {sum(map(len, polygons)) // 2}"]
@@ -377,6 +377,14 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         raise UsageError(message)
+
+    def parse_args(self, args=None, namespace=None):
+        parsed = super().parse_args(args, namespace)
+        # argparse drops a "--" value, as in --parse=--, and sets an empty list
+        for name, value in vars(parsed).items():
+            if value == []:
+                self.error(f"argument --{name.replace('_', '-')}: expected one argument")
+        return parsed
 
 
 @lru_cache(maxsize=1)

@@ -10,13 +10,33 @@ coefficient k on every core label, and right-hand side
 The second summand is a sub-unit fractional offset; it is exactly what makes
 a vertex meet its own n facets and clear every other facet strictly, so the
 whole module works in exact arithmetic and never touches floating point.
-The check runs in integers: each vertex is solved from the facets' integer
-rows by fraction-free elimination as X/d over one common denominator d, and
-kept as (X, d) to rank the facet hulls.  Fractions appear only at input and
-output: facet right-hand sides, the coordinates a caller reads, the
-normalization chart.  The check takes each vertex as its key, the ranks
-of its chains in ``enumerate_chains(n)``, reads the facet rows by rank,
-and reports the tight facets as a set of ranks.
+The check runs in integers: each vertex is solved as X/d over one common
+denominator d, and kept as (X, d) to rank the facet hulls.  Fractions
+appear only at input and output: facet right-hand sides, the coordinates a
+caller reads, the normalization chart.  The check takes each vertex as its
+key, the ranks of its chains in ``enumerate_chains(n)``, reads the facet
+rows by rank, and reports the tight facets as a set of ranks.
+
+Lemma (the vertex system is triangular).  Let the vertex be the bracketing
+(perm, spans), and write Y_m = x_perm[m] + ... + x_perm[n], so Y_0 =
+3^(n+1) on the ambient plane.  The chain of the node over positions lo..hi
+has core perm[hi:] and ext perm[lo+1:hi], so its row gives coefficient
+m - lo to x_perm[m] for lo < m < hi and hi - lo to the core: it is Y_(lo+1)
++ ... + Y_hi, the "subset-sum form" of :func:`normalization_map`.  A node
+splitting at mid has children over lo..mid and mid+1..hi, whose rows sum
+all of its Y but Y_(mid+1), and the n nodes own the n indices mid+1 in
+1..n once each.  Listed children first, each row holds its own node's Y
+and those of the nodes below it, so the system is triangular in Y with
+unit diagonal, and x_perm[j] = Y_j - Y_(j+1) is unimodular.  Hence the
+system is nonsingular, and Y_(mid+1) is the node's bound less its two
+children's (a leaf's is 0): one exact subtraction per node, where
+elimination takes O(n^3) steps.  This is the recursion over binary trees
+behind Loday's coordinates ("Realization of the Stasheff polytope",
+2004).  The solve gives the same lowest-terms (X, d) as :func:`solve_exact`,
+which stays as the test oracle and as :func:`vertex_coordinates`'s
+independent route.  It trusts each row to be its chain's own; the class
+check below derives the tight set afresh from the point, so a wrong solve
+fails the check.
 
 The facets fall into n(n+1)/2 classes (k, l), 1 <= k and k+l <= n.  All
 facets of a class share one right-hand side, and their rows are the
@@ -45,7 +65,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import accumulate, combinations
-from math import gcd, prod
+from math import gcd, lcm, prod
 from operator import mul, or_
 
 from .brackets import (
@@ -55,6 +75,7 @@ from .limits import CHECK_MAX_N, CHECK_WHY, check_cap, check_n
 from .nestedsets import (
     Chain,
     NestedSet,
+    _enumerate_chains,
     _rank_by_mask,
     enumerate_chains,
     enumerate_vertices,
@@ -121,8 +142,7 @@ def ambient_plane(n: int) -> Hyperplane:
 def h_representation(n: int, max_n: int | None = None) -> tuple[Hyperplane, list[Hyperplane]]:
     """The ambient equality plus one facet inequality per chain, canonical
     order; n above the cap is refused before any chain is listed."""
-    check_cap(n, max_n)
-    return ambient_plane(n), [facet_inequality(c, n) for c in enumerate_chains(n)]
+    return ambient_plane(n), [facet_inequality(c, n) for c in enumerate_chains(n, max_n)]
 
 
 # ---------------------------------------------------------------------------
@@ -176,7 +196,7 @@ Key = tuple[int, ...]  # a vertex: the ranks of its chains in enumerate_chains(n
 @lru_cache(maxsize=None)
 def _facet_table(n: int) -> dict[int, Hyperplane]:
     """Each chain's facet halfspace, keyed by the chain's rank."""
-    return {r: facet_inequality(c, n) for r, c in enumerate(enumerate_chains(n))}
+    return {r: facet_inequality(c, n) for r, c in enumerate(_enumerate_chains(n))}
 
 
 def _solve_vertex(v: Iterable, n: int, table: Mapping) -> ScaledPoint:
@@ -184,6 +204,44 @@ def _solve_vertex(v: Iterable, n: int, table: Mapping) -> ScaledPoint:
     plane: ``v`` holds ranks into the facet table, or chains into their own."""
     coeffs, rhs = zip(*(table[c].row for c in v), ((1,) * (n + 1), 3 ** (n + 1)))
     return solve_exact(coeffs, rhs)
+
+
+def _back_substitute(facets: Iterable[tuple[Chain, Hyperplane]], n: int) -> ScaledPoint:
+    """The point where the facets of one vertex meet the ambient plane, as
+    :func:`solve_exact` gives it, by back-substitution over the vertex's
+    bracketing tree (the module docstring's lemma).
+
+    ``facets`` pairs each of the vertex's n chains with its halfspace,
+    whose coefficients must be the chain's own: only the bounds are read.
+    A chain with top T and core C is the node over positions lo = n - |T|
+    to hi = n + 1 - |C|, and the root's chain, over 0..n, gives the
+    permutation: the one label it leaves out, its ext, then its core.
+    """
+    nodes = []
+    for c, h in facets:
+        core = len(c.core)
+        lo = n - core - len(c.ext)
+        nodes.append((lo, core, h.rhs))
+        if lo == 0 and core == 1:
+            root = c
+    nodes.sort()  # (lo, |C|) sorts as (lo, -hi): preorder, as in Bracketing.spans
+    d = lcm(*[rhs.denominator for _, _, rhs in nodes])
+    bound = {(lo, n + 1 - core): rhs.numerator * (d // rhs.denominator) for lo, core, rhs in nodes}
+    spans = list(bound)
+    suffix = [0] * (n + 2)  # d·Y_0, ..., d·Y_(n+1), with Y_(n+1) = 0
+    suffix[0] = 3 ** (n + 1) * d
+    # a left child that is a node follows its parent in preorder; a child
+    # that is a leaf has no bound and counts 0
+    for (lo, hi), (after, split) in zip(spans, [*spans[1:], (-1, -1)]):
+        mid = split if after == lo else lo
+        suffix[mid + 1] = bound[lo, hi] - bound.get((lo, mid), 0) - bound.get((mid + 1, hi), 0)
+    (last,) = root.core
+    perm = ((((1 << (n + 1)) - 1) ^ root.mask).bit_length() - 1, *root.ext, last)
+    scaled = [0] * (n + 1)
+    for j, label in enumerate(perm):
+        scaled[label] = suffix[j] - suffix[j + 1]
+    g = gcd(d, *scaled)
+    return tuple(x // g for x in scaled), d // g
 
 
 @lru_cache(maxsize=None)
@@ -260,12 +318,15 @@ def vertex_coordinates(v: NestedSet, n: int) -> Point:
 
 def vertex_point(v: Key, n: int) -> Point:
     """The point of the vertex with key ``v``, as :func:`enumerate_vertices`
-    and :func:`~simplepa.nestedsets.vertex_keys` give it, solved from the
-    rows of the cached facet table; ``v`` is taken as a vertex unchecked.
-    The vertex lists of ``pa generate --vrep`` and ``pa export --off`` take
-    this route, while :func:`vertex_coordinates` checks a chain set and
-    solves it from its own rows, with no table."""
-    scaled, d = _solve_vertex(v, n, _facet_table(n))
+    and :func:`~simplepa.nestedsets.vertex_keys` give it, solved by
+    back-substitution over its bracketing tree (the module docstring's
+    lemma) with the bounds of the cached facet table; ``v`` is taken as a
+    vertex unchecked.  The vertex lists of ``pa generate --vrep`` and ``pa
+    export --off`` take this route, while :func:`vertex_coordinates` checks
+    a chain set and solves it from its own rows by elimination, with no
+    table."""
+    table, chains = _facet_table(n), _enumerate_chains(n)
+    scaled, d = _back_substitute([(chains[r], table[r]) for r in v], n)
     return tuple(Fraction(x, d) for x in scaled)
 
 
@@ -285,6 +346,12 @@ def verify_vertex(v: Key, n: int, altered: Mapping[int, Hyperplane] | None = Non
     it) from its defining system, then report which facets it meets with
     equality and whether all remaining ones hold strictly.
 
+    The system is solved by back-substitution over the vertex's bracketing
+    tree (the module docstring's lemma), with the bounds of the table
+    below, so a lowered bound flows into the point.  A row of ``altered``
+    whose coefficients differ from its chain's own is no longer triangular
+    in the tree, and such a vertex is solved by :func:`solve_exact`.
+
     On a correct realization, ``tight`` holds the ranks in ``v``, every
     other facet is strict, and the vertex lies on exactly n facet
     hyperplanes.
@@ -303,8 +370,13 @@ def verify_vertex(v: Key, n: int, altered: Mapping[int, Hyperplane] | None = Non
     """
     if altered is None:
         check_cap(n)
-    table = ChainMap(altered, _facet_table(n)) if altered else _facet_table(n)
-    point = _solve_vertex(v, n, table)
+    canonical = _facet_table(n)
+    table = ChainMap(altered, canonical) if altered else canonical
+    if altered and any(altered[r].coeffs != canonical[r].coeffs for r in altered.keys() & v):
+        point = _solve_vertex(v, n, table)
+    else:
+        chains = _enumerate_chains(n)
+        point = _back_substitute([(chains[r], table[r]) for r in v], n)
     verdict = _class_scan(v, point, n)
     if verdict is None:
         verdict = _facet_scan(v, point, table)
@@ -388,7 +460,7 @@ def polytope_graph(n: int, max_n: int | None = None):
     Must coincide with the rewrite graph under the bracketing bijection."""
     vertices = all_bracketings(n, max_n=max_n)
     position = {b: i for i, b in enumerate(vertices)}
-    chains = enumerate_chains(n)
+    chains = _enumerate_chains(n)
     # each maximal nested set sits at its from_nested bracketing, so the check
     # still tests the bijection: were from_nested not injective, some index
     # would have no edges here, while the rewrite graph gives it n
@@ -473,7 +545,7 @@ def realization_report(n: int, perturb: bool = False, max_n: int | None = None) 
             failures.append("... more failures suppressed")
 
     verts = enumerate_vertices(n, max_n=max_n)
-    chains = enumerate_chains(n)
+    chains = _enumerate_chains(n)
     points: set[ScaledPoint] = set()
     tight_points: dict[int, list[ScaledPoint]] = {r: [] for r in table}
     for v in verts:

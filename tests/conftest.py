@@ -45,10 +45,10 @@ CHAINS_N2 = [
 
 
 @st.composite
-def bracketings(draw, max_n: int = 7) -> Bracketing:
-    """A random bracketing over 0..n, 1 <= n <= max_n: a random permutation
-    and a random full binary tree, split by split in preorder."""
-    n = draw(st.integers(1, max_n))
+def bracketings(draw, max_n: int = 7, min_n: int = 1) -> Bracketing:
+    """A random bracketing over 0..n, min_n <= n <= max_n: a random
+    permutation and a random full binary tree, split by split in preorder."""
+    n = draw(st.integers(min_n, max_n))
     perm = tuple(draw(st.permutations(range(n + 1))))
     spans = []
 

@@ -130,15 +130,25 @@ def test_from_nested_inverts_to_nested_sampled_n4():
 
 
 def test_from_nested_rejects_bad_input():
-    with pytest.raises(ValueError):
-        from_nested(frozenset())
-    with pytest.raises(ValueError):  # two chains, neither complete
-        from_nested(frozenset([chain_of({0}), chain_of({1})]))
-    with pytest.raises(ValueError):  # two complete chains
-        from_nested(frozenset([chain_of({1, 2}, {2}), chain_of({0, 2}, {2})]))
-    with pytest.raises(ValueError):  # not nested: {2} is no suffix of the permutation
-        m = chain_of({1, 0, 3}, {1, 0}, {1})
-        from_nested(frozenset([m, chain_of({2}), chain_of({1})]))
+    m = chain_of({1, 0, 3}, {1, 0}, {1})  # the complete chain of (2*(3*(0*1)))
+    cases = [
+        (frozenset(), "an empty set has no bracketing"),
+        # two chains, neither complete; then two complete chains
+        ([chain_of({0}), chain_of({1})], "exactly one complete chain"),
+        ([chain_of({1, 2}, {2}), chain_of({0, 2}, {2})], "exactly one complete chain"),
+        ([Chain({1}, (0, 4)), chain_of({0}), chain_of({1})], r"do not cover 0\.\.3 minus one"),
+        # not nested: {2} is no suffix of the permutation
+        ([m, chain_of({2}), chain_of({1})], r"Chain\(\{2\}, \[\]\) is not derived"),
+        ([m, chain_of({1, 3}), chain_of({1})], r"Chain\(\{1,3\}, \[\]\) is not derived"),
+        ([m, Chain({0}, (1,)), chain_of({1})], r"Chain\(\{0\}, \[1\]\) is not derived"),
+        ([m, Chain({0, 1, 2, 3}), chain_of({1})], r"Chain\(\{0,1,2,3\}, \[\]\) is not derived"),
+        ([m, Chain({1, 4}), chain_of({1})], r"Chain\(\{1,4\}, \[\]\) is not derived"),
+        ([m, chain_of({1}), chain_of({1})], "expected 3 distinct bracket pairs"),
+        ([m, chain_of({0, 1}), chain_of({1, 0, 3})], "crosses another"),
+    ]
+    for chains, message in cases:
+        with pytest.raises(ValueError, match=message):
+            from_nested(chains)
 
 
 def test_from_nested_accepts_exactly_the_vertices():

@@ -382,6 +382,10 @@ def test_fuzzed_parse_exits_0_or_2_with_one_error_line(case):
         [],
         ["check", "--n", "two"],
         ["faces", "--n", "3"],
+        # argparse drops a "--" value and hands the option an empty list
+        ["bracketing", "--n", "1", "--parse=--"],
+        ["graph", "--n", "2", "--dot=--"],
+        ["check", "--n=--"],
     ],
 )
 def test_usage_errors_take_one_stderr_line(argv, capsys):
@@ -523,8 +527,8 @@ def test_check_refuses_n6_by_default_before_enumerating(tmp_path, monkeypatch, c
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == (
-        "pa: n=6 exceeds the enumeration cap 5 of the full check, which measured 197 s and "
-        "1,183 MB at n = 6; pass --max-n (max_n from Python) or set PA_MAX_N to override\n"
+        "pa: n=6 exceeds the enumeration cap 5 of the full check, which measured 155 s and "
+        "1,171 MB at n = 6; pass --max-n (max_n from Python) or set PA_MAX_N to override\n"
     )
     assert list(tmp_path.iterdir()) == []
 

@@ -46,6 +46,7 @@ from simplepa import (
     realization_report,
     solve_exact,
     vertex_coordinates,
+    vertex_point,
     verify_vertex,
 )
 from simplepa import geometry, nestedsets
@@ -173,6 +174,73 @@ def test_solve_exact_agrees_with_gauss_jordan(system):
     scaled, d = solve_exact(matrix, rhs)
     assert d > 0
     assert tuple(Fraction(x, d) for x in scaled) == expected
+
+
+def test_back_substitution_equals_solve_exact_on_every_vertex():
+    for n in range(1, 6):
+        table = _facet_table(n)
+        chains = enumerate_chains(n)
+        for v in enumerate_vertices(n):
+            point = geometry._back_substitute([(chains[r], table[r]) for r in v], n)
+            assert point == geometry._solve_vertex(v, n, table)
+
+
+@settings(max_examples=60, deadline=None)
+@given(bracketings(max_n=8, min_n=6))
+def test_back_substitution_equals_solve_exact_at_n6_to_8(b):
+    # each chain's own row, in the set's order: no rank table is involved
+    n = b.n
+    rows = {c: facet_inequality(c, n) for c in to_nested(b)}
+    assert geometry._back_substitute(rows.items(), n) == geometry._solve_vertex(rows, n, rows)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_the_check_solves_no_vertex_by_elimination(n, monkeypatch):
+    def refuse(matrix, rhs):
+        raise AssertionError("a vertex was solved by elimination")
+
+    monkeypatch.setattr(geometry, "solve_exact", refuse)
+    assert realization_report(n)["ok"]
+    if n >= 2:  # the lowered bound keeps its row's coefficients
+        assert not realization_report(n, perturb=True)["ok"]
+    for v in enumerate_vertices(n):
+        assert sum(vertex_point(v, n)) == 3 ** (n + 1)
+
+
+def test_an_altered_row_with_other_coefficients_is_solved_by_elimination(monkeypatch):
+    n = 3
+    chains = enumerate_chains(n)
+    target = len(chains) - 1
+    h = _facet_table(n)[target]
+    solved = []
+    solve = geometry.solve_exact
+
+    def spy(matrix, rhs):
+        solved.append(rhs)
+        return solve(matrix, rhs)
+
+    monkeypatch.setattr(geometry, "solve_exact", spy)
+    on_target = [v for v in enumerate_vertices(n) if target in v]
+    # the same halfspace scaled by 2: read as its bound alone, the row would
+    # move the point, so these vertices must be solved by elimination
+    doubled = {target: Hyperplane(tuple(2 * a for a in h.coeffs), 2 * h.rhs)}
+    for v in enumerate_vertices(n):
+        assert verify_vertex(v, n, doubled) == verify_vertex(v, n)
+    assert len(solved) == len(on_target) == 5
+    # the row of another chain put in the target's place: the oracle's report
+    moved = Hyperplane(h.coeffs[::-1], h.rhs)
+    table = {c: facet_inequality(c, n) for c in chains}
+    table[chains[target]] = moved
+    failing = 0
+    for v in enumerate_vertices(n):
+        report = verify_vertex(v, n, {target: moved})
+        point, tight_set, strict_ok = verify_chains(face_of(v, n), n, table)
+        scaled, d = report.scaled
+        assert tuple(Fraction(x, d) for x in scaled) == point
+        assert {chains[r] for r in report.tight} == tight_set
+        assert report.strict_ok == strict_ok
+        failing += tight_set != face_of(v, n) or not strict_ok
+    assert len(solved) == 2 * len(on_target) and failing > 0
 
 
 def test_vertex_coordinates_examples():
@@ -810,7 +878,7 @@ def test_realization_report_caps_at_5_unless_asked(n, max_n, env, monkeypatch):
 def test_realization_report_refuses_n6_by_default(monkeypatch):
     monkeypatch.delenv("PA_MAX_N", raising=False)
     monkeypatch.setattr(geometry, "_facet_table", None)  # a call would fail with TypeError
-    with pytest.raises(ResourceCapError, match="cap 5 of the full check.*1,183 MB"):
+    with pytest.raises(ResourceCapError, match="cap 5 of the full check.*1,171 MB"):
         realization_report(6)
     monkeypatch.setenv("PA_MAX_N", "5")
     with pytest.raises(ResourceCapError, match="enumeration cap 5;"):

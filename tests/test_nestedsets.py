@@ -363,6 +363,24 @@ def test_vertex_keys_refuses_n_above_the_cap_before_ranking_chains(monkeypatch):
     assert face_of(key, 6) == to_nested(b6)
 
 
+def test_enumerate_chains_refuses_n_above_the_cap_before_listing(monkeypatch):
+    listed = []
+
+    def record(n):
+        listed.append(n)
+        return (Chain({0}),)
+
+    monkeypatch.delenv("PA_MAX_N", raising=False)
+    monkeypatch.setattr(nestedsets, "_enumerate_chains", record)
+    with pytest.raises(ResourceCapError, match="n=8 exceeds the enumeration cap 6"):
+        enumerate_chains(8)  # 1,071,276 chains, 14 s and 629 MB if listed
+    assert listed == []
+    assert enumerate_chains(8, max_n=8) == [Chain({0})]
+    monkeypatch.setenv("PA_MAX_N", "8")
+    assert enumerate_chains(8) == [Chain({0})]
+    assert listed == [8, 8]
+
+
 def test_resource_cap_env_override(monkeypatch):
     monkeypatch.setenv("PA_MAX_N", "2")
     with pytest.raises(ResourceCapError):
