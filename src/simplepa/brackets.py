@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 from .limits import check_cap, check_n
-from .nestedsets import Chain, NestedSet, is_full_chain
+from .nestedsets import Chain, NestedSet
 
 ALPHA = "alpha"
 SIGMA = "sigma"
@@ -216,12 +216,16 @@ def to_nested(b: Bracketing) -> NestedSet:
 
 
 def from_nested(v: NestedSet) -> Bracketing:
-    """Inverse of :func:`to_nested`; rejects sets that are not maximal nested."""
+    """Inverse of :func:`to_nested`; rejects sets that are not maximal nested.
+
+    The complete chain gives the permutation, and each chain sits at its
+    :meth:`~simplepa.nestedsets.Chain.span` once its sets are checked to be
+    the suffixes of the permutation there."""
     chains = list(v)
     n = len(chains)
     if n < 1:
         raise ValueError("an empty set has no bracketing")
-    full = [c for c in chains if is_full_chain(c, n)]
+    full = [c for c in chains if len(c.ext) == n - 1]  # is_full_chain, with no call per chain
     if len(full) != 1:
         raise ValueError("not a maximal nested set: expected exactly one complete chain")
     anchor = full[0]
@@ -237,10 +241,9 @@ def from_nested(v: NestedSet) -> Bracketing:
         suffix[j] = suffix[j + 1] | 1 << perm[j]
     spans = set()
     for c in chains:
-        # the chain's sets are the suffixes perm[lo+1:], ..., perm[hi:] when
-        # its top is perm[lo+1:] and its ext, outermost first, leads that suffix
-        lo = n - c.mask.bit_count()
-        hi = lo + 1 + len(c.ext)
+        # its sets are those suffixes when its top is perm[lo+1:] and its
+        # ext, outermost first, leads that suffix
+        lo, hi = c.span(n)
         if lo < 0 or c.mask != suffix[lo + 1] or c.ext != perm[lo + 1:hi]:
             raise ValueError(f"{c} is not derived from the complete chain of the set")
         spans.add((lo, hi))

@@ -154,11 +154,10 @@ def diagram_census(n: int, max_n: int | None = None) -> DiagramCensus:
     :func:`classify_2_face` runs once per span class, not once per face, on
     the chains of the class's first face.  A face's class is the sum of a
     per-rank table of :func:`_span_bit` bits, so no chain set is built for
-    the other faces.  The node over positions lo..hi of bracketing (perm,
-    spans) is the chain (perm[hi:], perm[lo+1:hi]), so a chain's
-    (len(core), len(ext)) = (n+1-hi, hi-lo-1) names its span, with no
-    label involved.  A 2-face is a subset of some vertex (perm, spans),
-    hence the image, under the relabelling j -> perm[j], of the
+    the other faces.  A chain's (len(core), len(ext)) fixes its
+    :meth:`~simplepa.nestedsets.Chain.span`, the bracket that holds it,
+    with no label involved.  A 2-face is a subset of some vertex (perm,
+    spans), hence the image, under the relabelling j -> perm[j], of the
     identity-permutation face on the same span set.  ``classify_2_face``
     reads only set sizes, containment and full-chain status, which
     relabelling keeps, so every face of one span class has the type of the

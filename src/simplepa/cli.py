@@ -187,11 +187,14 @@ def _records(n: int, rows: Iterable[tuple[Sequence[int], str, str]]) -> Iterator
     text of its other fields, three levels deep: the lines of those that
     sort before ``"chains"``, each with its comma and newline, and the
     lines of those that sort after it, each after a comma and newline.  Every
-    chain record is laid out here, before the first row is joined."""
-    chains = [_chain_text(c, 4) for c in _enumerate_chains(n)]
+    chain record is laid out here, before the first row that holds a chain
+    is joined; a document of empty rows (the body alone) lays out none."""
+    chains = None
     separator = ",\n" + "  " * 4
     for ranks, before, after in rows:
         if ranks:
+            if chains is None:
+                chains = [_chain_text(c, 4) for c in _enumerate_chains(n)]
             joined = separator.join(map(chains.__getitem__, ranks))
             yield f'{{\n{before}      "chains": [\n        {joined}\n      ]{after}\n    }}'
         else:

@@ -18,25 +18,26 @@ key, the ranks of its chains in ``enumerate_chains(n)``, reads the facet
 rows by rank, and reports the tight facets as a set of ranks.
 
 Lemma (the vertex system is triangular).  Let the vertex be the bracketing
-(perm, spans), and write Y_m = x_perm[m] + ... + x_perm[n], so Y_0 =
-3^(n+1) on the ambient plane.  The chain of the node over positions lo..hi
-has core perm[hi:] and ext perm[lo+1:hi], so its row gives coefficient
-m - lo to x_perm[m] for lo < m < hi and hi - lo to the core: it is Y_(lo+1)
-+ ... + Y_hi, the "subset-sum form" of :func:`normalization_map`.  A node
-splitting at mid has children over lo..mid and mid+1..hi, whose rows sum
-all of its Y but Y_(mid+1), and the n nodes own the n indices mid+1 in
-1..n once each.  Listed children first, each row holds its own node's Y
-and those of the nodes below it, so the system is triangular in Y with
-unit diagonal, and x_perm[j] = Y_j - Y_(j+1) is unimodular.  Hence the
-system is nonsingular, and Y_(mid+1) is the node's bound less its two
-children's (a leaf's is 0): one exact subtraction per node, where
-elimination takes O(n^3) steps.  This is the recursion over binary trees
-behind Loday's coordinates ("Realization of the Stasheff polytope",
-2004).  The solve gives the same lowest-terms (X, d) as :func:`solve_exact`,
-which stays as the test oracle and as :func:`vertex_coordinates`'s
-independent route.  It trusts each row to be its chain's own; the class
-check below derives the tight set afresh from the point, so a wrong solve
-fails the check.
+(perm, spans), write Y_m = x_perm[m] + ... + x_perm[n], so Y_0 = 3^(n+1)
+on the ambient plane, and P(m) = Y_1 + ... + Y_m, so P(0) = 0.  The chain
+at the node (lo, hi), its :meth:`~simplepa.nestedsets.Chain.span`, has
+core perm[hi:] and ext perm[lo+1:hi], so its row gives coefficient m - lo
+to x_perm[m] for lo < m < hi and hi - lo to the core: it is Y_(lo+1) +
+... + Y_hi = P(hi) - P(lo), the "subset-sum form" of
+:func:`normalization_map`.  Taken in preorder, each node has one end
+known: the root's lo is 0, a left child shares its parent's lo and a
+right child its parent's hi.  Its row then sets the other end, which
+lies strictly between its parent's ends and was set by no earlier row,
+so the n rows set P(1), ..., P(n) once each.  The system is triangular
+in P with unit diagonal, and Y_m = P(m) - P(m-1) and x_perm[j] = Y_j -
+Y_(j+1) are unimodular.  Hence the system is nonsingular, and one exact
+addition or subtraction per node solves it, where elimination takes
+O(n^3) steps.  This is the recursion over binary trees behind Loday's
+coordinates ("Realization of the Stasheff polytope", 2004).  The solve
+gives the same lowest-terms (X, d) as :func:`solve_exact`, which stays as
+the test oracle and as :func:`vertex_coordinates`'s independent route.
+It trusts each row to be its chain's own; the class check below derives
+the tight set afresh from the point, so a wrong solve fails the check.
 
 The facets fall into n(n+1)/2 classes (k, l), 1 <= k and k+l <= n.  All
 facets of a class share one right-hand side, and their rows are the
@@ -66,7 +67,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import accumulate, combinations
 from math import gcd, lcm, prod
-from operator import mul, or_
+from operator import mul, or_, sub
 
 from .brackets import (
     ALPHA, SIGMA, RewriteGraph, all_bracketings, build_graph, from_nested, print_bracketing
@@ -92,18 +93,14 @@ def fractional_offset(k: int, n: int) -> Fraction:
     return Fraction(3**k - 3 * k, 3**n - n - 1)
 
 
+@lru_cache(maxsize=None)
 def facet_rhs(k: int, l: int, n: int) -> Fraction:
     """Right-hand side of the facet inequality of a chain with k sets whose
-    core has l+1 labels.  Equals 3^(l+k) + ... + 3^(l+1) plus the offset."""
+    core has l+1 labels.  Equals 3^(l+k) + ... + 3^(l+1) plus the offset.
+    Cached: at most the n(n+1)/2 classes of each n, as :func:`_facet_classes`
+    keeps them; a refused class raises, so it is never cached."""
     if not (1 <= k and 0 <= l and k + l <= n):
         raise ValueError(f"need 1 <= k and k+l <= n, got k={k}, l={l}, n={n}")
-    return _class_rhs(k, l, n)
-
-
-@lru_cache(maxsize=None)
-def _class_rhs(k: int, l: int, n: int) -> Fraction:
-    """:func:`facet_rhs` of a valid class (k, l), cached: at most the
-    n(n+1)/2 classes of each n, as :func:`_facet_classes` keeps them."""
     return Fraction(3 ** (k + l + 1) - 3 ** (l + 1), 2) + fractional_offset(k, n)
 
 
@@ -208,38 +205,37 @@ def _solve_vertex(v: Iterable, n: int, table: Mapping) -> ScaledPoint:
 
 def _back_substitute(facets: Iterable[tuple[Chain, Hyperplane]], n: int) -> ScaledPoint:
     """The point where the facets of one vertex meet the ambient plane, as
-    :func:`solve_exact` gives it, by back-substitution over the vertex's
-    bracketing tree (the module docstring's lemma).
+    :func:`solve_exact` gives it, in one preorder pass over the prefix sums
+    of the vertex's bracketing tree (the module docstring's lemma).
 
     ``facets`` pairs each of the vertex's n chains with its halfspace,
-    whose coefficients must be the chain's own: only the bounds are read.
-    A chain with top T and core C is the node over positions lo = n - |T|
-    to hi = n + 1 - |C|, and the root's chain, over 0..n, gives the
-    permutation: the one label it leaves out, its ext, then its core.
+    whose coefficients must be the chain's own: the pass reads only each
+    chain's :meth:`~simplepa.nestedsets.Chain.span` and its bound.  The
+    root's chain, over 0..n, gives the permutation: the one label it leaves
+    out, its ext, then its core.
     """
     nodes = []
     for c, h in facets:
-        core = len(c.core)
-        lo = n - core - len(c.ext)
-        nodes.append((lo, core, h.rhs))
-        if lo == 0 and core == 1:
+        lo, hi = c.span(n)
+        nodes.append((lo, hi, h.rhs))
+        if hi - lo == n:
             root = c
-    nodes.sort()  # (lo, |C|) sorts as (lo, -hi): preorder, as in Bracketing.spans
+    nodes.sort(key=lambda node: (node[0], -node[1]))  # preorder, as in Bracketing.spans
     d = lcm(*[rhs.denominator for _, _, rhs in nodes])
-    bound = {(lo, n + 1 - core): rhs.numerator * (d // rhs.denominator) for lo, core, rhs in nodes}
-    spans = list(bound)
-    suffix = [0] * (n + 2)  # d·Y_0, ..., d·Y_(n+1), with Y_(n+1) = 0
-    suffix[0] = 3 ** (n + 1) * d
-    # a left child that is a node follows its parent in preorder; a child
-    # that is a leaf has no bound and counts 0
-    for (lo, hi), (after, split) in zip(spans, [*spans[1:], (-1, -1)]):
-        mid = split if after == lo else lo
-        suffix[mid + 1] = bound[lo, hi] - bound.get((lo, mid), 0) - bound.get((mid + 1, hi), 0)
+    prefix = [0, *[None] * n]  # d·P(0), ..., d·P(n); P(0) = 0
+    for lo, hi, rhs in nodes:
+        row = rhs.numerator * (d // rhs.denominator)  # d·(P(hi) - P(lo))
+        if prefix[lo] is None:  # a right child: its parent fixed P(hi)
+            prefix[lo] = prefix[hi] - row
+        else:  # the root or a left child: P(lo) is fixed
+            prefix[hi] = prefix[lo] + row
+    # d·Y_0, ..., d·Y_(n+1), with Y_0 = 3^(n+1) and Y_(n+1) = 0
+    suffix = [3 ** (n + 1) * d, *map(sub, prefix[1:], prefix), 0]
     (last,) = root.core
     perm = ((((1 << (n + 1)) - 1) ^ root.mask).bit_length() - 1, *root.ext, last)
     scaled = [0] * (n + 1)
-    for j, label in enumerate(perm):
-        scaled[label] = suffix[j] - suffix[j + 1]
+    for label, y, after in zip(perm, suffix, suffix[1:]):
+        scaled[label] = y - after
     g = gcd(d, *scaled)
     return tuple(x // g for x in scaled), d // g
 
@@ -461,6 +457,7 @@ def polytope_graph(n: int, max_n: int | None = None):
     vertices = all_bracketings(n, max_n=max_n)
     position = {b: i for i, b in enumerate(vertices)}
     chains = _enumerate_chains(n)
+    roots = {r for r, c in enumerate(chains) if is_full_chain(c, n)}  # alpha edges hold one
     # each maximal nested set sits at its from_nested bracketing, so the check
     # still tests the bijection: were from_nested not injective, some index
     # would have no edges here, while the rewrite graph gives it n
@@ -474,7 +471,7 @@ def polytope_graph(n: int, max_n: int | None = None):
         if len(pair) != 2:
             raise RuntimeError(f"edge face shared by {len(pair)} vertices, expected 2")
         i, j = sorted(pair)
-        kind = ALPHA if any(is_full_chain(chains[r], n) for r in edge_face) else SIGMA
+        kind = SIGMA if roots.isdisjoint(edge_face) else ALPHA
         edges.add((i, j, kind))
     return RewriteGraph(tuple(vertices), frozenset(edges))
 

@@ -18,7 +18,7 @@ canonical order, and no set of chains is built for them.
 from __future__ import annotations
 
 import itertools
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
@@ -54,10 +54,6 @@ class Chain:
             raise ValueError(f"labels of {self} must be non-negative")
         object.__setattr__(self, "mask", sum(1 << lab for lab in labels))
 
-    def sets(self) -> tuple[frozenset[int], ...]:
-        """The sets of the chain, largest first."""
-        return tuple(self.core | frozenset(self.ext[j:]) for j in range(len(self.ext) + 1))
-
     @cached_property
     def family(self) -> frozenset[int]:
         """The chain's sets as label bitmasks; ``==`` and ``hash`` ignore it."""
@@ -69,13 +65,16 @@ class Chain:
         return frozenset(masks)
 
     @property
-    def top(self) -> frozenset[int]:
-        """The largest set of the chain."""
-        return self.core | frozenset(self.ext)
-
-    @property
     def num_sets(self) -> int:
         return len(self.ext) + 1
+
+    def span(self, n: int) -> tuple[int, int]:
+        """The bracket (lo, hi) over positions 0..n that holds the chain in
+        every bracketing (perm, spans) whose vertex has it: its sets are the
+        suffixes perm[lo+1:], ..., perm[hi:], so lo = n - |top| and hi = lo
+        + 1 + |ext|.  The one place the package reads a chain's position."""
+        lo = n - self.mask.bit_count()
+        return lo, lo + 1 + len(self.ext)
 
     def sort_key(self):
         """Canonical total order: by size of the top set, then core, then ext."""
@@ -158,16 +157,6 @@ def is_full_chain(chain: Chain, n: int) -> bool:
     """Whether the chain runs through all of n sets (a complete descending
     chain, i.e. the combinatorial shadow of a permutation of 0..n)."""
     return chain.num_sets == n
-
-
-def suffix_interval(chain: Chain, perm: Sequence[int]) -> tuple[int, int] | None:
-    """The 1-based interval (a, b) with the chain's sets, largest first,
-    equal to the suffixes perm[a:], ..., perm[b:]; None when they are not."""
-    a = len(perm) - len(chain.top)
-    b = a + len(chain.ext)
-    if a < 1 or chain.ext != tuple(perm[a:b]) or chain.core != frozenset(perm[b:]):
-        return None
-    return a, b
 
 
 @lru_cache(maxsize=None)

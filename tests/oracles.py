@@ -14,7 +14,10 @@ different method, something the package computes on its production route:
   ``gauss_jordan``, where ``verify_vertex`` takes a chain-rank key, solves
   it fraction-free and finds the tight facets class by class;
 * ``normalized_functional`` and ``top_simplex_points`` work in the paper's
-  normalisation chart, which ``normalization_map`` builds;
+  normalisation chart, which ``normalization_map`` builds, and
+  ``suffix_interval`` checks a chain's sets against the suffixes of a
+  permutation, where ``Chain.span`` reads the chain's bracket off its
+  sizes alone;
 * ``nested_key`` orders faces by their chains' ``Chain.sort_key`` tuples,
   where the package orders them by key, their chains' ranks in
   ``enumerate_chains``; ``face_of`` turns such a rank key, which is how
@@ -31,6 +34,9 @@ different method, something the package computes on its production route:
   its text around chain records encoded once each, in chain-rank order;
   ``bracketing_payload`` builds the ``pa bracketing`` record as a dict,
   where the command lays out its text by hand.
+
+``chain_top`` and ``chain_sets`` read a chain's top set and its sets,
+which the package reads only as bitmasks (``Chain.mask``, ``Chain.family``).
 
 pytest does not collect this module (its name does not start with ``test_``);
 the tests import it as they import ``conftest``.
@@ -81,6 +87,28 @@ CYCLE_LENGTHS = {
     DiagramType.OCTAGON: 8,
     DiagramType.DODECAGON: 12,
 }
+
+
+def chain_top(chain: Chain) -> frozenset[int]:
+    """The largest set of the chain."""
+    return chain.core | frozenset(chain.ext)
+
+
+def chain_sets(chain: Chain) -> tuple[frozenset[int], ...]:
+    """The sets of the chain, largest first."""
+    return tuple(chain.core | frozenset(chain.ext[j:]) for j in range(len(chain.ext) + 1))
+
+
+def suffix_interval(chain: Chain, perm: Sequence[int]) -> tuple[int, int] | None:
+    """The 1-based interval (a, b) with the chain's sets, largest first,
+    equal to the suffixes perm[a:], ..., perm[b:]; None when they are not.
+    Over 0..n it is (lo + 1, hi) for the chain's ``span(n)`` (lo, hi) when
+    the chain sits in some bracketing of ``perm``."""
+    a = len(perm) - len(chain_top(chain))
+    b = a + len(chain.ext)
+    if a < 1 or chain.ext != tuple(perm[a:b]) or chain.core != frozenset(perm[b:]):
+        return None
+    return a, b
 
 
 def chain_from_sets(sets: Iterable[Iterable[int]]) -> Chain:
@@ -178,7 +206,7 @@ def ordered_partition(chain: Chain, n: int) -> tuple[frozenset[int], tuple[int, 
     """The chain as an ordered partition of 0..n: the complement of its top
     set, then its ext labels as singleton blocks, then its core."""
     chain.check(n)
-    first = frozenset(range(n + 1)) - chain.top
+    first = frozenset(range(n + 1)) - chain_top(chain)
     return (first, chain.ext, chain.core)
 
 
@@ -321,7 +349,7 @@ def chain_record(chain: Chain) -> dict:
     return {
         "core": sorted(chain.core),
         "ext": list(chain.ext),
-        "sets": [sorted(s) for s in chain.sets()],
+        "sets": [sorted(s) for s in chain_sets(chain)],
     }
 
 

@@ -21,10 +21,12 @@ from conftest import CHAINS_N2, chain_of
 from oracles import (
     CYCLE_LENGTHS,
     chain_incident,
+    chain_sets,
     face_of,
     faces_via_cliques,
     is_nested_oracle,
     normalized_functional,
+    suffix_interval,
 )
 from simplepa import (
     DiagramType,
@@ -50,7 +52,7 @@ from simplepa import (
     verify_vertex,
 )
 from simplepa.brackets import SIGMA, BracketSyntaxError, _all_bracketings
-from simplepa.nestedsets import _vertices, suffix_interval
+from simplepa.nestedsets import _vertices
 
 
 def _passed(number, title):
@@ -134,7 +136,7 @@ def _independent_2_face_profile(f, n):
                 DiagramType.QUAD_NATURAL if comparable(a, b) else DiagramType.QUAD_FUNCTORIAL
             )
     else:
-        covered = set().union(*(c.sets() for c in f))
+        covered = set().union(*map(chain_sets, f))
         if len(covered) == n - 1:
             candidates.add(DiagramType.QUAD_SIGMA)
         if len(covered) == n - 2:

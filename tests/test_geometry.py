@@ -16,6 +16,7 @@ from oracles import (
     key_of,
     normalized_functional,
     tight,
+    suffix_interval,
     top_simplex_points,
     value,
     verify_chains,
@@ -53,7 +54,6 @@ from simplepa import geometry, nestedsets
 from simplepa.brackets import from_nested, print_bracketing, to_nested
 from simplepa.cli import render_bracketing_record
 from simplepa.geometry import VertexReport, _facet_table
-from simplepa.nestedsets import suffix_interval
 
 
 def test_facet_rhs_values():
@@ -87,14 +87,14 @@ def test_facet_rhs_rejects_bad_parameters():
 
 
 def test_facet_rhs_caches_one_bound_per_class():
-    geometry._class_rhs.cache_clear()
+    facet_rhs.cache_clear()
     n = 4
     for c in enumerate_chains(n) + enumerate_chains(n):
         facet_inequality(c, n)
     for k, l in [(0, 0), (2, 3), (1, -1)]:
         with pytest.raises(ValueError):
             facet_rhs(k, l, n)
-    assert geometry._class_rhs.cache_info().currsize == n * (n + 1) // 2
+    assert facet_rhs.cache_info().currsize == n * (n + 1) // 2
 
 
 def test_facet_inequality_examples():

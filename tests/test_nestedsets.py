@@ -6,7 +6,16 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import CHAINS_N2, VERTICES_N2, bracketings, chain_of
-from oracles import face_of, faces_via_cliques, is_nested_oracle, key_of, nested_key
+from oracles import (
+    chain_sets,
+    chain_top,
+    face_of,
+    faces_via_cliques,
+    is_nested_oracle,
+    key_of,
+    nested_key,
+    suffix_interval,
+)
 from simplepa import (
     Chain,
     ResourceCapError,
@@ -28,8 +37,8 @@ from simplepa import (
 def test_chain_from_sets_roundtrip():
     c = chain_of({0, 1, 3}, {0, 1}, {1})
     assert c == Chain(frozenset({1}), (3, 0))
-    assert [sorted(s) for s in c.sets()] == [[0, 1, 3], [0, 1], [1]]
-    assert c.top == frozenset({0, 1, 3})
+    assert [sorted(s) for s in chain_sets(c)] == [[0, 1, 3], [0, 1], [1]]
+    assert chain_top(c) == frozenset({0, 1, 3})
     assert c.num_sets == 3
 
 
@@ -67,7 +76,7 @@ def test_chain_mask_and_family_stay_out_of_equality():
     c = Chain({1}, (3, 0))
     assert c.mask == 0b1011
     assert c.family == frozenset({0b1011, 0b0011, 0b0010})
-    assert c.family == frozenset(sum(1 << lab for lab in s) for s in c.sets())
+    assert c.family == frozenset(sum(1 << lab for lab in s) for s in chain_sets(c))
     assert c == Chain(frozenset({1}), (3, 0)) and hash(c) == hash(Chain({1}, [3, 0]))
     assert repr(c) == "Chain({1}, [3, 0])"
 
@@ -77,6 +86,43 @@ def test_chain_hash_matches_the_field_tuple():
     a, b = Chain(core, ext), Chain(set(core), list(ext))
     assert a == b and a is not b
     assert hash(a) == hash(b) == hash((core, ext))
+
+
+def _assert_spans_hold(b):
+    """Each chain of ``to_nested(b)`` sits at its ``span``: its sets are
+    the suffixes perm[lo+1:], ..., perm[hi:], and the spans are b's."""
+    n, perm = b.n, b.perm
+    spans = []
+    for c in to_nested(b):
+        lo, hi = c.span(n)
+        assert chain_sets(c) == tuple(frozenset(perm[j:]) for j in range(lo + 1, hi + 1))
+        spans.append((lo, hi))
+    assert sorted(spans) == sorted(b.spans)
+
+
+def test_chain_span_is_where_to_nested_places_the_chain():
+    for n in range(1, 6):
+        for b in all_bracketings(n):
+            _assert_spans_hold(b)
+
+
+@settings(max_examples=100, deadline=None)
+@given(bracketings(max_n=8, min_n=6))
+def test_chain_span_is_where_to_nested_places_the_chain_at_n6_to_8(b):
+    _assert_spans_hold(b)
+
+
+def test_chain_span_agrees_with_the_suffix_interval_oracle():
+    # over the identity permutation the 1-based interval (a, b) is (lo + 1, hi)
+    for n in range(1, 6):
+        seen = 0
+        for c in enumerate_chains(n):
+            interval = suffix_interval(c, range(n + 1))
+            if interval is not None:
+                a, b = interval
+                assert c.span(n) == (a - 1, b)
+                seen += 1
+        assert seen == n * (n + 1) // 2  # one chain per bracket over 0..n
 
 
 def test_vertices_share_the_enumerated_chain_objects():

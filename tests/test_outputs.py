@@ -155,6 +155,17 @@ def test_streamed_faces_are_the_json_of_the_payload(n, dim, labelled):
     assert "".join(render_faces(n, dim, labelled)) == _json(faces_payload(n, dim, labelled))
 
 
+def test_a_body_document_lays_out_no_chain(monkeypatch):
+    # the body (dim = n) is the one record and holds no chain, so none of
+    # the 1,071,276 chains of n = 8 is listed
+    def refuse(n):
+        raise AssertionError("the chains were listed")
+
+    monkeypatch.setattr(cli, "_enumerate_chains", refuse)
+    expected = _json({"n": 8, "dim": 8, "count": 1, "faces": [{"chains": []}]})
+    assert "".join(render_faces(8, 8, False)) == expected
+
+
 @pytest.mark.parametrize("n", range(1, 5))
 def test_streamed_vertices_are_the_json_of_the_payload(n):
     assert "".join(render_vrep(n)) == _json(vrep_payload(n))
