@@ -24,6 +24,7 @@ import tempfile
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from contextlib import suppress
 from functools import lru_cache
+from math import gcd
 from typing import TextIO
 
 from .brackets import (
@@ -38,7 +39,9 @@ from .brackets import (
 )
 from .classify import boundary_cycle, diagram_census
 from .geometry import (
+    ScaledPoint,
     SingularSystemError,
+    _scaled_vertex,
     h_representation,
     normalization_map,
     realization_report,
@@ -166,18 +169,45 @@ def _ints(values: Sequence[int], depth: int) -> str:
     return _joined(list(map(str, values)), depth)
 
 
+def _coordinates(texts: Iterable[str], depth: int) -> str:
+    """A point's coordinates, each as "p/q" text or "p" when q is 1, laid out
+    as a JSON list of strings ``depth`` levels deep.  Such text needs no
+    escaping, so it is quoted by hand."""
+    return _joined([f'"{text}"' for text in texts], depth)
+
+
+def _scaled_texts(point: ScaledPoint) -> Iterator[str]:
+    """The coordinates X/d of a point (X, d), in lowest terms as ``str`` of a
+    ``Fraction`` gives them, by one ``gcd`` each: no ``Fraction`` is built."""
+    scaled, d = point
+    for x in scaled:
+        g = gcd(x, d)
+        yield str(x // g) if g == d else f"{x // g}/{d // g}"
+
+
 def _chain_text(chain: Chain, depth: int) -> str:
     """A chain's record (core, ext and every set, largest first, each
     sorted) laid out ``depth`` levels deep, by hand, as ``json.dumps(...,
     indent=2, sort_keys=True)`` would lay out ``tests/oracles.py``'s
-    ``chain_record(chain)``."""
-    pad = "\n" + "  " * (depth + 1)
-    core, ext = sorted(chain.core), chain.ext
-    sets = [_ints(sorted([*core, *ext[j:]]), depth + 2) for j in range(len(ext) + 1)]
+    ``chain_record(chain)``.  The top set is sorted once, into a table of
+    label strings, and each next set is that table less the next ext
+    label; the last set is the core."""
+    pad = "\n" + "  " * (depth + 1)  # before a field and the closing brackets
+    item = "," + pad + "  "  # between the labels of core or ext
+    label = item + "  "  # between the labels of one set
+    ext = list(map(str, chain.ext))
+    labels = list(map(str, sorted(chain.core.union(chain.ext))))
+    sets = []
+    for text in ext:
+        sets.append(label.join(labels))
+        labels.remove(text)
+    sets.append(label.join(labels))
+    opening, closing = "[" + label[1:], pad + "  ]"  # around each set
     return (
-        f'{{{pad}"core": {_ints(core, depth + 1)},'
-        f'{pad}"ext": {_ints(ext, depth + 1)},'
-        f'{pad}"sets": {_joined(sets, depth + 1)}\n{"  " * depth}}}'
+        f'{{{pad}"core": [{item[1:]}{item.join(labels)}{pad}],'
+        f'{pad}"ext": {f"[{item[1:]}{item.join(ext)}{pad}]" if ext else "[]"},'
+        f'{pad}"sets": [{item[1:]}{opening}{(closing + item + opening).join(sets)}{closing}{pad}]'
+        f'\n{"  " * depth}}}'
     )
 
 
@@ -242,7 +272,7 @@ def render_vrep(n: int, max_n: int | None = None) -> Iterator[str]:
     bracketings = all_bracketings(n, max_n=max_n)
     formats = _shape_formats(n)  # print_bracketing, one template per tree shape
     for b, v in zip(bracketings, vertex_keys(bracketings, n, max_n)):
-        coordinates = _joined([json.dumps(str(x)) for x in vertex_point(v, n)], 3)
+        coordinates = _coordinates(_scaled_texts(_scaled_vertex(v, n)), 3)
         rows.append((
             v,
             f'      "bracketing": {json.dumps(formats[b.spans](*b.perm))},\n',
@@ -289,7 +319,7 @@ def render_bracketing_record(text: str, n: int) -> str:
     newline would lay out ``tests/oracles.py``'s ``bracketing_payload``."""
     b = parse_bracketing(text, n)
     v = to_nested(b)
-    coordinates = _joined([json.dumps(str(x)) for x in vertex_coordinates(v, n)], 1)
+    coordinates = _coordinates(map(str, vertex_coordinates(v, n)), 1)
     # by sort key, not by rank: the rank table holds every chain, and at
     # n = 7 building it takes about 1 s and lifts peak RSS 16 -> 86 MB
     tight = _joined([_chain_text(c, 2) for c in sorted(v, key=Chain.sort_key)], 1)

@@ -36,6 +36,12 @@ O(n^3) steps.  This is the recursion over binary trees behind Loday's
 coordinates ("Realization of the Stasheff polytope", 2004).  The solve
 gives the same lowest-terms (X, d) as :func:`solve_exact`, which stays as
 the test oracle and as :func:`vertex_coordinates`'s independent route.
+That route eliminates on the chains' own coefficients, integers of at most
+n, and on the ambient row of ones, with the bounds brought over one
+common denominator in the right-hand side.  Bareiss's minors are then
+minors of that small matrix: Hadamard's bound for entries of at most n,
+(n·sqrt(n+1))^(n+1), is about 35 bits at n = 7, where rows scaled by
+each bound's own denominator, up to 2(3^n - n - 1), allowed about 131.
 It trusts each row to be its chain's own; the class check below derives
 the tight set afresh from the point, so a wrong solve fails the check.
 
@@ -198,9 +204,20 @@ def _facet_table(n: int) -> dict[int, Hyperplane]:
 
 def _solve_vertex(v: Iterable, n: int, table: Mapping) -> ScaledPoint:
     """The point where the facets ``table[c]``, c in ``v``, meet the ambient
-    plane: ``v`` holds ranks into the facet table, or chains into their own."""
-    coeffs, rhs = zip(*(table[c].row for c in v), ((1,) * (n + 1), 3 ** (n + 1)))
-    return solve_exact(coeffs, rhs)
+    plane: ``v`` holds ranks into the facet table, or chains into their own.
+
+    :func:`solve_exact` gets the rows' own coefficients, at most n for a
+    chain's row, beside the ambient row of ones.  The bounds p/q share one
+    denominator D, the lcm of the q, which goes into the right-hand side,
+    so the system solves to D·x = X/e, and x is X/(e·D).  That is in lowest
+    terms already: an integer row a with a·x = p/q makes q divide the
+    least denominator of x, so D divides it, and e·D over it divides both
+    e and every X, whose only common divisor is 1."""
+    rows = [table[c] for c in v]
+    d = lcm(*[h.rhs.denominator for h in rows])
+    rhs = [h.rhs.numerator * (d // h.rhs.denominator) for h in rows]
+    scaled, e = solve_exact([*(h.coeffs for h in rows), (1,) * (n + 1)], [*rhs, 3 ** (n + 1) * d])
+    return scaled, e * d
 
 
 def _back_substitute(facets: Iterable[tuple[Chain, Hyperplane]], n: int) -> ScaledPoint:
@@ -321,9 +338,14 @@ def vertex_point(v: Key, n: int) -> Point:
     export --off`` take this route, while :func:`vertex_coordinates` checks
     a chain set and solves it from its own rows by elimination, with no
     table."""
-    table, chains = _facet_table(n), _enumerate_chains(n)
-    scaled, d = _back_substitute([(chains[r], table[r]) for r in v], n)
+    scaled, d = _scaled_vertex(v, n)
     return tuple(Fraction(x, d) for x in scaled)
+
+
+def _scaled_vertex(v: Key, n: int) -> ScaledPoint:
+    """:func:`vertex_point` as the lowest-terms (X, d) that it divides out."""
+    table, chains = _facet_table(n), _enumerate_chains(n)
+    return _back_substitute([(chains[r], table[r]) for r in v], n)
 
 
 @dataclass(frozen=True)

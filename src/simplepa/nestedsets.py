@@ -10,6 +10,24 @@ at once.  Nested families form a flag simplicial complex; its members of
 cardinality n - d are the d-dimensional faces of the polytope, and the
 maximal ones (cardinality n) are the vertices.
 
+Lemma (nestedness by masks).  Two chains a and b, neither of whose families
+contains the other's, are compatible exactly when core(a) holds top(b) and
+has at least |top(b)| + 2 labels, or the same with a and b swapped.  Each
+family is a chain of sets with singleton steps, whose sizes run without a
+gap from |core| to |top|.  When the two size ranges overlap or touch, the
+merged sizes run without a gap too, so a merged chain would step by single
+labels.  When they are apart, say every set of a is at least two labels
+larger than every set of b, the merged family is a chain exactly when
+each set of b lies in each set of a, that is when top(b) lies in core(a),
+and then its step from core(a) to top(b) drops two labels or more.
+
+Containment needs no family either.  The family of a lies in that of b
+exactly when top(a) lies in top(b), a's ext is b's ext from position j =
+|top(b)| - |top(a)| on, and core(a) misses b's first j ext labels: then
+top(a) is top(b) less those j labels, b's j-th set, and a's later sets
+are b's next ones.  So :func:`is_nested` decides a pair by mask tests and
+one comparison of ext segments, and builds no family.
+
 The enumerations hand a face or a vertex out as its key: the increasing
 tuple of its chains' ranks in :func:`enumerate_chains`.  The keys sort in
 canonical order, and no set of chains is built for them.
@@ -33,13 +51,15 @@ class Chain:
     larger sets add, listed outermost first (``ext``).  The j-th set of the
     chain, counted from the largest, is ``core | set(ext[j:])``; the chain
     has ``len(ext) + 1`` sets in total.  Construction rejects an empty core
-    and repeated or negative labels; ``mask`` is the top set as a bitmask.
-    The hash is the dataclass one, ``hash((core, ext))``.
+    and repeated or negative labels; ``mask`` is the top set as a bitmask
+    and ``core_mask`` the core.  The hash is the dataclass one, ``hash((core,
+    ext))``.
     """
 
     core: frozenset[int]
     ext: tuple[int, ...] = ()
     mask: int = field(init=False, repr=False, compare=False)
+    core_mask: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         core, ext = frozenset(self.core), tuple(self.ext)
@@ -52,7 +72,13 @@ class Chain:
             raise ValueError(f"labels of {self} are not distinct")
         if min(labels) < 0:
             raise ValueError(f"labels of {self} must be non-negative")
-        object.__setattr__(self, "mask", sum(1 << lab for lab in labels))
+        mask = 0
+        for lab in core:
+            mask |= 1 << lab
+        object.__setattr__(self, "core_mask", mask)
+        for lab in ext:
+            mask |= 1 << lab
+        object.__setattr__(self, "mask", mask)
 
     @cached_property
     def family(self) -> frozenset[int]:
@@ -97,32 +123,43 @@ class Chain:
 NestedSet = frozenset[Chain]
 
 
+def _within(a: Chain, b: Chain) -> bool:
+    """Whether b's family of sets holds a's, by the module docstring's
+    lemma: a's ext is b's from position j = |top(b)| - |top(a)| on, and
+    top(a) is top(b) less b's first j ext labels."""
+    j = b.mask.bit_count() - a.mask.bit_count()
+    end = j + len(a.ext)
+    return (
+        a.mask | b.mask == b.mask
+        and end <= len(b.ext)
+        and a.ext == b.ext[j:end]
+        and a.core.isdisjoint(b.ext[:j])
+    )
+
+
 def comparable(a: Chain, b: Chain) -> bool:
-    """Whether one chain's family of sets contains the other's."""
-    fa, fb = a.family, b.family
-    return fa <= fb or fb <= fa
-
-
-def _union_admissible(masks: Iterable[int]) -> bool:
-    """Whether a family of set-masks is a descending chain of sets with some
-    step dropping at least two labels (so it is not itself a facet chain)."""
-    seq = sorted(masks, key=int.bit_count, reverse=True)
-    gapped = False
-    for big, small in zip(seq, seq[1:]):
-        if small | big != big:
-            return False
-        if big.bit_count() - small.bit_count() >= 2:
-            gapped = True
-    return gapped
+    """Whether one chain's family of sets contains the other's, decided as
+    the module docstring's lemma does, with no family built."""
+    return _within(a, b) or _within(b, a)
 
 
 def _compatible(a: Chain, b: Chain) -> bool:
-    return comparable(a, b) or _union_admissible(a.family | b.family)
+    """Whether the two chains may sit in one nested set: one family holds
+    the other, or the merged family is a chain with a step of two labels or
+    more.  By the module docstring's lemma the second case is core(a)
+    holding top(b) and at least |top(b)| + 2 labels, or the same with a and
+    b swapped: two mask tests, with no merged family sorted."""
+    return (
+        a.core_mask | b.mask == a.core_mask and len(a.core) >= b.mask.bit_count() + 2
+        or b.core_mask | a.mask == b.core_mask and len(b.core) >= a.mask.bit_count() + 2
+        or comparable(a, b)
+    )
 
 
 def is_nested(chains: Iterable[Chain], n: int) -> bool:
     """Pairwise nestedness test: every two incomparable chains must merge
-    into a descending family with a step of size at least two."""
+    into a descending family with a step of size at least two, which
+    :func:`_compatible` decides by masks, building no family."""
     members = list(chains)
     for c in members:
         c.check(n)
@@ -164,9 +201,7 @@ def _rank_by_mask(n: int) -> dict[tuple[int, tuple[int, ...]], int]:
     """Each chain's rank in :func:`enumerate_chains`, keyed by its core as a
     label bitmask and its ext, so a chain named by its labels is ranked
     without building a :class:`Chain`."""
-    return {
-        (sum(1 << lab for lab in c.core), c.ext): i for i, c in enumerate(_enumerate_chains(n))
-    }
+    return {(c.core_mask, c.ext): i for i, c in enumerate(_enumerate_chains(n))}
 
 
 def vertex_keys(

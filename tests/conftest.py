@@ -1,5 +1,7 @@
 """Shared fixtures: small hand-checked combinatorial data used across tests."""
 
+import random
+
 from hypothesis import strategies as st
 
 from oracles import chain_from_sets
@@ -56,6 +58,23 @@ def bracketings(draw, max_n: int = 7, min_n: int = 1) -> Bracketing:
         if lo < hi:
             spans.append((lo, hi))
             mid = draw(st.integers(lo, hi - 1))
+            split(lo, mid)
+            split(mid + 1, hi)
+
+    split(0, n)
+    return Bracketing(perm, tuple(spans))
+
+
+def random_bracketing(rng: random.Random, n: int) -> Bracketing:
+    """A seeded bracketing over 0..n: a uniform permutation on a random
+    split tree, its spans in preorder."""
+    perm = tuple(rng.sample(range(n + 1), n + 1))
+    spans = []
+
+    def split(lo, hi):
+        if lo < hi:
+            spans.append((lo, hi))
+            mid = rng.randrange(lo, hi)
             split(lo, mid)
             split(mid + 1, hi)
 

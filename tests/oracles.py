@@ -4,6 +4,9 @@ None of these is reached by a ``pa`` subcommand; each one recomputes, by a
 different method, something the package computes on its production route:
 
 * ``is_nested_oracle`` checks every antichain, where ``is_nested`` checks pairs;
+  it merges their families and walks the merged family, sorted by size, in
+  ``_union_admissible``, where ``is_nested`` decides a pair by mask tests
+  and one comparison of ext segments (the ``nestedsets`` docstring lemma);
 * ``faces_via_cliques`` grows cliques of compatible chains, where ``faces``
   takes subsets of the vertices;
 * ``chain_incident`` reads facet incidence off a bracketing's spans, where
@@ -74,7 +77,7 @@ from simplepa import (
 )
 from simplepa.classify import _span_bit
 from simplepa.limits import check_cap, check_n
-from simplepa.nestedsets import _compatible, _enumerate_chains, _union_admissible
+from simplepa.nestedsets import _compatible, _enumerate_chains
 
 Point = tuple[Fraction, ...]
 
@@ -125,6 +128,19 @@ def chain_from_sets(sets: Iterable[Iterable[int]]) -> Chain:
 
 # ---------------------------------------------------------------------------
 # nested sets and faces
+
+def _union_admissible(masks: Iterable[int]) -> bool:
+    """Whether a family of set-masks is a descending chain of sets with some
+    step dropping at least two labels (so it is not itself a facet chain)."""
+    seq = sorted(masks, key=int.bit_count, reverse=True)
+    gapped = False
+    for big, small in zip(seq, seq[1:]):
+        if small | big != big:
+            return False
+        if big.bit_count() - small.bit_count() >= 2:
+            gapped = True
+    return gapped
+
 
 def is_nested_oracle(chains: Iterable[Chain], n: int) -> bool:
     """Brute-force nestedness test straight from the definition: the union of

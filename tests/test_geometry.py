@@ -1,5 +1,6 @@
 import itertools
 import json
+import random
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import bracketings, chain_of
+from conftest import bracketings, chain_of, random_bracketing
 from oracles import (
     face_of,
     gauss_jordan,
@@ -192,6 +193,49 @@ def test_back_substitution_equals_solve_exact_at_n6_to_8(b):
     n = b.n
     rows = {c: facet_inequality(c, n) for c in to_nested(b)}
     assert geometry._back_substitute(rows.items(), n) == geometry._solve_vertex(rows, n, rows)
+
+
+def _solve_cases():
+    """Every vertex up to n = 4, then a seeded sample of bracketings at
+    n = 7 to 9, each as (n, its chains)."""
+    cases = [(n, face_of(v, n)) for n in range(1, 5) for v in enumerate_vertices(n)]
+    rng = random.Random(909)
+    cases += [(n, to_nested(random_bracketing(rng, n))) for n in (7, 8, 9) for _ in range(40)]
+    return cases
+
+
+def test_the_small_coefficient_solve_equals_the_scaled_rows_and_gauss_jordan():
+    for n, v in _solve_cases():
+        rows = {c: facet_inequality(c, n) for c in v}
+        point = geometry._solve_vertex(v, n, rows)
+        # the rows q·a vs p of each bound p/q, as the solve took them before
+        ambient = ((1,) * (n + 1), 3 ** (n + 1))
+        assert point == solve_exact(*zip(*(h.row for h in rows.values()), ambient))
+        scaled, d = point
+        assert d > 0 and gcd(d, *scaled) == 1
+        matrix = [h.coeffs for h in rows.values()] + [ambient[0]]
+        expected = gauss_jordan(matrix, [h.rhs for h in rows.values()] + [ambient[1]])
+        assert tuple(Fraction(x, d) for x in scaled) == expected
+
+
+def test_elimination_gets_no_coefficient_above_n(monkeypatch):
+    largest = []
+    solve = geometry.solve_exact
+
+    def record(matrix, rhs):
+        largest.append(max(abs(a) for row in matrix for a in row))
+        return solve(matrix, rhs)
+
+    monkeypatch.setattr(geometry, "solve_exact", record)
+    for n, v in _solve_cases():
+        largest.clear()
+        vertex_coordinates(v, n)
+        assert largest == [n]  # the complete chain's core coefficient
+    rng = random.Random(910)
+    for _ in range(20):
+        largest.clear()
+        render_bracketing_record(print_bracketing(random_bracketing(rng, 7)), 7)
+        assert largest == [7]
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 
 from conftest import CHAINS_N2, VERTICES_N2, bracketings, chain_of
 from oracles import (
+    _union_admissible,
     chain_sets,
     chain_top,
     face_of,
@@ -20,6 +21,7 @@ from simplepa import (
     Chain,
     ResourceCapError,
     all_bracketings,
+    comparable,
     diagram_census,
     enumerate_chains,
     enumerate_vertices,
@@ -183,6 +185,68 @@ def test_oracle_equivalence_sampled_n4():
     for _ in range(4000):
         subset = rng.sample(chains, rng.randint(2, 4))
         assert is_nested(subset, 4) == is_nested_oracle(subset, 4)
+
+
+def _family_rule(a, b):
+    """Compatibility from the families: one holds the other, or their merged
+    family walks down as a chain with a step of two labels or more."""
+    fa, fb = a.family, b.family
+    return fa <= fb or fb <= fa or _union_admissible(fa | fb)
+
+
+def test_the_mask_rule_equals_the_family_rule_on_every_pair_up_to_n4():
+    for n in range(1, 5):
+        chains = enumerate_chains(n)
+        for a, b in itertools.product(chains, repeat=2):
+            assert comparable(a, b) == (a.family <= b.family or b.family <= a.family), (a, b)
+            assert nestedsets._compatible(a, b) == _family_rule(a, b), (a, b)
+    assert len(chains) ** 2 == 115_600
+
+
+def _chain_on(rng, labels):
+    """A chain whose top is a non-empty random subset of ``labels``, its
+    ext a random ordered part of that top."""
+    top = rng.sample(labels, rng.randint(1, len(labels)))
+    depth = rng.randrange(len(top))
+    return Chain(frozenset(top[depth:]), tuple(top[:depth]))
+
+
+def _chain_pair(rng, n):
+    """Two chains over 0..n built from labels: the second is any chain, one
+    on the first's core (apart, touching or overlapping), one on its top,
+    one on its top and one label more, or a run of the first's own sets."""
+    labels = list(range(n + 1))
+    a = _chain_on(rng, rng.sample(labels, n))  # a proper top
+    core, top = sorted(a.core), sorted(a.core.union(a.ext))
+    mode = rng.randrange(5)
+    if mode == 1:
+        b = _chain_on(rng, core)
+    elif mode == 2:
+        b = _chain_on(rng, top)
+    elif mode == 3 and len(top) < n:
+        b = _chain_on(rng, top + [rng.choice(sorted(set(labels) - set(top)))])
+    elif mode == 4:
+        i = rng.randint(0, len(a.ext))
+        j = rng.randint(i, len(a.ext))
+        b = Chain(a.core.union(a.ext[j:]), a.ext[i:j])
+    else:
+        b = _chain_on(rng, rng.sample(labels, n))
+    return (a, b) if rng.random() < 0.5 else (b, a)
+
+
+def test_the_mask_rule_equals_the_family_rule_on_random_pairs_at_n5_to_8():
+    rng = random.Random(3301)
+    outcomes = set()
+    for _ in range(20_000):
+        n = rng.randint(5, 8)
+        a, b = _chain_pair(rng, n)
+        expected = _family_rule(a, b)
+        contained = a.family <= b.family or b.family <= a.family
+        assert comparable(a, b) == contained, (a, b)
+        assert nestedsets._compatible(a, b) == expected, (a, b)
+        outcomes.add((contained, expected))
+    # contained, apart with a gap, and neither: every kind of pair came up
+    assert outcomes == {(True, True), (False, True), (False, False)}
 
 
 def test_enumerate_vertices_counts():

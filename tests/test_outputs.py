@@ -185,9 +185,12 @@ def _random_bracketing(rng: random.Random, n: int) -> str:
 
 
 def test_the_lookup_record_is_the_json_of_the_payload():
-    # every bracketing up to n = 3, then a seeded sample at n = 7
+    # every bracketing up to n = 3, then a seeded sample at n = 7, then one
+    # at n = 10 to 12, whose two-digit labels sort as numbers, not as text
     lookups = [(print_bracketing(b), n) for n in range(1, 4) for b in all_bracketings(n)]
     rng = random.Random(7)
     lookups += [(_random_bracketing(rng, 7), 7) for _ in range(300)]
+    rng = random.Random(1012)
+    lookups += [(_random_bracketing(rng, n), n) for n in (10, 11, 12) for _ in range(30)]
     for text, n in lookups:
         assert render_bracketing_record(text, n) == _json(bracketing_payload(text, n))
