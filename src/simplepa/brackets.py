@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import itertools
 import re
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -285,7 +285,12 @@ def _split(spans: tuple[tuple[int, int], ...], i: int) -> int:
 
 
 def alpha_neighbors(b: Bracketing) -> list[Bracketing]:
-    """The n-1 bracketings reachable by one rotation (same permutation).
+    """The n-1 bracketings reachable by one rotation (same permutation)."""
+    return [Bracketing(b.perm, spans) for spans in _rotations(b.spans)]
+
+
+def _rotations(spans: tuple[tuple[int, int], ...]) -> list[tuple[tuple[int, int], ...]]:
+    """The spans of the n-1 tree shapes one rotation away, in preorder.
 
     Each non-root node drops its bracket pair and closes the resulting triple
     the other way: under a parent (plo, phi), a left child splitting at mid
@@ -293,7 +298,6 @@ def alpha_neighbors(b: Bracketing) -> list[Bracketing]:
     over lo..hi has hi - lo nodes, so the new pair's place in preorder is
     counted off the subtree it moves across.
     """
-    spans = b.spans
     out = []
     ancestors = [spans[0]]
     for i in range(1, len(spans)):
@@ -304,11 +308,10 @@ def alpha_neighbors(b: Bracketing) -> list[Bracketing]:
         mid = _split(spans, i)
         if lo == plo:  # ((A*B)*C) to (A*(B*C)): the new pair follows A's
             k = i + 1 + mid - lo
-            moved = (*spans[:i], *spans[i + 1:k], (mid + 1, phi), *spans[k:])
+            out.append((*spans[:i], *spans[i + 1:k], (mid + 1, phi), *spans[k:]))
         else:  # (A*(B*C)) to ((A*B)*C): the new pair precedes A's
             k = i + 1 + plo - lo
-            moved = (*spans[:k], (plo, mid), *spans[k:i], *spans[i + 1:])
-        out.append(Bracketing(b.perm, moved))
+            out.append((*spans[:k], (plo, mid), *spans[k:i], *spans[i + 1:]))
         ancestors.append((lo, hi))
     return out
 
@@ -373,16 +376,44 @@ def all_bracketings(n: int, max_n: int | None = None) -> list[Bracketing]:
     return list(_all_bracketings(n))
 
 
+def _position_index(vertices: Sequence[Bracketing]) -> dict[tuple, dict[tuple[int, ...], int]]:
+    """``index[spans][perm]``: the position in ``vertices`` of the
+    bracketing (perm, spans), found by two tuple lookups with no
+    :class:`Bracketing` built or hashed."""
+    index: dict[tuple, dict[tuple[int, ...], int]] = {}
+    for i, b in enumerate(vertices):
+        index.setdefault(b.spans, {})[b.perm] = i
+    return index
+
+
 def build_graph(n: int, max_n: int | None = None) -> RewriteGraph:
     """The rewrite graph on all bracketings: n-regular, connected, with
-    exactly one sigma edge at every vertex."""
+    exactly one sigma edge at every vertex.
+
+    Lemma (moves per shape).  A rotation reads and changes only the spans,
+    so the alpha neighbours of (perm, spans) are (perm, s) for the n-1
+    rotated shapes s of spans, the same for every perm.  The sigma swap
+    changes only the perm, at the positions j = ``_split(spans, 0)`` and
+    j + 1, which the spans alone fix.  So the moves are taken once per tree
+    shape (14 at n = 4, 42 at n = 5), and each neighbour is found by its
+    permutation in the index ``spans -> perm -> vertex id``: no
+    :class:`Bracketing` is built or hashed per edge.  Both moves undo
+    themselves, so each edge is met from both ends and is kept from its
+    lower id.  The route reads no nested set and no chain rank, so it
+    stays independent of :func:`~simplepa.geometry.polytope_graph`.
+    """
     vertices = all_bracketings(n, max_n=max_n)
-    index = {b: i for i, b in enumerate(vertices)}
+    index = _position_index(vertices)
     edges = set()
-    for i, b in enumerate(vertices):
-        for neighbor in alpha_neighbors(b):
-            j = index[neighbor]
-            edges.add((min(i, j), max(i, j), ALPHA))
-        j = index[sigma_neighbor(b)]
-        edges.add((min(i, j), max(i, j), SIGMA))
+    for spans, ids in index.items():
+        rotated = [index[moved] for moved in _rotations(spans)]
+        j = _split(spans, 0)
+        for perm, i in ids.items():
+            for other in rotated:
+                k = other[perm]
+                if i < k:
+                    edges.add((i, k, ALPHA))
+            k = ids[(*perm[:j], perm[j + 1], perm[j], *perm[j + 2:])]
+            if i < k:
+                edges.add((i, k, SIGMA))
     return RewriteGraph(tuple(vertices), frozenset(edges))

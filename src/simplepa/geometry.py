@@ -33,17 +33,22 @@ in P with unit diagonal, and Y_m = P(m) - P(m-1) and x_perm[j] = Y_j -
 Y_(j+1) are unimodular.  Hence the system is nonsingular, and one exact
 addition or subtraction per node solves it, where elimination takes
 O(n^3) steps.  This is the recursion over binary trees behind Loday's
-coordinates ("Realization of the Stasheff polytope", 2004).  The solve
-gives the same lowest-terms (X, d) as :func:`solve_exact`, which stays as
-the test oracle and as :func:`vertex_coordinates`'s independent route.
-That route eliminates on the chains' own coefficients, integers of at most
-n, and on the ambient row of ones, with the bounds brought over one
-common denominator in the right-hand side.  Bareiss's minors are then
-minors of that small matrix: Hadamard's bound for entries of at most n,
-(n·sqrt(n+1))^(n+1), is about 35 bits at n = 7, where rows scaled by
-each bound's own denominator, up to 2(3^n - n - 1), allowed about 131.
-It trusts each row to be its chain's own; the class check below derives
-the tight set afresh from the point, so a wrong solve fails the check.
+coordinates ("Realization of the Stasheff polytope", 2004).  What the
+pass reads of a chain, its row, is its span (lo, hi), its bound and, for
+the root chain, the permutation: the one label it leaves out, its ext,
+then its core.  None of that depends on the vertex, so the rows are read
+once per n into one table indexed by chain rank, and a vertex's key
+names its n rows.  The solve gives the same lowest-terms (X, d) as
+:func:`solve_exact`, which stays as the test oracle and as
+:func:`vertex_coordinates`'s independent route.  That route eliminates
+on the chains' own coefficients, integers of at most n, and on the
+ambient row of ones, with the bounds brought over one common denominator
+in the right-hand side.  Bareiss's minors are then minors of that small
+matrix: Hadamard's bound for entries of at most n, (n·sqrt(n+1))^(n+1),
+is about 35 bits at n = 7, where rows scaled by each bound's own
+denominator, up to 2(3^n - n - 1), allowed about 131.  It trusts each
+row to be its chain's own; the class check below derives the tight set
+afresh from the point, so a wrong solve fails the check.
 
 The facets fall into n(n+1)/2 classes (k, l), 1 <= k and k+l <= n.  All
 facets of a class share one right-hand side, and their rows are the
@@ -76,7 +81,8 @@ from math import gcd, lcm, prod
 from operator import mul, or_, sub
 
 from .brackets import (
-    ALPHA, SIGMA, RewriteGraph, all_bracketings, build_graph, from_nested, print_bracketing
+    ALPHA, SIGMA, RewriteGraph, _position_index, all_bracketings, build_graph, from_nested,
+    print_bracketing,
 )
 from .limits import CHECK_MAX_N, CHECK_WHY, check_cap, check_n
 from .nestedsets import (
@@ -220,38 +226,57 @@ def _solve_vertex(v: Iterable, n: int, table: Mapping) -> ScaledPoint:
     return scaled, e * d
 
 
-def _back_substitute(facets: Iterable[tuple[Chain, Hyperplane]], n: int) -> ScaledPoint:
+Row = tuple[int, int, int, int, tuple[int, ...] | None]  # (lo, hi, p, q, perm)
+
+
+def _row(chain: Chain, h: Hyperplane, n: int) -> Row:
+    """The chain's row in :func:`_back_substitute`: its
+    :meth:`~simplepa.nestedsets.Chain.span` (lo, hi), the bound p/q of
+    ``h``, whose coefficients must be the chain's own, and for the root
+    chain, over 0..n, the permutation: the one label it leaves out, its
+    ext, then its core.  Other chains carry None there."""
+    lo, hi = chain.span(n)
+    perm = None
+    if hi - lo == n:
+        (last,) = chain.core
+        perm = ((((1 << (n + 1)) - 1) ^ chain.mask).bit_length() - 1, *chain.ext, last)
+    return lo, hi, h.rhs.numerator, h.rhs.denominator, perm
+
+
+@lru_cache(maxsize=None)
+def _row_table(n: int) -> tuple[Row, ...]:
+    """Each chain's :func:`_row` with its canonical bound, indexed by rank:
+    one span and one bound per chain, read once per n."""
+    table = _facet_table(n)
+    return tuple(_row(c, table[r], n) for r, c in enumerate(_enumerate_chains(n)))
+
+
+def _preorder(row: Row) -> tuple[int, int]:
+    """Sorts rows as ``Bracketing.spans`` are: by lo, then the widest first."""
+    return row[0], -row[1]
+
+
+def _back_substitute(rows: Iterable[Row], n: int) -> ScaledPoint:
     """The point where the facets of one vertex meet the ambient plane, as
     :func:`solve_exact` gives it, in one preorder pass over the prefix sums
     of the vertex's bracketing tree (the module docstring's lemma).
 
-    ``facets`` pairs each of the vertex's n chains with its halfspace,
-    whose coefficients must be the chain's own: the pass reads only each
-    chain's :meth:`~simplepa.nestedsets.Chain.span` and its bound.  The
-    root's chain, over 0..n, gives the permutation: the one label it leaves
-    out, its ext, then its core.
+    ``rows`` holds the :func:`_row` of each of the vertex's n chains: its
+    span and its bound, with the permutation on the root's row.
     """
-    nodes = []
-    for c, h in facets:
-        lo, hi = c.span(n)
-        nodes.append((lo, hi, h.rhs))
-        if hi - lo == n:
-            root = c
-    nodes.sort(key=lambda node: (node[0], -node[1]))  # preorder, as in Bracketing.spans
-    d = lcm(*[rhs.denominator for _, _, rhs in nodes])
+    nodes = sorted(rows, key=_preorder)  # the root first
+    d = lcm(*[q for _, _, _, q, _ in nodes])
     prefix = [0, *[None] * n]  # d·P(0), ..., d·P(n); P(0) = 0
-    for lo, hi, rhs in nodes:
-        row = rhs.numerator * (d // rhs.denominator)  # d·(P(hi) - P(lo))
+    for lo, hi, p, q, _ in nodes:
+        row = p * (d // q)  # d·(P(hi) - P(lo))
         if prefix[lo] is None:  # a right child: its parent fixed P(hi)
             prefix[lo] = prefix[hi] - row
         else:  # the root or a left child: P(lo) is fixed
             prefix[hi] = prefix[lo] + row
     # d·Y_0, ..., d·Y_(n+1), with Y_0 = 3^(n+1) and Y_(n+1) = 0
     suffix = [3 ** (n + 1) * d, *map(sub, prefix[1:], prefix), 0]
-    (last,) = root.core
-    perm = ((((1 << (n + 1)) - 1) ^ root.mask).bit_length() - 1, *root.ext, last)
     scaled = [0] * (n + 1)
-    for label, y, after in zip(perm, suffix, suffix[1:]):
+    for label, y, after in zip(nodes[0][4], suffix, suffix[1:]):
         scaled[label] = y - after
     g = gcd(d, *scaled)
     return tuple(x // g for x in scaled), d // g
@@ -344,8 +369,7 @@ def vertex_point(v: Key, n: int) -> Point:
 
 def _scaled_vertex(v: Key, n: int) -> ScaledPoint:
     """:func:`vertex_point` as the lowest-terms (X, d) that it divides out."""
-    table, chains = _facet_table(n), _enumerate_chains(n)
-    return _back_substitute([(chains[r], table[r]) for r in v], n)
+    return _back_substitute(map(_row_table(n).__getitem__, v), n)
 
 
 @dataclass(frozen=True)
@@ -365,10 +389,12 @@ def verify_vertex(v: Key, n: int, altered: Mapping[int, Hyperplane] | None = Non
     equality and whether all remaining ones hold strictly.
 
     The system is solved by back-substitution over the vertex's bracketing
-    tree (the module docstring's lemma), with the bounds of the table
-    below, so a lowered bound flows into the point.  A row of ``altered``
-    whose coefficients differ from its chain's own is no longer triangular
-    in the tree, and such a vertex is solved by :func:`solve_exact`.
+    tree (the module docstring's lemma), from the per-rank rows of
+    :func:`_row_table`.  A chain of ``altered`` gets its row built the same
+    way from its new bound, so a lowered bound flows into the point.  A
+    row of ``altered`` whose coefficients differ from its chain's own is
+    no longer triangular in the tree, and such a vertex is solved by
+    :func:`solve_exact`.
 
     On a correct realization, ``tight`` holds the ranks in ``v``, every
     other facet is strict, and the vertex lies on exactly n facet
@@ -388,13 +414,17 @@ def verify_vertex(v: Key, n: int, altered: Mapping[int, Hyperplane] | None = Non
     """
     if altered is None:
         check_cap(n)
-    canonical = _facet_table(n)
+    canonical, rows = _facet_table(n), _row_table(n)
     table = ChainMap(altered, canonical) if altered else canonical
-    if altered and any(altered[r].coeffs != canonical[r].coeffs for r in altered.keys() & v):
+    own = altered.keys() & v if altered else ()
+    if any(altered[r].coeffs != canonical[r].coeffs for r in own):
         point = _solve_vertex(v, n, table)
-    else:
+    elif own:  # the altered chains' own rows, with their new bounds
         chains = _enumerate_chains(n)
-        point = _back_substitute([(chains[r], table[r]) for r in v], n)
+        own_rows = [_row(chains[r], altered[r], n) if r in own else rows[r] for r in v]
+        point = _back_substitute(own_rows, n)
+    else:
+        point = _back_substitute(map(rows.__getitem__, v), n)
     verdict = _class_scan(v, point, n)
     if verdict is None:
         verdict = _facet_scan(v, point, table)
@@ -477,7 +507,7 @@ def polytope_graph(n: int, max_n: int | None = None):
     vertices are maximal nested sets, edges join pairs sharing n-1 chains.
     Must coincide with the rewrite graph under the bracketing bijection."""
     vertices = all_bracketings(n, max_n=max_n)
-    position = {b: i for i, b in enumerate(vertices)}
+    position = _position_index(vertices)
     chains = _enumerate_chains(n)
     roots = {r for r, c in enumerate(chains) if is_full_chain(c, n)}  # alpha edges hold one
     # each maximal nested set sits at its from_nested bracketing, so the check
@@ -485,7 +515,8 @@ def polytope_graph(n: int, max_n: int | None = None):
     # would have no edges here, while the rewrite graph gives it n
     buckets: dict[Key, list[int]] = {}
     for v in enumerate_vertices(n, max_n=max_n):
-        i = position[from_nested(map(chains.__getitem__, v))]
+        b = from_nested(map(chains.__getitem__, v))
+        i = position[b.spans][b.perm]
         for edge_face in combinations(v, n - 1):
             buckets.setdefault(edge_face, []).append(i)
     edges = set()

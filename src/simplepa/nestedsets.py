@@ -211,8 +211,11 @@ def vertex_keys(
 
     The node over positions lo..hi of bracketing (perm, spans) is the chain
     (perm[hi:], perm[lo+1:hi]); its rank is looked up by core bitmask and
-    ext, so no :class:`Chain` is built.  The rank map holds every chain of
-    n (118,974 at n = 7), so n above the cap is refused as the call is made.
+    ext, so no :class:`Chain` is built.  The n(n+1)/2 chains of a
+    permutation, one per pair lo < hi, are ranked the first time it
+    appears and kept in one flat list for its other tree shapes.  The rank
+    map holds every chain of n (118,974 at n = 7), so n above the cap is
+    refused as the call is made.
     """
     check_cap(n, max_n)
     return _vertex_keys(bracketings, n)
@@ -220,12 +223,20 @@ def vertex_keys(
 
 def _vertex_keys(bracketings: Iterable, n: int) -> Iterator[tuple[int, ...]]:
     rank = _rank_by_mask(n)
+    width = n + 1
+    by_perm: dict[tuple[int, ...], list[int]] = {}
     suffix = [0] * (n + 2)
     for b in bracketings:
         perm = b.perm
-        for j in range(n, -1, -1):
-            suffix[j] = suffix[j + 1] | 1 << perm[j]
-        yield tuple(sorted(rank[suffix[hi], perm[lo + 1:hi]] for lo, hi in b.spans))
+        ranks = by_perm.get(perm)
+        if ranks is None:  # every chain of perm, flat by lo·(n+1) + hi
+            for j in range(n, -1, -1):
+                suffix[j] = suffix[j + 1] | 1 << perm[j]
+            ranks = by_perm[perm] = [0] * (width * width)
+            for lo in range(n):
+                for hi in range(lo + 1, width):
+                    ranks[lo * width + hi] = rank[suffix[hi], perm[lo + 1:hi]]
+        yield tuple(sorted(ranks[lo * width + hi] for lo, hi in b.spans))
 
 
 @lru_cache(maxsize=None)

@@ -38,6 +38,14 @@ different method, something the package computes on its production route:
   ``bracketing_payload`` builds the ``pa bracketing`` record as a dict,
   where the command lays out its text by hand.
 
+* ``build_graph_by_moves`` takes both moves at every bracketing and finds
+  each neighbour by hashing it, where ``build_graph`` takes the rotations
+  once per tree shape and finds the neighbours by permutation;
+  ``vertex_keys_by_bracketing`` ranks each node of each bracketing, where
+  ``vertex_keys`` ranks the chains of a permutation once for all its
+  shapes; ``back_substitute_by_chains`` reads each chain's span, bound and
+  labels as it solves, where ``verify_vertex`` reads a per-rank row table.
+
 ``chain_top`` and ``chain_sets`` read a chain's top set and its sets,
 which the package reads only as bitmasks (``Chain.mask``, ``Chain.family``).
 
@@ -52,7 +60,8 @@ from collections import Counter
 from collections.abc import Iterable, Mapping, Sequence
 from fractions import Fraction
 from functools import lru_cache
-from operator import mul
+from math import gcd, lcm
+from operator import mul, sub
 
 from simplepa import (
     ALPHA,
@@ -62,7 +71,9 @@ from simplepa import (
     DiagramType,
     Hyperplane,
     NestedSet,
+    RewriteGraph,
     all_bracketings,
+    alpha_neighbors,
     ambient_plane,
     classify_2_face,
     faces,
@@ -72,12 +83,13 @@ from simplepa import (
     normalization_map,
     parse_bracketing,
     print_bracketing,
+    sigma_neighbor,
     to_nested,
     vertex_coordinates,
 )
 from simplepa.classify import _span_bit
 from simplepa.limits import check_cap, check_n
-from simplepa.nestedsets import _compatible, _enumerate_chains
+from simplepa.nestedsets import _compatible, _enumerate_chains, _rank_by_mask
 
 Point = tuple[Fraction, ...]
 
@@ -412,3 +424,69 @@ def bracketing_payload(text: str, n: int) -> dict:
         "coordinates": [str(x) for x in vertex_coordinates(v, n)],
         "tight": [chain_record(c) for c in sorted(v, key=Chain.sort_key)],
     }
+
+
+# ---------------------------------------------------------------------------
+# the production routes taken move by move, node by node, chain by chain
+
+def build_graph_by_moves(n: int) -> RewriteGraph:
+    """The rewrite graph by both moves at every bracketing, each neighbour
+    found by its hash in a map from bracketings to ids."""
+    vertices = all_bracketings(n)
+    index = {b: i for i, b in enumerate(vertices)}
+    edges = set()
+    for i, b in enumerate(vertices):
+        for neighbor in alpha_neighbors(b):
+            j = index[neighbor]
+            edges.add((min(i, j), max(i, j), ALPHA))
+        j = index[sigma_neighbor(b)]
+        edges.add((min(i, j), max(i, j), SIGMA))
+    return RewriteGraph(tuple(vertices), frozenset(edges))
+
+
+def vertex_keys_by_bracketing(
+    bracketings: Iterable[Bracketing], n: int
+) -> list[tuple[int, ...]]:
+    """The key of each bracketing's vertex, in the order given, by one rank
+    lookup per node of each bracketing."""
+    rank = _rank_by_mask(n)
+    keys = []
+    for b in bracketings:
+        perm = b.perm
+        suffix = [0] * (n + 2)
+        for j in range(n, -1, -1):
+            suffix[j] = suffix[j + 1] | 1 << perm[j]
+        keys.append(tuple(sorted(rank[suffix[hi], perm[lo + 1:hi]] for lo, hi in b.spans)))
+    return keys
+
+
+def back_substitute_by_chains(
+    facets: Iterable[tuple[Chain, Hyperplane]], n: int
+) -> tuple[tuple[int, ...], int]:
+    """The lowest-terms (X, d) of a vertex given as its n chains, each
+    paired with a halfspace of the chain's own coefficients, by one
+    preorder pass over the prefix sums of its bracketing tree: each
+    chain's span, bound and, for the root, labels are read as it goes."""
+    nodes = []
+    for c, h in facets:
+        lo, hi = c.span(n)
+        nodes.append((lo, hi, h.rhs))
+        if hi - lo == n:
+            root = c
+    nodes.sort(key=lambda node: (node[0], -node[1]))
+    d = lcm(*[rhs.denominator for _, _, rhs in nodes])
+    prefix = [0, *[None] * n]
+    for lo, hi, rhs in nodes:
+        row = rhs.numerator * (d // rhs.denominator)
+        if prefix[lo] is None:
+            prefix[lo] = prefix[hi] - row
+        else:
+            prefix[hi] = prefix[lo] + row
+    suffix = [3 ** (n + 1) * d, *map(sub, prefix[1:], prefix), 0]
+    (last,) = root.core
+    perm = ((((1 << (n + 1)) - 1) ^ root.mask).bit_length() - 1, *root.ext, last)
+    scaled = [0] * (n + 1)
+    for label, y, after in zip(perm, suffix, suffix[1:]):
+        scaled[label] = y - after
+    g = gcd(d, *scaled)
+    return tuple(x // g for x in scaled), d // g

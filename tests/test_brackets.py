@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import bracketings, chain_of
-from oracles import chain_incident, face_of, ordered_partition
+from oracles import build_graph_by_moves, chain_incident, face_of, ordered_partition
 from simplepa import (
     ALPHA,
     SIGMA,
@@ -235,6 +235,11 @@ def test_build_graph_n3():
     for i in range(len(g.vertices)):
         assert g.degree(i) == 3
         assert g.kind_degree(i, SIGMA) == 1
+
+
+def test_build_graph_equals_the_move_by_move_oracle():
+    for n in range(1, 6):
+        assert build_graph(n) == build_graph_by_moves(n)
 
 
 def _hand_built_graph():

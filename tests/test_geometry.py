@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from conftest import bracketings, chain_of, random_bracketing
 from oracles import (
+    back_substitute_by_chains,
     face_of,
     gauss_jordan,
     key_of,
@@ -50,6 +51,7 @@ from simplepa import (
     vertex_coordinates,
     vertex_point,
     verify_vertex,
+    vertex_keys,
 )
 from simplepa import geometry, nestedsets
 from simplepa.brackets import from_nested, print_bracketing, to_nested
@@ -178,12 +180,26 @@ def test_solve_exact_agrees_with_gauss_jordan(system):
 
 
 def test_back_substitution_equals_solve_exact_on_every_vertex():
+    # the per-rank rows against the chain-by-chain pass and elimination
     for n in range(1, 6):
         table = _facet_table(n)
         chains = enumerate_chains(n)
         for v in enumerate_vertices(n):
-            point = geometry._back_substitute([(chains[r], table[r]) for r in v], n)
+            point = verify_vertex(v, n).scaled
+            assert point == back_substitute_by_chains([(chains[r], table[r]) for r in v], n)
             assert point == geometry._solve_vertex(v, n, table)
+
+
+def test_back_substitution_equals_solve_exact_on_a_sample_n6():
+    n = 6
+    table = _facet_table(n)
+    chains = enumerate_chains(n, max_n=n)
+    rng = random.Random(606)
+    sample = [random_bracketing(rng, n) for _ in range(400)]
+    for v in vertex_keys(sample, n, max_n=n):
+        point = geometry._scaled_vertex(v, n)
+        assert point == back_substitute_by_chains([(chains[r], table[r]) for r in v], n)
+        assert point == geometry._solve_vertex(v, n, table)
 
 
 @settings(max_examples=60, deadline=None)
@@ -192,7 +208,20 @@ def test_back_substitution_equals_solve_exact_at_n6_to_8(b):
     # each chain's own row, in the set's order: no rank table is involved
     n = b.n
     rows = {c: facet_inequality(c, n) for c in to_nested(b)}
-    assert geometry._back_substitute(rows.items(), n) == geometry._solve_vertex(rows, n, rows)
+    point = geometry._back_substitute([geometry._row(c, h, n) for c, h in rows.items()], n)
+    assert point == geometry._solve_vertex(rows, n, rows)
+
+
+def test_the_row_table_reads_each_chain_once():
+    for n in range(1, 5):
+        chains, table = enumerate_chains(n), _facet_table(n)
+        rows = geometry._row_table(n)
+        assert len(rows) == len(chains)
+        for r, (c, (lo, hi, p, q, perm)) in enumerate(zip(chains, rows, strict=True)):
+            assert (lo, hi) == c.span(n) and Fraction(p, q) == table[r].rhs
+            assert (perm is not None) == (hi - lo == n)
+            if perm is not None:  # the complete chain's sets are the suffixes of perm
+                assert suffix_interval(c, perm) == (1, n)
 
 
 def _solve_cases():

@@ -5,7 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings
 
-from conftest import CHAINS_N2, VERTICES_N2, bracketings, chain_of
+from conftest import CHAINS_N2, VERTICES_N2, bracketings, chain_of, random_bracketing
 from oracles import (
     _union_admissible,
     chain_sets,
@@ -16,6 +16,7 @@ from oracles import (
     key_of,
     nested_key,
     suffix_interval,
+    vertex_keys_by_bracketing,
 )
 from simplepa import (
     Chain,
@@ -285,6 +286,24 @@ def test_vertex_keys_name_the_to_nested_chains_of_a_sample_n5():
     for b, key in zip(sample, vertex_keys(sample, 5), strict=True):
         assert key in keys
         assert face_of(key, 5) == to_nested(b)
+
+
+def test_vertex_keys_equal_the_per_bracketing_oracle_in_the_order_given():
+    for n in range(1, 6):
+        bracketings = all_bracketings(n)
+        # the canonical order, then a shuffle with repeats, so each
+        # permutation comes back after others
+        mixed = random.Random(3400 + n).choices(bracketings, k=2 * len(bracketings))
+        for order in (bracketings, mixed):
+            assert list(vertex_keys(order, n)) == vertex_keys_by_bracketing(order, n)
+
+
+@pytest.mark.parametrize("n", [6, 7])
+def test_vertex_keys_of_single_bracketings_equal_the_oracle(n):
+    rng = random.Random(3467 + n)
+    for _ in range(100):
+        b = random_bracketing(rng, n)
+        assert list(vertex_keys([b], n, max_n=n)) == vertex_keys_by_bracketing([b], n)
 
 
 @settings(max_examples=150, deadline=None)

@@ -140,6 +140,22 @@ def _json(payload: dict) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
+def _assert_same_document(got: str, expected: str) -> None:
+    """``got == expected``, compared line by line: a failure names the first
+    differing line, where pytest's diff of two documents of megabytes would
+    run for minutes."""
+    got_lines, expected_lines = got.splitlines(True), expected.splitlines(True)
+    for number, (line, want) in enumerate(zip(got_lines, expected_lines), start=1):
+        if line != want:
+            pytest.fail(f"line {number} differs: got {line!r}, expected {want!r}", pytrace=False)
+    if len(got_lines) != len(expected_lines):
+        pytest.fail(
+            f"{len(got_lines)} lines, expected {len(expected_lines)}; the first "
+            f"{min(len(got_lines), len(expected_lines))} agree",
+            pytrace=False,
+        )
+
+
 # every face list up to n = 4, then the 2-face census
 STREAMED_FACES = [(n, dim, False) for n in range(1, 5) for dim in range(n + 1)] + [
     (n, 2, True) for n in range(2, 5)
@@ -152,7 +168,8 @@ STREAMED_FACES = [(n, dim, False) for n in range(1, 5) for dim in range(n + 1)] 
     ids=[f"n{n}-dim{dim}" + ("-classify" if c else "") for n, dim, c in STREAMED_FACES],
 )
 def test_streamed_faces_are_the_json_of_the_payload(n, dim, labelled):
-    assert "".join(render_faces(n, dim, labelled)) == _json(faces_payload(n, dim, labelled))
+    expected = _json(faces_payload(n, dim, labelled))
+    _assert_same_document("".join(render_faces(n, dim, labelled)), expected)
 
 
 def test_a_body_document_lays_out_no_chain(monkeypatch):
@@ -168,7 +185,7 @@ def test_a_body_document_lays_out_no_chain(monkeypatch):
 
 @pytest.mark.parametrize("n", range(1, 5))
 def test_streamed_vertices_are_the_json_of_the_payload(n):
-    assert "".join(render_vrep(n)) == _json(vrep_payload(n))
+    _assert_same_document("".join(render_vrep(n)), _json(vrep_payload(n)))
 
 
 def _random_bracketing(rng: random.Random, n: int) -> str:
