@@ -38,7 +38,9 @@ pass reads of a chain, its row, is its span (lo, hi), its bound and, for
 the root chain, the permutation: the one label it leaves out, its ext,
 then its core.  None of that depends on the vertex, so the rows are read
 once per n into one table indexed by chain rank, and a vertex's key
-names its n rows.  The solve gives the same lowest-terms (X, d) as
+names its n rows; a key whose spans are not one tree's is refused.  A
+new bound, as ``--perturb`` sets, keeps its row's coefficients and so
+its pass.  The solve gives the same lowest-terms (X, d) as
 :func:`solve_exact`, which stays as the test oracle and as
 :func:`vertex_coordinates`'s independent route.  That route eliminates
 on the chains' own coefficients, integers of at most n, and on the
@@ -63,19 +65,18 @@ coordinates are distinct, that one placement is the only one to attain it.
 So one sort of a vertex's n+1 coordinates checks the whole canonical table,
 one integer comparison per class: a class whose least value clears its
 bound is strict throughout, and a class that meets its bound has exactly
-one tight facet.  Rows that replace canonical ones, such as the
-``--perturb`` control's lowered bound, are then compared one by one.  A
-point with two equal coordinates, or below some class bound, is scanned
-facet by facet instead.
+one tight facet.  Rows with new bounds, such as the ``--perturb``
+control's lowered one, are then compared one by one.  A point with two
+equal coordinates, or below some class bound, is scanned facet by facet
+instead.
 """
 
 from __future__ import annotations
 
-from collections import ChainMap
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import accumulate, combinations
 from math import gcd, lcm, prod
 from operator import mul, or_, sub
@@ -122,12 +123,6 @@ class Hyperplane:
 
     coeffs: tuple[int, ...]
     rhs: Fraction
-
-    @cached_property
-    def row(self) -> tuple[tuple[int, ...], int]:
-        """The integer form (q*a, p) of a.x vs p/q; out of ==, hash and repr."""
-        q = self.rhs.denominator
-        return tuple(q * a for a in self.coeffs), self.rhs.numerator
 
 
 def facet_inequality(chain: Chain, n: int) -> Hyperplane:
@@ -202,15 +197,9 @@ ScaledPoint = tuple[tuple[int, ...], int]  # (X, d), the point X/d in lowest ter
 Key = tuple[int, ...]  # a vertex: the ranks of its chains in enumerate_chains(n)
 
 
-@lru_cache(maxsize=None)
-def _facet_table(n: int) -> dict[int, Hyperplane]:
-    """Each chain's facet halfspace, keyed by the chain's rank."""
-    return {r: facet_inequality(c, n) for r, c in enumerate(_enumerate_chains(n))}
-
-
-def _solve_vertex(v: Iterable, n: int, table: Mapping) -> ScaledPoint:
-    """The point where the facets ``table[c]``, c in ``v``, meet the ambient
-    plane: ``v`` holds ranks into the facet table, or chains into their own.
+def _solve_vertex(rows: Sequence[Hyperplane], n: int) -> ScaledPoint:
+    """The point where the facet hyperplanes ``rows`` of one vertex meet the
+    ambient plane.
 
     :func:`solve_exact` gets the rows' own coefficients, at most n for a
     chain's row, beside the ambient row of ones.  The bounds p/q share one
@@ -219,36 +208,34 @@ def _solve_vertex(v: Iterable, n: int, table: Mapping) -> ScaledPoint:
     terms already: an integer row a with a·x = p/q makes q divide the
     least denominator of x, so D divides it, and e·D over it divides both
     e and every X, whose only common divisor is 1."""
-    rows = [table[c] for c in v]
     d = lcm(*[h.rhs.denominator for h in rows])
     rhs = [h.rhs.numerator * (d // h.rhs.denominator) for h in rows]
     scaled, e = solve_exact([*(h.coeffs for h in rows), (1,) * (n + 1)], [*rhs, 3 ** (n + 1) * d])
     return scaled, e * d
 
 
-Row = tuple[int, int, int, int, tuple[int, ...] | None]  # (lo, hi, p, q, perm)
+Row = tuple[int, int, int, int, tuple[int, ...] | None, tuple[int, ...]]  # (lo, hi, p, q, perm, a)
 
 
-def _row(chain: Chain, h: Hyperplane, n: int) -> Row:
-    """The chain's row in :func:`_back_substitute`: its
-    :meth:`~simplepa.nestedsets.Chain.span` (lo, hi), the bound p/q of
-    ``h``, whose coefficients must be the chain's own, and for the root
-    chain, over 0..n, the permutation: the one label it leaves out, its
-    ext, then its core.  Other chains carry None there."""
+def _row(chain: Chain, n: int) -> Row:
+    """The chain's row: its :meth:`~simplepa.nestedsets.Chain.span` (lo,
+    hi), the bound p/q and coefficients a of its :func:`facet_inequality`,
+    and for the root chain, over 0..n, the permutation: the one label it
+    leaves out, its ext, then its core (None for other chains)."""
+    h = facet_inequality(chain, n)
     lo, hi = chain.span(n)
     perm = None
     if hi - lo == n:
         (last,) = chain.core
         perm = ((((1 << (n + 1)) - 1) ^ chain.mask).bit_length() - 1, *chain.ext, last)
-    return lo, hi, h.rhs.numerator, h.rhs.denominator, perm
+    return lo, hi, h.rhs.numerator, h.rhs.denominator, perm, h.coeffs
 
 
 @lru_cache(maxsize=None)
 def _row_table(n: int) -> tuple[Row, ...]:
-    """Each chain's :func:`_row` with its canonical bound, indexed by rank:
-    one span and one bound per chain, read once per n."""
-    table = _facet_table(n)
-    return tuple(_row(c, table[r], n) for r, c in enumerate(_enumerate_chains(n)))
+    """Each chain's :func:`_row`, indexed by rank: the check's one table,
+    read once per n."""
+    return tuple(_row(c, n) for c in _enumerate_chains(n))
 
 
 def _preorder(row: Row) -> tuple[int, int]:
@@ -256,18 +243,27 @@ def _preorder(row: Row) -> tuple[int, int]:
     return row[0], -row[1]
 
 
-def _back_substitute(rows: Iterable[Row], n: int) -> ScaledPoint:
+def _back_substitute(rows: Iterable[Row], n: int) -> ScaledPoint | None:
     """The point where the facets of one vertex meet the ambient plane, as
     :func:`solve_exact` gives it, in one preorder pass over the prefix sums
     of the vertex's bracketing tree (the module docstring's lemma).
 
     ``rows`` holds the :func:`_row` of each of the vertex's n chains: its
-    span and its bound, with the permutation on the root's row.
+    span and its bound, with the permutation on the root's row.  None when
+    a node crosses one that encloses it, or finds both its ends set or
+    neither: the spans that pass are n distinct pairs, none crossing, and
+    so the nodes of one binary tree over 0..n (``brackets._tree_spans``).
     """
     nodes = sorted(rows, key=_preorder)  # the root first
-    d = lcm(*[q for _, _, _, q, _ in nodes])
+    d = lcm(*[q for _, _, _, q, _, _ in nodes])
     prefix = [0, *[None] * n]  # d·P(0), ..., d·P(n); P(0) = 0
-    for lo, hi, p, q, _ in nodes:
+    ends = []  # the hi of each node that encloses this one
+    for lo, hi, p, q, _, _ in nodes:
+        while ends and ends[-1] < lo:
+            ends.pop()
+        if ends and ends[-1] < hi or (prefix[lo] is None) == (prefix[hi] is None):
+            return None
+        ends.append(hi)
         row = p * (d // q)  # d·(P(hi) - P(lo))
         if prefix[lo] is None:  # a right child: its parent fixed P(hi)
             prefix[lo] = prefix[hi] - row
@@ -321,18 +317,15 @@ def _class_scan(v: Key, point: ScaledPoint, n: int) -> tuple[frozenset[int], boo
     return tight, tight.issubset(v)
 
 
-def _facet_scan(
-    v: Key, point: ScaledPoint, facets: Mapping[int, Hyperplane]
-) -> tuple[frozenset[int], bool]:
-    """The ranks of the tight facets at X/d and whether every facet outside
-    ``v`` is strict, by one comparison per facet."""
-    # with x = X/d, a.x >= p/q compares exactly as (q*a).X >= p*d, since d, q > 0
+def _facet_scan(v: Key, point: ScaledPoint, rows: Mapping[int, Row]) -> tuple[frozenset[int], bool]:
+    """The ranks of the tight facets of ``rows`` at X/d and whether every
+    one outside ``v`` is strict, by one comparison per facet."""
+    # with x = X/d, a.x >= p/q compares exactly as q*(a.X) >= p*d, since d, q > 0
     scaled, d = point
     tight = []
     strict_ok = True
-    for r, h in facets.items():
-        coeffs, p = h.row
-        lhs = sum(map(mul, coeffs, scaled))
+    for r, (_, _, p, q, _, a) in rows.items():
+        lhs = q * sum(map(mul, a, scaled))
         bound = p * d
         if lhs <= bound:
             if lhs == bound:
@@ -350,7 +343,7 @@ def vertex_coordinates(v: NestedSet, n: int) -> Point:
         raise ValueError(f"expected a maximal nested set of cardinality {n}")
     if not is_nested(v, n):
         raise ValueError("the given chains are not nested")
-    scaled, d = _solve_vertex(v, n, {c: facet_inequality(c, n) for c in v})
+    scaled, d = _solve_vertex([facet_inequality(c, n) for c in v], n)
     return tuple(Fraction(x, d) for x in scaled)
 
 
@@ -358,18 +351,28 @@ def vertex_point(v: Key, n: int) -> Point:
     """The point of the vertex with key ``v``, as :func:`enumerate_vertices`
     and :func:`~simplepa.nestedsets.vertex_keys` give it, solved by
     back-substitution over its bracketing tree (the module docstring's
-    lemma) with the bounds of the cached facet table; ``v`` is taken as a
-    vertex unchecked.  The vertex lists of ``pa generate --vrep`` and ``pa
-    export --off`` take this route, while :func:`vertex_coordinates` checks
-    a chain set and solves it from its own rows by elimination, with no
-    table."""
+    lemma) with the bounds of the cached row table, so n must be within
+    the enumeration cap.  ``v`` is checked as :func:`verify_vertex` checks
+    it.  The vertex lists of ``pa generate --vrep`` and ``pa export --off``
+    take this route, while :func:`vertex_coordinates` checks a chain set
+    and solves it from its own rows by elimination, with no table."""
+    check_cap(n)
     scaled, d = _scaled_vertex(v, n)
     return tuple(Fraction(x, d) for x in scaled)
 
 
-def _scaled_vertex(v: Key, n: int) -> ScaledPoint:
-    """:func:`vertex_point` as the lowest-terms (X, d) that it divides out."""
-    return _back_substitute(map(_row_table(n).__getitem__, v), n)
+def _scaled_vertex(v: Key, n: int, rebound: Mapping[int, Row] = {}) -> ScaledPoint:
+    """:func:`vertex_point` as the lowest-terms (X, d) that it divides out,
+    with the rows of ``rebound`` in place of the table's.  Raises
+    ValueError, naming ``v``, unless it holds n ranks into the table whose
+    spans form a full binary tree over 0..n."""
+    table = _row_table(n)
+    if len(v) == n and 0 <= min(v) and max(v) < len(table):
+        point = _back_substitute([rebound.get(r) or table[r] for r in v], n)
+        if point is not None:
+            return point
+    raise ValueError(f"{v!r} is not a vertex key at n = {n}: expected {n} chain ranks "
+                     f"in 0..{len(table) - 1} whose spans form a bracketing tree")
 
 
 @dataclass(frozen=True)
@@ -383,54 +386,49 @@ class VertexReport:
     multiplicity_ok: bool
 
 
-def verify_vertex(v: Key, n: int, altered: Mapping[int, Hyperplane] | None = None) -> VertexReport:
+def verify_vertex(v: Key, n: int, bounds: Mapping[int, Fraction] | None = None) -> VertexReport:
     """Solve the vertex with key ``v`` (as :func:`enumerate_vertices` gives
     it) from its defining system, then report which facets it meets with
     equality and whether all remaining ones hold strictly.
 
     The system is solved by back-substitution over the vertex's bracketing
     tree (the module docstring's lemma), from the per-rank rows of
-    :func:`_row_table`.  A chain of ``altered`` gets its row built the same
-    way from its new bound, so a lowered bound flows into the point.  A
-    row of ``altered`` whose coefficients differ from its chain's own is
-    no longer triangular in the tree, and such a vertex is solved by
-    :func:`solve_exact`.
+    :func:`_row_table`.  ``bounds`` maps ranks to new right-hand sides,
+    such as the ``--perturb`` control's lowered one; a row keeps its
+    coefficients, so the new bound flows into the point by the same pass.
 
     On a correct realization, ``tight`` holds the ranks in ``v``, every
     other facet is strict, and the vertex lies on exactly n facet
     hyperplanes.
 
-    The table is the canonical one, keyed by chain rank, with the rows of
-    ``altered``, a map from ranks to the rows that replace theirs, put in
-    their place.  With ``altered`` None, n must be within the enumeration
-    cap; a caller that passes a mapping, even an empty one, has checked its
-    own cap.
+    With ``bounds`` None, n must be within the enumeration cap; a caller
+    that passes a mapping, even an empty one, has checked its own cap.
+    Raises ValueError when ``v`` is not n chain ranks whose spans form a
+    binary tree over 0..n, naming ``v``, or a key of ``bounds`` is no rank.
 
-    The canonical rows are checked class by class (see the module
+    The canonical bounds are checked class by class (see the module
     docstring): one sort of the vertex's coordinates gives each class's
-    least value and the one facet that can attain it.  The altered rows are
+    least value and the one facet that can attain it.  The new bounds are
     then compared one by one.  A vertex with two equal coordinates, or below
     some class bound, falls back to the brute-force scan of the whole table.
     """
-    if altered is None:
+    if bounds is None:
         check_cap(n)
-    canonical, rows = _facet_table(n), _row_table(n)
-    table = ChainMap(altered, canonical) if altered else canonical
-    own = altered.keys() & v if altered else ()
-    if any(altered[r].coeffs != canonical[r].coeffs for r in own):
-        point = _solve_vertex(v, n, table)
-    elif own:  # the altered chains' own rows, with their new bounds
-        chains = _enumerate_chains(n)
-        own_rows = [_row(chains[r], altered[r], n) if r in own else rows[r] for r in v]
-        point = _back_substitute(own_rows, n)
-    else:
-        point = _back_substitute(map(rows.__getitem__, v), n)
+        bounds = {}
+    table = _row_table(n)
+    rebound = {}  # each rank's row with its new bound
+    for r, rhs in bounds.items():
+        if not 0 <= r < len(table):
+            raise ValueError(f"a bound for rank {r}, outside 0..{len(table) - 1} at n = {n}")
+        lo, hi, _, _, perm, a = table[r]
+        rebound[r] = lo, hi, rhs.numerator, rhs.denominator, perm, a
+    point = _scaled_vertex(v, n, rebound)
     verdict = _class_scan(v, point, n)
     if verdict is None:
-        verdict = _facet_scan(v, point, table)
-    elif altered:  # no canonical row is below its bound: only the altered ones are left
-        own_tight, own_ok = _facet_scan(v, point, altered)
-        tight = verdict[0].difference(altered) | own_tight
+        verdict = _facet_scan(v, point, dict(enumerate(table)) | rebound)
+    elif rebound:  # no canonical bound is crossed: only the new ones are left
+        own_tight, own_ok = _facet_scan(v, point, rebound)
+        tight = verdict[0].difference(rebound) | own_tight
         verdict = tight, own_ok and tight.issubset(v)
     tight, strict_ok = verdict
     return VertexReport(point, tight, strict_ok, len(tight) == n)
@@ -569,20 +567,20 @@ def realization_report(n: int, perturb: bool = False, max_n: int | None = None) 
     since at n = 1 the lowered bound still cuts out a valid segment.
 
     The vertex check is ``verify_vertex``: one comparison per facet class,
-    then one per altered row.  It is handed the altered rows, none or the
+    then one per new bound.  It is handed the new bounds, none or the
     lowered one, so the cap is checked here alone.
     """
     check_cap(n, max_n, CHECK_MAX_N, CHECK_WHY)
-    table = _facet_table(n)
+    table = _row_table(n)
     if perturb and n < 2:
         raise ValueError(f"perturb needs n >= 2, got {n}: a lowered bound still leaves a segment")
-    altered = {}
+    bounds = {}
     if perturb:
         # relax the last canonical facet (a complete descending chain); the
         # vertices on it then cross their neighboring facets
         target = len(table) - 1
-        h = table[target]
-        altered[target] = Hyperplane(h.coeffs, h.rhs - 1)
+        _, _, p, q, _, _ = table[target]
+        bounds[target] = Fraction(p, q) - 1
 
     failures: list[str] = []
     failed = set()
@@ -597,9 +595,9 @@ def realization_report(n: int, perturb: bool = False, max_n: int | None = None) 
     verts = enumerate_vertices(n, max_n=max_n)
     chains = _enumerate_chains(n)
     points: set[ScaledPoint] = set()
-    tight_points: dict[int, list[ScaledPoint]] = {r: [] for r in table}
+    tight_points: dict[int, list[ScaledPoint]] = {r: [] for r in range(len(table))}
     for v in verts:
-        report = verify_vertex(v, n, altered)
+        report = verify_vertex(v, n, bounds)
         points.add(report.scaled)
         for r in report.tight:
             tight_points[r].append(report.scaled)

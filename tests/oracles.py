@@ -44,7 +44,9 @@ different method, something the package computes on its production route:
   ``vertex_keys_by_bracketing`` ranks each node of each bracketing, where
   ``vertex_keys`` ranks the chains of a permutation once for all its
   shapes; ``back_substitute_by_chains`` reads each chain's span, bound and
-  labels as it solves, where ``verify_vertex`` reads a per-rank row table.
+  labels as it solves, where ``verify_vertex`` reads a per-rank row table;
+  ``facet_table`` keys the halfspaces of ``h_representation`` by chain
+  rank, where that table keeps a row of integers per rank.
 
 ``chain_top`` and ``chain_sets`` read a chain's top set and its sets,
 which the package reads only as bitmasks (``Chain.mask``, ``Chain.family``).
@@ -78,6 +80,7 @@ from simplepa import (
     classify_2_face,
     faces,
     fractional_offset,
+    h_representation,
     is_full_chain,
     is_nested,
     normalization_map,
@@ -269,6 +272,13 @@ def value(h: Hyperplane, point: Sequence[Fraction]) -> Fraction:
 def tight(h: Hyperplane, point: Sequence[Fraction]) -> bool:
     """Whether the point lies on the hyperplane of ``h``."""
     return value(h, point) == h.rhs
+
+
+@lru_cache(maxsize=None)
+def facet_table(n: int, max_n: int | None = None) -> dict[int, Hyperplane]:
+    """Each chain's facet halfspace, keyed by the chain's rank in
+    ``enumerate_chains(n)``; the caller copies it before changing a row."""
+    return dict(enumerate(h_representation(n, max_n)[1]))
 
 
 def gauss_jordan(matrix: Sequence[Sequence], rhs: Sequence) -> Point | None:

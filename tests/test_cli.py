@@ -519,7 +519,7 @@ def test_check_refuses_n6_by_default_before_enumerating(tmp_path, monkeypatch, c
         raise AssertionError("the check enumerated")
 
     monkeypatch.delenv("PA_MAX_N", raising=False)
-    for module, name in [(geometry, "_facet_table"), (geometry, "enumerate_vertices"),
+    for module, name in [(geometry, "_row_table"), (geometry, "enumerate_vertices"),
                          (brackets, "build_graph")]:
         monkeypatch.setattr(module, name, refuse)
     report = tmp_path / "report.json"

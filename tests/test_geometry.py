@@ -1,6 +1,7 @@
 import itertools
 import json
 import random
+import re
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
@@ -14,6 +15,7 @@ from conftest import bracketings, chain_of, random_bracketing
 from oracles import (
     back_substitute_by_chains,
     face_of,
+    facet_table,
     gauss_jordan,
     key_of,
     normalized_functional,
@@ -54,9 +56,9 @@ from simplepa import (
     vertex_keys,
 )
 from simplepa import geometry, nestedsets
-from simplepa.brackets import from_nested, print_bracketing, to_nested
+from simplepa.brackets import _tree_spans, from_nested, print_bracketing, to_nested
 from simplepa.cli import render_bracketing_record
-from simplepa.geometry import VertexReport, _facet_table
+from simplepa.geometry import VertexReport, _row_table
 
 
 def test_facet_rhs_values():
@@ -114,13 +116,10 @@ def test_facet_inequality_examples():
             assert h.coeffs == tuple(1 if j == i else 0 for j in range(n + 1))
 
 
-def test_hyperplane_row_is_integral_and_stays_out_of_equality():
+def test_hyperplane_equality_hash_and_repr():
     h = facet_inequality(Chain({2}, (1,)), 2)  # x_1 + 2 x_2 >= 25/2
     twin = Hyperplane(h.coeffs, h.rhs)
-    before = hash(h)
-    assert h.row == ((0, 2, 4), 25)
-    assert "row" in vars(h) and "row" not in vars(twin)
-    assert h == twin and hash(h) == hash(twin) == before
+    assert h == twin and hash(h) == hash(twin)
     assert repr(h) == repr(twin)
 
 
@@ -182,24 +181,24 @@ def test_solve_exact_agrees_with_gauss_jordan(system):
 def test_back_substitution_equals_solve_exact_on_every_vertex():
     # the per-rank rows against the chain-by-chain pass and elimination
     for n in range(1, 6):
-        table = _facet_table(n)
+        table = facet_table(n)
         chains = enumerate_chains(n)
         for v in enumerate_vertices(n):
             point = verify_vertex(v, n).scaled
             assert point == back_substitute_by_chains([(chains[r], table[r]) for r in v], n)
-            assert point == geometry._solve_vertex(v, n, table)
+            assert point == geometry._solve_vertex([table[r] for r in v], n)
 
 
 def test_back_substitution_equals_solve_exact_on_a_sample_n6():
     n = 6
-    table = _facet_table(n)
+    table = facet_table(n, max_n=n)
     chains = enumerate_chains(n, max_n=n)
     rng = random.Random(606)
     sample = [random_bracketing(rng, n) for _ in range(400)]
     for v in vertex_keys(sample, n, max_n=n):
         point = geometry._scaled_vertex(v, n)
         assert point == back_substitute_by_chains([(chains[r], table[r]) for r in v], n)
-        assert point == geometry._solve_vertex(v, n, table)
+        assert point == geometry._solve_vertex([table[r] for r in v], n)
 
 
 @settings(max_examples=60, deadline=None)
@@ -207,18 +206,18 @@ def test_back_substitution_equals_solve_exact_on_a_sample_n6():
 def test_back_substitution_equals_solve_exact_at_n6_to_8(b):
     # each chain's own row, in the set's order: no rank table is involved
     n = b.n
-    rows = {c: facet_inequality(c, n) for c in to_nested(b)}
-    point = geometry._back_substitute([geometry._row(c, h, n) for c, h in rows.items()], n)
-    assert point == geometry._solve_vertex(rows, n, rows)
+    chains = to_nested(b)
+    point = geometry._back_substitute([geometry._row(c, n) for c in chains], n)
+    assert point == geometry._solve_vertex([facet_inequality(c, n) for c in chains], n)
 
 
 def test_the_row_table_reads_each_chain_once():
     for n in range(1, 5):
-        chains, table = enumerate_chains(n), _facet_table(n)
-        rows = geometry._row_table(n)
+        chains, rows = enumerate_chains(n), _row_table(n)
         assert len(rows) == len(chains)
-        for r, (c, (lo, hi, p, q, perm)) in enumerate(zip(chains, rows, strict=True)):
-            assert (lo, hi) == c.span(n) and Fraction(p, q) == table[r].rhs
+        for c, (lo, hi, p, q, perm, a) in zip(chains, rows, strict=True):
+            h = facet_inequality(c, n)
+            assert (lo, hi) == c.span(n) and Fraction(p, q) == h.rhs and a == h.coeffs
             assert (perm is not None) == (hi - lo == n)
             if perm is not None:  # the complete chain's sets are the suffixes of perm
                 assert suffix_interval(c, perm) == (1, n)
@@ -235,15 +234,18 @@ def _solve_cases():
 
 def test_the_small_coefficient_solve_equals_the_scaled_rows_and_gauss_jordan():
     for n, v in _solve_cases():
-        rows = {c: facet_inequality(c, n) for c in v}
-        point = geometry._solve_vertex(v, n, rows)
+        rows = [facet_inequality(c, n) for c in v]
+        point = geometry._solve_vertex(rows, n)
         # the rows q·a vs p of each bound p/q, as the solve took them before
+        scaled_rows = [
+            (tuple(h.rhs.denominator * a for a in h.coeffs), h.rhs.numerator) for h in rows
+        ]
         ambient = ((1,) * (n + 1), 3 ** (n + 1))
-        assert point == solve_exact(*zip(*(h.row for h in rows.values()), ambient))
+        assert point == solve_exact(*zip(*scaled_rows, ambient))
         scaled, d = point
         assert d > 0 and gcd(d, *scaled) == 1
-        matrix = [h.coeffs for h in rows.values()] + [ambient[0]]
-        expected = gauss_jordan(matrix, [h.rhs for h in rows.values()] + [ambient[1]])
+        matrix = [h.coeffs for h in rows] + [ambient[0]]
+        expected = gauss_jordan(matrix, [h.rhs for h in rows] + [ambient[1]])
         assert tuple(Fraction(x, d) for x in scaled) == expected
 
 
@@ -280,42 +282,6 @@ def test_the_check_solves_no_vertex_by_elimination(n, monkeypatch):
         assert sum(vertex_point(v, n)) == 3 ** (n + 1)
 
 
-def test_an_altered_row_with_other_coefficients_is_solved_by_elimination(monkeypatch):
-    n = 3
-    chains = enumerate_chains(n)
-    target = len(chains) - 1
-    h = _facet_table(n)[target]
-    solved = []
-    solve = geometry.solve_exact
-
-    def spy(matrix, rhs):
-        solved.append(rhs)
-        return solve(matrix, rhs)
-
-    monkeypatch.setattr(geometry, "solve_exact", spy)
-    on_target = [v for v in enumerate_vertices(n) if target in v]
-    # the same halfspace scaled by 2: read as its bound alone, the row would
-    # move the point, so these vertices must be solved by elimination
-    doubled = {target: Hyperplane(tuple(2 * a for a in h.coeffs), 2 * h.rhs)}
-    for v in enumerate_vertices(n):
-        assert verify_vertex(v, n, doubled) == verify_vertex(v, n)
-    assert len(solved) == len(on_target) == 5
-    # the row of another chain put in the target's place: the oracle's report
-    moved = Hyperplane(h.coeffs[::-1], h.rhs)
-    table = {c: facet_inequality(c, n) for c in chains}
-    table[chains[target]] = moved
-    failing = 0
-    for v in enumerate_vertices(n):
-        report = verify_vertex(v, n, {target: moved})
-        point, tight_set, strict_ok = verify_chains(face_of(v, n), n, table)
-        scaled, d = report.scaled
-        assert tuple(Fraction(x, d) for x in scaled) == point
-        assert {chains[r] for r in report.tight} == tight_set
-        assert report.strict_ok == strict_ok
-        failing += tight_set != face_of(v, n) or not strict_ok
-    assert len(solved) == 2 * len(on_target) and failing > 0
-
-
 def test_vertex_coordinates_examples():
     assert vertex_coordinates(frozenset([chain_of({1})]), 1) == (6, 3)
     v = frozenset([chain_of({1, 2}, {2}), chain_of({1, 2})])
@@ -330,9 +296,9 @@ def test_vertex_coordinates_validation():
 
 
 def test_lookup_at_n7_solves_from_its_own_facets():
-    _facet_table.cache_clear()
+    _row_table.cache_clear()
     record = json.loads(render_bracketing_record("((3*(7*0))*(((5*2)*6)*(1*4)))", 7))
-    assert _facet_table.cache_info().currsize == 0  # no 118,974-row table was built
+    assert _row_table.cache_info().currsize == 0  # no 118,974-row table was built
     point = [Fraction(x) for x in record["coordinates"]]
     assert sum(point) == 3**8
     assert len(record["tight"]) == 7
@@ -350,19 +316,70 @@ def test_verify_vertex_all_pass_n2():
 
 def test_verify_vertex_refuses_n_above_the_cap(monkeypatch):
     monkeypatch.delenv("PA_MAX_N", raising=False)
-    _facet_table.cache_clear()
+    _row_table.cache_clear()
     with pytest.raises(ResourceCapError):  # refused before the key is read
         verify_vertex(tuple(range(7)), 7)
-    assert _facet_table.cache_info().currsize == 0  # no 118,974-row table was built
+    assert _row_table.cache_info().currsize == 0  # no 118,974-row table was built
+
+
+def test_vertex_point_refuses_n_above_the_cap(monkeypatch):
+    monkeypatch.delenv("PA_MAX_N", raising=False)
+    _row_table.cache_clear()
+    with pytest.raises(ResourceCapError):  # refused before the key is read
+        vertex_point((0,) * 7, 7)
+    assert _row_table.cache_info().currsize == 0  # no 118,974-row table was built
+
+
+def test_verify_vertex_refuses_a_malformed_key():
+    n = 3
+    v = enumerate_vertices(n)[0]
+    last = len(enumerate_chains(n)) - 1
+    # chains of the permutation 0123 whose spans cross
+    crossing = key_of([chain_of({1, 2, 3}, {2, 3}, {3}), chain_of({1, 2, 3}), chain_of({2, 3})], n)
+    assert sorted(c.span(n) for c in face_of(crossing, n)) == [(0, 1), (0, 3), (1, 2)]
+    for key in [
+        v + (5,),  # one rank too many
+        v[:-1],  # one too few
+        (0, 1, 2),  # spans (2, 3) three times
+        (v[0], v[0], v[1]),  # a repeated rank
+        (-1, *v[1:]),  # a negative rank would index from the end
+        (*v[:-1], last + 1),  # a rank past the table
+        crossing,  # (0, 1) and (1, 2) cross
+    ]:
+        with pytest.raises(ValueError, match=re.escape(repr(key))):
+            verify_vertex(key, n)
+        with pytest.raises(ValueError, match=re.escape(repr(key))):
+            vertex_point(key, n)
+    for rank in (-1, last + 1):  # a bound's rank is checked as a key's are
+        with pytest.raises(ValueError, match=f"a bound for rank {rank},"):
+            verify_vertex(v, n, {rank: Fraction(0)})
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_back_substitution_takes_exactly_the_spans_of_a_tree(n):
+    # every multiset of n spans inside 0..n: a tree's (Catalan(n) of them)
+    # solve, and every other one returns None rather than a point
+    spans = [(lo, hi) for lo in range(n) for hi in range(lo + 1, n + 1)]
+    perm = tuple(range(n + 1))
+    trees = 0
+    for family in itertools.combinations_with_replacement(spans, n):
+        try:
+            _tree_spans(family, n)
+        except ValueError:
+            tree = False
+        else:
+            tree = True
+        rows = [(lo, hi, 1, 1, perm, ()) for lo, hi in family]
+        assert (geometry._back_substitute(rows, n) is not None) == tree, family
+        trees += tree
+    assert trees == comb(2 * n, n) // (n + 1)
 
 
 def test_verify_vertex_negative_control():
     # lowering one bound must surface as a strictness failure somewhere
-    table = dict(_facet_table(2))
-    target = list(table)[-1]
-    h = table[target]
-    table[target] = Hyperplane(h.coeffs, h.rhs - 1)
-    reports = [verify_vertex(v, 2, table) for v in enumerate_vertices(2)]
+    target = len(_row_table(2)) - 1
+    bounds = {target: facet_table(2)[target].rhs - 1}
+    reports = [verify_vertex(v, 2, bounds) for v in enumerate_vertices(2)]
     assert any(not r.strict_ok for r in reports)
 
 
@@ -378,7 +395,7 @@ def _fraction_verdict(v, table, report):
 
 def test_verify_vertex_agrees_with_fraction_oracle():
     for n in (1, 2, 3):
-        table = _facet_table(n)
+        table = facet_table(n)
         for v in enumerate_vertices(n):
             report = verify_vertex(v, n)
             assert (report.tight, report.strict_ok) == _fraction_verdict(v, table, report)
@@ -390,13 +407,14 @@ def test_verify_vertex_on_keys_agrees_with_the_chain_set_oracle(n, perturb):
     # the --perturb control lowers the last canonical facet's bound by 1
     chains = enumerate_chains(n)
     table = {c: facet_inequality(c, n) for c in chains}
-    altered = {}
+    bounds = {}
     if perturb:
         h = table[chains[-1]]
-        table[chains[-1]] = altered[len(chains) - 1] = Hyperplane(h.coeffs, h.rhs - 1)
+        table[chains[-1]] = Hyperplane(h.coeffs, h.rhs - 1)
+        bounds[len(chains) - 1] = h.rhs - 1
     failing = 0
     for v in enumerate_vertices(n):
-        report = verify_vertex(v, n, altered or None)
+        report = verify_vertex(v, n, bounds or None)
         point, tight_set, strict_ok = verify_chains(face_of(v, n), n, table)
         scaled, d = report.scaled
         assert tuple(Fraction(x, d) for x in scaled) == point
@@ -411,15 +429,14 @@ def test_verify_vertex_on_keys_agrees_with_the_chain_set_oracle(n, perturb):
 @pytest.mark.parametrize("shift", [1, -1, Fraction(1, 7), -Fraction(1, 7)])
 def test_verify_vertex_agrees_with_fraction_oracle_on_shifted_tables(n, shift):
     # a shift by 1/7 gives vertex denominators that do not divide 2(3^n - n - 1)
-    base = _facet_table(n)
-    chains = list(base)
-    for target in (chains[0], chains[-1]):
+    base = facet_table(n)
+    for target in (0, len(base) - 1):
         table = dict(base)
         h = table[target]
         table[target] = Hyperplane(h.coeffs, h.rhs + shift)
-        for altered in (table, {target: table[target]}):
+        for bounds in ({r: f.rhs for r, f in table.items()}, {target: table[target].rhs}):
             for v in enumerate_vertices(n):
-                report = verify_vertex(v, n, altered)
+                report = verify_vertex(v, n, bounds)
                 scaled, d = report.scaled
                 assert all(type(x) is int for x in scaled)
                 assert d > 0 and gcd(d, *scaled) == 1
@@ -428,27 +445,27 @@ def test_verify_vertex_agrees_with_fraction_oracle_on_shifted_tables(n, shift):
 
 def test_verify_vertex_flags_a_facet_moved_onto_an_outside_vertex():
     n = 3
-    base = _facet_table(n)
-    target = list(base)[-1]
+    base = facet_table(n)
+    target = len(base) - 1
     outside = next(v for v in enumerate_vertices(n) if target not in v)
     h = base[target]
     table = dict(base)
     table[target] = Hyperplane(h.coeffs, value(h, vertex_coordinates(face_of(outside, n), n)))
-    for altered in (table, {target: table[target]}):
-        report = verify_vertex(outside, n, altered)
+    for bounds in ({r: f.rhs for r, f in table.items()}, {target: table[target].rhs}):
+        report = verify_vertex(outside, n, bounds)
         assert report.tight == {*outside, target}
         assert not report.strict_ok and not report.multiplicity_ok
         for v in enumerate_vertices(n):
-            report = verify_vertex(v, n, altered)
+            report = verify_vertex(v, n, bounds)
             assert (report.tight, report.strict_ok) == _fraction_verdict(v, table, report)
 
 
 def test_class_check_agrees_with_the_facet_scan_on_every_vertex():
     for n in (1, 2, 3, 4):
-        table = _facet_table(n)
+        rows = dict(enumerate(_row_table(n)))
         for v in enumerate_vertices(n):
             report = verify_vertex(v, n)
-            assert (report.tight, report.strict_ok) == geometry._facet_scan(v, report.scaled, table)
+            assert (report.tight, report.strict_ok) == geometry._facet_scan(v, report.scaled, rows)
 
 
 def test_class_check_never_falls_back_on_a_vertex(monkeypatch):
@@ -460,9 +477,9 @@ def test_class_check_never_falls_back_on_a_vertex(monkeypatch):
         for v in enumerate_vertices(n):
             report = verify_vertex(v, n)
             assert report.tight == frozenset(v) and report.strict_ok and report.multiplicity_ok
-    # altered rows, here every row, are compared by the facet scan
+    # rows with new bounds, here every row, are compared by the facet scan
     with pytest.raises(AssertionError, match="fell back"):
-        verify_vertex(enumerate_vertices(2)[0], 2, dict(_facet_table(2)))
+        verify_vertex(enumerate_vertices(2)[0], 2, {r: f.rhs for r, f in facet_table(2).items()})
 
 
 @pytest.mark.parametrize(("n", "catalan"), [(2, 2), (3, 5), (4, 14)])
@@ -480,7 +497,7 @@ def test_the_perturb_control_runs_the_class_check(n, catalan, monkeypatch):
 
     monkeypatch.setattr(geometry, "_facet_scan", spy)
     assert not realization_report(n, perturb=True)["ok"]
-    target = list(_facet_table(n))[-1]
+    target = len(_row_table(n)) - 1
     assert len(full) == catalan
     assert set(full) == {v for v in enumerate_vertices(n) if target in v}
 
@@ -497,7 +514,7 @@ def _class_check_points(draw):
     if mode == "other":  # the same tree over another permutation
         other = Bracketing(draw(st.permutations(range(n + 1))), b.spans)
         owner = key_of(to_nested(other), n)
-    scaled, d = geometry._solve_vertex(owner, n, _facet_table(n))
+    scaled, d = geometry._solve_vertex([facet_table(n)[r] for r in owner], n)
     scaled = list(scaled)
     labels = st.integers(0, n)
     if mode == "tie":
@@ -518,17 +535,17 @@ def _class_check_points(draw):
 def test_class_check_agrees_with_the_facet_scan_at_any_point(case):
     n, v, point = case
     scaled, d = point
-    table = _facet_table(n)
     tie = len(set(scaled)) < len(scaled)
     below = any(
-        sum(a * x for a, x in zip(h.row[0], scaled)) < h.row[1] * d for h in table.values()
+        Fraction(sum(a * x for a, x in zip(h.coeffs, scaled)), d) < h.rhs
+        for h in facet_table(n).values()
     )
     verdict = geometry._class_scan(v, point, n)
     # the class check decides exactly the points with distinct coordinates on
     # or above every bound, and then as the scan over every facet does
     assert (verdict is None) == (tie or below)
     if verdict is not None:
-        assert verdict == geometry._facet_scan(v, point, table)
+        assert verdict == geometry._facet_scan(v, point, dict(enumerate(_row_table(n))))
 
 
 def test_facet_classes_are_complete():
@@ -876,10 +893,10 @@ def test_no_sigma_edges_disconnect_the_rewrite_graph(monkeypatch):
 def test_colliding_vertex_points_fail_only_vertices_distinct(monkeypatch):
     first, second = enumerate_vertices(3)[:2]
 
-    def collide(v, n, altered=None):
-        report = verify_vertex(v, n, altered)
+    def collide(v, n, bounds=None):
+        report = verify_vertex(v, n, bounds)
         if v == second:
-            return replace(report, scaled=verify_vertex(first, n, altered).scaled)
+            return replace(report, scaled=verify_vertex(first, n, bounds).scaled)
         return report
 
     monkeypatch.setattr(geometry, "verify_vertex", collide)
@@ -932,7 +949,7 @@ def test_realization_report_clean_and_perturbed():
     ("n", "max_n", "env"), [(5, None, None), (6, 6, None), (6, None, "6"), (6, 6, "2")]
 )
 def test_realization_report_caps_at_5_unless_asked(n, max_n, env, monkeypatch):
-    # reaching the facet table means the cap let n through; nothing is built
+    # reaching the row table means the cap let n through; nothing is built
     class Reached(Exception):
         pass
 
@@ -943,14 +960,14 @@ def test_realization_report_caps_at_5_unless_asked(n, max_n, env, monkeypatch):
         monkeypatch.delenv("PA_MAX_N", raising=False)
     else:
         monkeypatch.setenv("PA_MAX_N", env)
-    monkeypatch.setattr(geometry, "_facet_table", reached)
+    monkeypatch.setattr(geometry, "_row_table", reached)
     with pytest.raises(Reached):
         realization_report(n, max_n=max_n)
 
 
 def test_realization_report_refuses_n6_by_default(monkeypatch):
     monkeypatch.delenv("PA_MAX_N", raising=False)
-    monkeypatch.setattr(geometry, "_facet_table", None)  # a call would fail with TypeError
+    monkeypatch.setattr(geometry, "_row_table", None)  # a call would fail with TypeError
     with pytest.raises(ResourceCapError, match="cap 5 of the full check.*1,171 MB"):
         realization_report(6)
     monkeypatch.setenv("PA_MAX_N", "5")
@@ -966,8 +983,8 @@ def test_realization_report_refuses_perturb_at_n1():
 
 
 def test_realization_report_interleaves_vertex_failures_and_caps_them(monkeypatch):
-    def nothing_tight(v, n, altered=None):
-        scaled = geometry._solve_vertex(v, n, _facet_table(n))
+    def nothing_tight(v, n, bounds=None):
+        scaled = geometry._solve_vertex([facet_table(n)[r] for r in v], n)
         return VertexReport(scaled, frozenset(), False, False)
 
     monkeypatch.setattr(geometry, "verify_vertex", nothing_tight)
