@@ -41,7 +41,7 @@ from .classify import boundary_cycle, diagram_census
 from .geometry import (
     ScaledPoint,
     SingularSystemError,
-    _scaled_vertex,
+    _solve_key,
     h_representation,
     normalization_map,
     realization_report,
@@ -272,7 +272,7 @@ def render_vrep(n: int, max_n: int | None = None) -> Iterator[str]:
     bracketings = all_bracketings(n, max_n=max_n)
     formats = _shape_formats(n)  # print_bracketing, one template per tree shape
     for b, v in zip(bracketings, vertex_keys(bracketings, n, max_n)):
-        coordinates = _coordinates(_scaled_texts(_scaled_vertex(v, n)), 3)
+        coordinates = _coordinates(_scaled_texts(_solve_key(v, n)[0]), 3)
         rows.append((
             v,
             f'      "bracketing": {json.dumps(formats[b.spans](*b.perm))},\n',

@@ -14,8 +14,17 @@ The check runs in integers: each vertex is solved as X/d over one common
 denominator d, and kept as (X, d) to rank the facet hulls.  Fractions
 appear only at input and output: facet right-hand sides, the coordinates a
 caller reads, the normalization chart.  The check takes each vertex as its
-key, the ranks of its chains in ``enumerate_chains(n)``, reads the facet
-rows by rank, and reports the tight facets as a set of ranks.
+key, the ranks of its chains in ``enumerate_chains(n)``, reads those n
+chains, and reports the tight facets as a set of ranks.
+
+The facets fall into n(n+1)/2 classes (k, l), 1 <= k and k+l <= n.  All
+facets of a class share one right-hand side, and their rows are the
+placements onto the labels of one vector: k on l+1 labels, then k-1, ..., 1
+on k-1 more, and 0 on the rest.  Each placement is the row of exactly one
+chain (core the k's, ext read from 1 up to k-1), so a class holds all
+C(n+1, l+1)·(n-l)!/(n-l-k+1)! of them, and the class sizes sum to the
+facet count.  Every chain of class (k, l) has the span (n-l-k, n-l)
+below, so the bounds are one table of n(n+1)/2 entries keyed by span.
 
 Lemma (the vertex system is triangular).  Let the vertex be the bracketing
 (perm, spans), write Y_m = x_perm[m] + ... + x_perm[n], so Y_0 = 3^(n+1)
@@ -33,42 +42,41 @@ in P with unit diagonal, and Y_m = P(m) - P(m-1) and x_perm[j] = Y_j -
 Y_(j+1) are unimodular.  Hence the system is nonsingular, and one exact
 addition or subtraction per node solves it, where elimination takes
 O(n^3) steps.  This is the recursion over binary trees behind Loday's
-coordinates ("Realization of the Stasheff polytope", 2004).  What the
-pass reads of a chain, its row, is its span (lo, hi), its bound and, for
-the root chain, the permutation: the one label it leaves out, its ext,
-then its core.  None of that depends on the vertex, so the rows are read
-once per n into one table indexed by chain rank, and a vertex's key
-names its n rows; a key whose spans are not one tree's is refused.  A
-new bound, as ``--perturb`` sets, keeps its row's coefficients and so
-its pass.  The solve gives the same lowest-terms (X, d) as
-:func:`solve_exact`, which stays as the test oracle and as
-:func:`vertex_coordinates`'s independent route.  That route eliminates
-on the chains' own coefficients, integers of at most n, and on the
-ambient row of ones, with the bounds brought over one common denominator
-in the right-hand side.  Bareiss's minors are then minors of that small
-matrix: Hadamard's bound for entries of at most n, (n·sqrt(n+1))^(n+1),
-is about 35 bits at n = 7, where rows scaled by each bound's own
-denominator, up to 2(3^n - n - 1), allowed about 131.  It trusts each
-row to be its chain's own; the class check below derives the tight set
-afresh from the point, so a wrong solve fails the check.
+coordinates ("Realization of the Stasheff polytope", 2004).  The pass
+reads each chain's span, its span's bound (or a new one, as
+``--perturb`` sets) and, from the root chain, the permutation: the label
+it leaves out, its ext, its core.  It refuses a key whose spans are not
+one tree's, or whose chain at some (lo, hi) is not perm's, by its top
+mask and ext.  The solve gives the same lowest-terms (X, d) as
+:func:`solve_exact`, the test oracle and :func:`vertex_coordinates`'s
+independent route, which eliminates on the chains' own coefficients,
+integers of at most n, and the ambient row of ones, with the bounds over
+one common denominator in the right-hand side.  Its minors are then of
+that small matrix: Hadamard's bound for entries of at most n,
+(n·sqrt(n+1))^(n+1), is about 35 bits at n = 7, where rows scaled by
+each bound's own denominator, up to 2(3^n - n - 1), allowed about 131.
+Neither route checks its own answer; the chamber check below derives the
+tight set afresh from the point, so a wrong solve fails the check.
 
-The facets fall into n(n+1)/2 classes (k, l), 1 <= k and k+l <= n.  All
-facets of a class share one right-hand side, and their rows are the
-placements onto the labels of one vector: k on l+1 labels, then k-1, ..., 1
-on k-1 more, and 0 on the rest.  Each placement is the row of exactly one
-chain (core the k's, ext read from 1 up to k-1), so a class holds all
-C(n+1, l+1)·(n-l)!/(n-l-k+1)! of them, and the class sizes sum to the
-facet count.  By the rearrangement inequality (Hardy, Littlewood and Pólya,
-*Inequalities*, §10.2) the least value of a class at a point pairs its
-largest coefficients with the smallest coordinates, and when the
-coordinates are distinct, that one placement is the only one to attain it.
-So one sort of a vertex's n+1 coordinates checks the whole canonical table,
-one integer comparison per class: a class whose least value clears its
-bound is strict throughout, and a class that meets its bound has exactly
-one tight facet.  Rows with new bounds, such as the ``--perturb``
-control's lowered one, are then compared one by one.  A point with two
-equal coordinates, or below some class bound, is scanned facet by facet
-instead.
+Lemma (the chamber).  The vertex of (perm, spans) lies in perm's chamber:
+x_perm[0] > x_perm[1] > ... > x_perm[n].  The bound of the node (lo, hi)
+is 3^(n+1-hi) + ... + 3^(n-lo) + e_k, with k = hi - lo and the offset
+e_k = (3^k - 3k)/(3^n - n - 1), so with Y_m = 3^(n+1-m) + z_m, where z_0
+= 0 and z_(n+1) = -1, the node's row says z_(lo+1) + ... + z_hi = e_k.
+As 0 = e_1 <= e_2 <= ... <= e_n < 1, the end that a node sets of Z(m) =
+z_1 + ... + z_m lies between its parent's two, so every Z(m) lies in
+[0, e_n] and |z_m| < 1 for 1 <= m <= n.  Hence x_perm[j] - x_perm[j+1] =
+4·3^(n-1-j) + z_j - 2·z_(j+1) + z_(j+2) > 4 - 4 = 0.  In the chamber, by
+the rearrangement inequality (Hardy, Littlewood and Pólya,
+*Inequalities*, §10.2), the least value of class (k, l) pairs its
+largest coefficients with the smallest coordinates, and only one
+placement attains it: perm's chain at the span (n-l-k, n-l).  So the
+check is one integer comparison per span, each least value a difference
+of two prefix sums of X read along perm reversed: the tree's n spans
+meet their bounds, each naming the key's rank there, and the other
+n(n-1)/2 clear theirs.  New bounds, such as ``--perturb``'s, are then
+compared one by one.  A point that the spans leave undecided (outside the
+chamber, below a bound or tight off the tree) is scanned facet by facet.
 """
 
 from __future__ import annotations
@@ -90,7 +98,6 @@ from .nestedsets import (
     Chain,
     NestedSet,
     _enumerate_chains,
-    _rank_by_mask,
     enumerate_chains,
     enumerate_vertices,
     faces,
@@ -110,7 +117,7 @@ def fractional_offset(k: int, n: int) -> Fraction:
 def facet_rhs(k: int, l: int, n: int) -> Fraction:
     """Right-hand side of the facet inequality of a chain with k sets whose
     core has l+1 labels.  Equals 3^(l+k) + ... + 3^(l+1) plus the offset.
-    Cached: at most the n(n+1)/2 classes of each n, as :func:`_facet_classes`
+    Cached: at most the n(n+1)/2 classes of each n, as :func:`_span_bounds`
     keeps them; a refused class raises, so it is never cached."""
     if not (1 <= k and 0 <= l and k + l <= n):
         raise ValueError(f"need 1 <= k and k+l <= n, got k={k}, l={l}, n={n}")
@@ -214,56 +221,60 @@ def _solve_vertex(rows: Sequence[Hyperplane], n: int) -> ScaledPoint:
     return scaled, e * d
 
 
-Row = tuple[int, int, int, int, tuple[int, ...] | None, tuple[int, ...]]  # (lo, hi, p, q, perm, a)
-
-
-def _row(chain: Chain, n: int) -> Row:
-    """The chain's row: its :meth:`~simplepa.nestedsets.Chain.span` (lo,
-    hi), the bound p/q and coefficients a of its :func:`facet_inequality`,
-    and for the root chain, over 0..n, the permutation: the one label it
-    leaves out, its ext, then its core (None for other chains)."""
-    h = facet_inequality(chain, n)
-    lo, hi = chain.span(n)
-    perm = None
-    if hi - lo == n:
-        (last,) = chain.core
-        perm = ((((1 << (n + 1)) - 1) ^ chain.mask).bit_length() - 1, *chain.ext, last)
-    return lo, hi, h.rhs.numerator, h.rhs.denominator, perm, h.coeffs
+Tree = dict[tuple[int, int], int]  # each node's span (lo, hi), to the rank of its chain
 
 
 @lru_cache(maxsize=None)
-def _row_table(n: int) -> tuple[Row, ...]:
-    """Each chain's :func:`_row`, indexed by rank: the check's one table,
-    read once per n."""
-    return tuple(_row(c, n) for c in _enumerate_chains(n))
+def _span_bounds(n: int) -> dict[tuple[int, int], tuple[int, int]]:
+    """The bound p/q of each facet class (k, l), as (p, q), keyed by the
+    span (lo, hi) = (n - l - k, n - l) of its chains, 0 <= lo < hi <= n."""
+    spans = [(lo, hi) for lo in range(n) for hi in range(lo + 1, n + 1)]
+    return {(lo, hi): facet_rhs(hi - lo, n - hi, n).as_integer_ratio() for lo, hi in spans}
 
 
-def _preorder(row: Row) -> tuple[int, int]:
-    """Sorts rows as ``Bracketing.spans`` are: by lo, then the widest first."""
-    return row[0], -row[1]
+def _back_substitute(
+    v: Iterable[int], chains: Sequence[Chain], n: int, bounds: Mapping[int, Fraction] = {}
+) -> tuple[ScaledPoint, tuple[int, ...], Tree] | None:
+    """The point (X, d) where the facets of ``chains[r]``, r in ``v``, meet
+    the ambient plane, as :func:`solve_exact` gives it, by one preorder
+    pass over the prefix sums of their bracketing tree (the module
+    docstring's first lemma), with the permutation, read off the root
+    chain, and the tree.  Each chain's bound is its span's in
+    :func:`_span_bounds`, or its r's in ``bounds``.
 
-
-def _back_substitute(rows: Iterable[Row], n: int) -> ScaledPoint | None:
-    """The point where the facets of one vertex meet the ambient plane, as
-    :func:`solve_exact` gives it, in one preorder pass over the prefix sums
-    of the vertex's bracketing tree (the module docstring's lemma).
-
-    ``rows`` holds the :func:`_row` of each of the vertex's n chains: its
-    span and its bound, with the permutation on the root's row.  None when
-    a node crosses one that encloses it, or finds both its ends set or
-    neither: the spans that pass are n distinct pairs, none crossing, and
-    so the nodes of one binary tree over 0..n (``brackets._tree_spans``).
+    None unless the chains are one vertex's: a span is the root's (0, n),
+    the chain at each (lo, hi) is perm's, and no node crosses one that
+    encloses it or finds both its ends set or neither.  The spans that pass
+    are n distinct pairs, none crossing, and so the nodes of one binary
+    tree over 0..n (``brackets._tree_spans``).
     """
-    nodes = sorted(rows, key=_preorder)  # the root first
-    d = lcm(*[q for _, _, _, q, _, _ in nodes])
+    table = _span_bounds(n)
+    nodes = []
+    for r in v:
+        lo, hi = chains[r].span(n)
+        p, q = (bounds[r].numerator, bounds[r].denominator) if r in bounds else table[lo, hi]
+        nodes.append((lo, -hi, p, q, r))
+    nodes.sort()  # preorder, as ``Bracketing.spans`` runs: by lo, the widest first
+    if nodes[0][:2] != (0, -n):
+        return None
+    root = chains[nodes[0][4]]  # perm: the one label it leaves out, its ext, its core
+    left_out = ((1 << (n + 1)) - 1 ^ root.mask).bit_length() - 1
+    perm = (left_out, *root.ext, root.core_mask.bit_length() - 1)
+    heads = list(accumulate((1 << label for label in perm), or_))  # heads[j]: perm[:j+1]
+    d = lcm(*[q for _, _, _, q, _ in nodes])
     prefix = [0, *[None] * n]  # d·P(0), ..., d·P(n); P(0) = 0
     ends = []  # the hi of each node that encloses this one
-    for lo, hi, p, q, _, _ in nodes:
+    tree = {}
+    for lo, neg_hi, p, q, r in nodes:
+        hi = -neg_hi
         while ends and ends[-1] < lo:
             ends.pop()
-        if ends and ends[-1] < hi or (prefix[lo] is None) == (prefix[hi] is None):
+        c = chains[r]
+        if (ends and ends[-1] < hi or (prefix[lo] is None) == (prefix[hi] is None)
+                or c.mask != heads[n] ^ heads[lo] or c.ext != perm[lo + 1 : hi]):
             return None
         ends.append(hi)
+        tree[lo, hi] = r
         row = p * (d // q)  # d·(P(hi) - P(lo))
         if prefix[lo] is None:  # a right child: its parent fixed P(hi)
             prefix[lo] = prefix[hi] - row
@@ -272,61 +283,55 @@ def _back_substitute(rows: Iterable[Row], n: int) -> ScaledPoint | None:
     # d·Y_0, ..., d·Y_(n+1), with Y_0 = 3^(n+1) and Y_(n+1) = 0
     suffix = [3 ** (n + 1) * d, *map(sub, prefix[1:], prefix), 0]
     scaled = [0] * (n + 1)
-    for label, y, after in zip(nodes[0][4], suffix, suffix[1:]):
+    for label, y, after in zip(perm, suffix, suffix[1:]):
         scaled[label] = y - after
     g = gcd(d, *scaled)
-    return tuple(x // g for x in scaled), d // g
+    return (tuple(x // g for x in scaled), d // g), perm, tree
 
 
-@lru_cache(maxsize=None)
-def _facet_classes(n: int) -> tuple[tuple[int, int, int, int], ...]:
-    """One (k, l, q, p) per facet class, with p/q = facet_rhs(k, l, n)."""
-    classes = []
-    for k in range(1, n + 1):
-        for l in range(n - k + 1):
-            rhs = facet_rhs(k, l, n)
-            classes.append((k, l, rhs.denominator, rhs.numerator))
-    return tuple(classes)
-
-
-def _class_scan(v: Key, point: ScaledPoint, n: int) -> tuple[frozenset[int], bool] | None:
-    """The ranks of the tight canonical facets at X/d and whether every facet
-    outside ``v`` is strict, by one comparison per class; None, for the
-    facet scan to decide, when two coordinates tie or some class falls
-    below its bound."""
+def _class_scan(
+    point: ScaledPoint, perm: tuple[int, ...], tree: Tree, n: int
+) -> frozenset[int] | None:
+    """The ranks of the tight canonical facets at X/d, by one comparison per
+    span in perm's chamber (the module docstring's second lemma): the tree's
+    spans meet or clear their bounds and every other span clears its own.
+    None, for the facet scan to decide, when X/d lies outside the chamber,
+    some span falls below its bound, or a span off the tree meets it."""
     scaled, d = point
-    order = sorted(range(n + 1), key=scaled.__getitem__)
-    xs = [scaled[i] for i in order]
-    if any(a == b for a, b in zip(xs, xs[1:])):
+    xs = [scaled[label] for label in reversed(perm)]  # increasing in the chamber
+    if any(a >= b for a, b in zip(xs, xs[1:])):
         return None
-    # least value of class (k, l): k on xs[0..l], then k-1, ..., 1 on
-    # xs[l+1..l+k-1]; that is P_(l+1) + ... + P_(l+k) over the prefix sums
-    # P_m = xs[0] + ... + xs[m-1], so one more prefix sum S gives S_(l+k) - S_l
+    # perm's chain at (lo, hi) has k = hi - lo on xs[0..n-hi], then k-1, ..., 1
+    # on xs[n-hi+1..n-lo-1]; over the prefix sums S_m = xs[0] + ... + xs[m-1]
+    # that is S_(n-hi+1) + ... + S_(n-lo), so one more prefix sum gives it
     sums = list(accumulate(accumulate(xs), initial=0))
-    cores = list(accumulate((1 << i for i in order), or_))  # cores[l]: the l+1 smallest
-    rank = _rank_by_mask(n)
     tight = []
-    for k, l, q, p in _facet_classes(n):
-        least, bound = q * (sums[l + k] - sums[l]), p * d
-        if least < bound:
+    for span, (p, q) in _span_bounds(n).items():
+        lo, hi = span
+        least, bound = q * (sums[n - lo] - sums[n - hi]), p * d
+        if least < bound or least == bound and span not in tree:
             return None
         if least == bound:
-            # the minimizer: core the l+1 smallest, ext outermost on the largest
-            tight.append(rank[cores[l], tuple(order[l + k - 1 : l : -1])])
-    tight = frozenset(tight)
-    return tight, tight.issubset(v)
+            tight.append(tree[span])
+    return frozenset(tight)
 
 
-def _facet_scan(v: Key, point: ScaledPoint, rows: Mapping[int, Row]) -> tuple[frozenset[int], bool]:
-    """The ranks of the tight facets of ``rows`` at X/d and whether every
-    one outside ``v`` is strict, by one comparison per facet."""
+def _facet_scan(
+    v: Key, point: ScaledPoint, ranks: Iterable[int], n: int, bounds: Mapping[int, Fraction]
+) -> tuple[frozenset[int], bool]:
+    """The tight facets among ``ranks`` at X/d and whether every one
+    outside ``v`` is strict, by one comparison per facet: the
+    :func:`facet_inequality` of each rank's chain, with its bound from
+    ``bounds`` where that holds the rank."""
     # with x = X/d, a.x >= p/q compares exactly as q*(a.X) >= p*d, since d, q > 0
     scaled, d = point
+    chains = _enumerate_chains(n)
     tight = []
     strict_ok = True
-    for r, (_, _, p, q, _, a) in rows.items():
-        lhs = q * sum(map(mul, a, scaled))
-        bound = p * d
+    for r in ranks:
+        h = facet_inequality(chains[r], n)
+        rhs = bounds.get(r, h.rhs)
+        lhs, bound = rhs.denominator * sum(map(mul, h.coeffs, scaled)), rhs.numerator * d
         if lhs <= bound:
             if lhs == bound:
                 tight.append(r)
@@ -349,30 +354,31 @@ def vertex_coordinates(v: NestedSet, n: int) -> Point:
 
 def vertex_point(v: Key, n: int) -> Point:
     """The point of the vertex with key ``v``, as :func:`enumerate_vertices`
-    and :func:`~simplepa.nestedsets.vertex_keys` give it, solved by
-    back-substitution over its bracketing tree (the module docstring's
-    lemma) with the bounds of the cached row table, so n must be within
-    the enumeration cap.  ``v`` is checked as :func:`verify_vertex` checks
-    it.  The vertex lists of ``pa generate --vrep`` and ``pa export --off``
-    take this route, while :func:`vertex_coordinates` checks a chain set
-    and solves it from its own rows by elimination, with no table."""
+    gives it, solved by back-substitution from its own chains in the cached
+    chain list, so n must be within the enumeration cap; ``v`` is checked
+    as :func:`verify_vertex` checks it.  ``pa generate --vrep`` and ``pa
+    export --off`` take this route, while :func:`vertex_coordinates`
+    checks a chain set and solves it by elimination, with no chain list."""
     check_cap(n)
-    scaled, d = _scaled_vertex(v, n)
+    (scaled, d), _, _ = _solve_key(v, n)
     return tuple(Fraction(x, d) for x in scaled)
 
 
-def _scaled_vertex(v: Key, n: int, rebound: Mapping[int, Row] = {}) -> ScaledPoint:
-    """:func:`vertex_point` as the lowest-terms (X, d) that it divides out,
-    with the rows of ``rebound`` in place of the table's.  Raises
-    ValueError, naming ``v``, unless it holds n ranks into the table whose
-    spans form a full binary tree over 0..n."""
-    table = _row_table(n)
-    if len(v) == n and 0 <= min(v) and max(v) < len(table):
-        point = _back_substitute([rebound.get(r) or table[r] for r in v], n)
-        if point is not None:
-            return point
-    raise ValueError(f"{v!r} is not a vertex key at n = {n}: expected {n} chain ranks "
-                     f"in 0..{len(table) - 1} whose spans form a bracketing tree")
+def _solve_key(
+    v: Key, n: int, bounds: Mapping[int, Fraction] = {}
+) -> tuple[ScaledPoint, tuple[int, ...], Tree]:
+    """:func:`_back_substitute` on the chains of ``v`` in
+    ``enumerate_chains(n)``.  Raises ValueError, naming ``v``, unless it
+    holds n ranks of one vertex's chains: the chains of one permutation at
+    the spans of one binary tree over 0..n."""
+    chains = _enumerate_chains(n)
+    if len(v) == n and 0 <= min(v) and max(v) < len(chains):
+        solved = _back_substitute(v, chains, n, bounds)
+        if solved is not None:
+            return solved
+    raise ValueError(f"{v!r} is not a vertex key at n = {n}: expected ranks in "
+                     f"0..{len(chains) - 1} of one permutation's chains at one bracketing "
+                     f"tree's spans")
 
 
 @dataclass(frozen=True)
@@ -392,10 +398,9 @@ def verify_vertex(v: Key, n: int, bounds: Mapping[int, Fraction] | None = None) 
     equality and whether all remaining ones hold strictly.
 
     The system is solved by back-substitution over the vertex's bracketing
-    tree (the module docstring's lemma), from the per-rank rows of
-    :func:`_row_table`.  ``bounds`` maps ranks to new right-hand sides,
-    such as the ``--perturb`` control's lowered one; a row keeps its
-    coefficients, so the new bound flows into the point by the same pass.
+    tree from its own chains (the module docstring's first lemma).
+    ``bounds`` maps ranks to new right-hand sides, such as the
+    ``--perturb`` control's lowered one, which enter the same pass.
 
     On a correct realization, ``tight`` holds the ranks in ``v``, every
     other facet is strict, and the vertex lies on exactly n facet
@@ -403,34 +408,29 @@ def verify_vertex(v: Key, n: int, bounds: Mapping[int, Fraction] | None = None) 
 
     With ``bounds`` None, n must be within the enumeration cap; a caller
     that passes a mapping, even an empty one, has checked its own cap.
-    Raises ValueError when ``v`` is not n chain ranks whose spans form a
-    binary tree over 0..n, naming ``v``, or a key of ``bounds`` is no rank.
+    Raises ValueError, naming ``v``, unless it holds the ranks of one
+    permutation's chains at the spans of one binary tree over 0..n, or
+    when a key of ``bounds`` is no rank.
 
-    The canonical bounds are checked class by class (see the module
-    docstring): one sort of the vertex's coordinates gives each class's
-    least value and the one facet that can attain it.  The new bounds are
-    then compared one by one.  A vertex with two equal coordinates, or below
-    some class bound, falls back to the brute-force scan of the whole table.
+    The canonical bounds are checked in the chamber of the vertex's
+    permutation (the module docstring's second lemma), one comparison per
+    span, and the new bounds one by one; a point that the chamber check
+    leaves undecided falls back to the brute-force scan of every facet.
     """
     if bounds is None:
         check_cap(n)
         bounds = {}
-    table = _row_table(n)
-    rebound = {}  # each rank's row with its new bound
-    for r, rhs in bounds.items():
-        if not 0 <= r < len(table):
-            raise ValueError(f"a bound for rank {r}, outside 0..{len(table) - 1} at n = {n}")
-        lo, hi, _, _, perm, a = table[r]
-        rebound[r] = lo, hi, rhs.numerator, rhs.denominator, perm, a
-    point = _scaled_vertex(v, n, rebound)
-    verdict = _class_scan(v, point, n)
-    if verdict is None:
-        verdict = _facet_scan(v, point, dict(enumerate(table)) | rebound)
-    elif rebound:  # no canonical bound is crossed: only the new ones are left
-        own_tight, own_ok = _facet_scan(v, point, rebound)
-        tight = verdict[0].difference(rebound) | own_tight
-        verdict = tight, own_ok and tight.issubset(v)
-    tight, strict_ok = verdict
+    count = len(_enumerate_chains(n))
+    for r in bounds:
+        if not 0 <= r < count:
+            raise ValueError(f"a bound for rank {r}, outside 0..{count - 1} at n = {n}")
+    point, perm, tree = _solve_key(v, n, bounds)
+    tight, strict_ok = _class_scan(point, perm, tree, n), True
+    if tight is None:
+        tight, strict_ok = _facet_scan(v, point, range(count), n, bounds)
+    elif bounds:  # no canonical bound is crossed: only the new ones are left
+        own_tight, strict_ok = _facet_scan(v, point, bounds, n, bounds)
+        tight = tight.difference(bounds) | own_tight
     return VertexReport(point, tight, strict_ok, len(tight) == n)
 
 
@@ -566,21 +566,20 @@ def realization_report(n: int, perturb: bool = False, max_n: int | None = None) 
     negative control: the report must then flag failures.  It needs n >= 2,
     since at n = 1 the lowered bound still cuts out a valid segment.
 
-    The vertex check is ``verify_vertex``: one comparison per facet class,
-    then one per new bound.  It is handed the new bounds, none or the
-    lowered one, so the cap is checked here alone.
+    The vertex check is ``verify_vertex``: one comparison per span in the
+    vertex's chamber, then one per new bound.  It is handed the new bounds,
+    none or the lowered one, so the cap is checked here alone.
     """
     check_cap(n, max_n, CHECK_MAX_N, CHECK_WHY)
-    table = _row_table(n)
+    chains = _enumerate_chains(n)
     if perturb and n < 2:
         raise ValueError(f"perturb needs n >= 2, got {n}: a lowered bound still leaves a segment")
     bounds = {}
     if perturb:
         # relax the last canonical facet (a complete descending chain); the
         # vertices on it then cross their neighboring facets
-        target = len(table) - 1
-        _, _, p, q, _, _ = table[target]
-        bounds[target] = Fraction(p, q) - 1
+        target = len(chains) - 1
+        bounds[target] = facet_inequality(chains[target], n).rhs - 1
 
     failures: list[str] = []
     failed = set()
@@ -593,9 +592,8 @@ def realization_report(n: int, perturb: bool = False, max_n: int | None = None) 
             failures.append("... more failures suppressed")
 
     verts = enumerate_vertices(n, max_n=max_n)
-    chains = _enumerate_chains(n)
     points: set[ScaledPoint] = set()
-    tight_points: dict[int, list[ScaledPoint]] = {r: [] for r in range(len(table))}
+    tight_points: dict[int, list[ScaledPoint]] = {r: [] for r in range(len(chains))}
     for v in verts:
         report = verify_vertex(v, n, bounds)
         points.add(report.scaled)
@@ -645,7 +643,7 @@ def realization_report(n: int, perturb: bool = False, max_n: int | None = None) 
         "n": n,
         "perturbed": perturb,
         "vertex_count": len(verts),
-        "facet_count": len(table),
+        "facet_count": len(chains),
         "f_vector": list(fv),
         **{key: key not in failed for key in _REPORT_KEYS},
         "failures": failures,

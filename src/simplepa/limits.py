@@ -12,7 +12,7 @@ import os
 
 DEFAULT_MAX_N = 6
 CHECK_MAX_N = 5
-CHECK_WHY = " of the full check, which measured 155 s and 1,171 MB at n = 6"
+CHECK_WHY = " of the full check, which measured 76 s and 1,119 MB at n = 6"
 ENV_VAR = "PA_MAX_N"
 
 

@@ -12,10 +12,11 @@ different method, something the package computes on its production route:
 * ``chain_incident`` reads facet incidence off a bracketing's spans, where
   ``to_nested`` builds the chains;
 * ``value`` and ``tight`` evaluate a facet in ``Fraction`` arithmetic, where
-  ``verify_vertex`` compares integer rows, and ``verify_chains`` checks a
+  ``verify_vertex`` compares integers, and ``verify_chains`` checks a
   vertex given by its chains against a table keyed by chain, solved by
   ``gauss_jordan``, where ``verify_vertex`` takes a chain-rank key, solves
-  it fraction-free and finds the tight facets class by class;
+  it fraction-free and finds the tight facets span by span in the
+  chamber of the vertex's permutation;
 * ``normalized_functional`` and ``top_simplex_points`` work in the paper's
   normalisation chart, which ``normalization_map`` builds, and
   ``suffix_interval`` checks a chain's sets against the suffixes of a
@@ -43,10 +44,12 @@ different method, something the package computes on its production route:
   once per tree shape and finds the neighbours by permutation;
   ``vertex_keys_by_bracketing`` ranks each node of each bracketing, where
   ``vertex_keys`` ranks the chains of a permutation once for all its
-  shapes; ``back_substitute_by_chains`` reads each chain's span, bound and
-  labels as it solves, where ``verify_vertex`` reads a per-rank row table;
-  ``facet_table`` keys the halfspaces of ``h_representation`` by chain
-  rank, where that table keeps a row of integers per rank.
+  shapes; ``back_substitute_by_chains`` takes each chain's bound from its
+  own halfspace and the permutation from the root chain alone, where
+  ``verify_vertex`` reads each bound off a per-span table and checks every
+  chain against the permutation; ``facet_table`` keys the halfspaces of
+  ``h_representation`` by chain rank, where the package's scans build
+  each rank's halfspace as they compare it.
 
 ``chain_top`` and ``chain_sets`` read a chain's top set and its sets,
 which the package reads only as bitmasks (``Chain.mask``, ``Chain.family``).

@@ -519,7 +519,7 @@ def test_check_refuses_n6_by_default_before_enumerating(tmp_path, monkeypatch, c
         raise AssertionError("the check enumerated")
 
     monkeypatch.delenv("PA_MAX_N", raising=False)
-    for module, name in [(geometry, "_row_table"), (geometry, "enumerate_vertices"),
+    for module, name in [(geometry, "_enumerate_chains"), (geometry, "enumerate_vertices"),
                          (brackets, "build_graph")]:
         monkeypatch.setattr(module, name, refuse)
     report = tmp_path / "report.json"
@@ -527,8 +527,8 @@ def test_check_refuses_n6_by_default_before_enumerating(tmp_path, monkeypatch, c
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == (
-        "pa: n=6 exceeds the enumeration cap 5 of the full check, which measured 155 s and "
-        "1,171 MB at n = 6; pass --max-n (max_n from Python) or set PA_MAX_N to override\n"
+        "pa: n=6 exceeds the enumeration cap 5 of the full check, which measured 76 s and "
+        "1,119 MB at n = 6; pass --max-n (max_n from Python) or set PA_MAX_N to override\n"
     )
     assert list(tmp_path.iterdir()) == []
 

@@ -8,7 +8,7 @@ from fractions import Fraction
 from math import comb, factorial, gcd
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, given, seed, settings
 from hypothesis import strategies as st
 
 from conftest import bracketings, chain_of, random_bracketing
@@ -58,7 +58,8 @@ from simplepa import (
 from simplepa import geometry, nestedsets
 from simplepa.brackets import _tree_spans, from_nested, print_bracketing, to_nested
 from simplepa.cli import render_bracketing_record
-from simplepa.geometry import VertexReport, _row_table
+from simplepa.geometry import VertexReport
+from simplepa.nestedsets import _enumerate_chains
 
 
 def test_facet_rhs_values():
@@ -196,7 +197,7 @@ def test_back_substitution_equals_solve_exact_on_a_sample_n6():
     rng = random.Random(606)
     sample = [random_bracketing(rng, n) for _ in range(400)]
     for v in vertex_keys(sample, n, max_n=n):
-        point = geometry._scaled_vertex(v, n)
+        point, _, _ = geometry._solve_key(v, n)
         assert point == back_substitute_by_chains([(chains[r], table[r]) for r in v], n)
         assert point == geometry._solve_vertex([table[r] for r in v], n)
 
@@ -204,23 +205,43 @@ def test_back_substitution_equals_solve_exact_on_a_sample_n6():
 @settings(max_examples=60, deadline=None)
 @given(bracketings(max_n=8, min_n=6))
 def test_back_substitution_equals_solve_exact_at_n6_to_8(b):
-    # each chain's own row, in the set's order: no rank table is involved
+    # the set's own chains, in its order: no chain ranks are involved
     n = b.n
-    chains = to_nested(b)
-    point = geometry._back_substitute([geometry._row(c, n) for c in chains], n)
+    chains = list(to_nested(b))
+    point, _, _ = geometry._back_substitute(range(n), chains, n)
     assert point == geometry._solve_vertex([facet_inequality(c, n) for c in chains], n)
 
 
-def test_the_row_table_reads_each_chain_once():
+def test_the_solve_reads_the_permutation_and_the_tree_off_the_chains():
     for n in range(1, 5):
-        chains, rows = enumerate_chains(n), _row_table(n)
-        assert len(rows) == len(chains)
-        for c, (lo, hi, p, q, perm, a) in zip(chains, rows, strict=True):
-            h = facet_inequality(c, n)
-            assert (lo, hi) == c.span(n) and Fraction(p, q) == h.rhs and a == h.coeffs
-            assert (perm is not None) == (hi - lo == n)
-            if perm is not None:  # the complete chain's sets are the suffixes of perm
-                assert suffix_interval(c, perm) == (1, n)
+        chains = enumerate_chains(n)
+        every = all_bracketings(n)
+        for b, v in zip(every, vertex_keys(every, n), strict=True):
+            _, perm, tree = geometry._solve_key(v, n)
+            assert perm == b.perm
+            assert sorted(tree) == sorted(b.spans) and sorted(tree.values()) == list(v)
+            for (lo, hi), r in tree.items():  # each node's chain: perm's suffixes lo+1..hi
+                assert suffix_interval(chains[r], perm) == (lo + 1, hi)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_every_vertex_lies_in_its_permutations_chamber(n):
+    # the coordinates strictly decrease along the permutation
+    every = all_bracketings(n)
+    for b, v in zip(every, vertex_keys(every, n), strict=True):
+        x = vertex_point(v, n)
+        assert all(x[i] > x[j] for i, j in zip(b.perm, b.perm[1:])), print_bracketing(b)
+
+
+@seed(3706)
+@settings(max_examples=60, deadline=None)
+@given(bracketings(max_n=10, min_n=6))
+def test_a_vertex_at_n6_to_10_lies_in_its_permutations_chamber(b):
+    # solved from the set's own chains, with no key and no chain list
+    n = b.n
+    (scaled, d), perm, tree = geometry._back_substitute(range(n), list(to_nested(b)), n)
+    assert perm == b.perm and sorted(tree) == sorted(b.spans)
+    assert d > 0 and all(scaled[i] > scaled[j] for i, j in zip(perm, perm[1:]))
 
 
 def _solve_cases():
@@ -296,9 +317,9 @@ def test_vertex_coordinates_validation():
 
 
 def test_lookup_at_n7_solves_from_its_own_facets():
-    _row_table.cache_clear()
+    before = _enumerate_chains.cache_info()
     record = json.loads(render_bracketing_record("((3*(7*0))*(((5*2)*6)*(1*4)))", 7))
-    assert _row_table.cache_info().currsize == 0  # no 118,974-row table was built
+    assert _enumerate_chains.cache_info() == before  # no 118,974-chain list was read
     point = [Fraction(x) for x in record["coordinates"]]
     assert sum(point) == 3**8
     assert len(record["tight"]) == 7
@@ -316,18 +337,18 @@ def test_verify_vertex_all_pass_n2():
 
 def test_verify_vertex_refuses_n_above_the_cap(monkeypatch):
     monkeypatch.delenv("PA_MAX_N", raising=False)
-    _row_table.cache_clear()
+    before = _enumerate_chains.cache_info()
     with pytest.raises(ResourceCapError):  # refused before the key is read
         verify_vertex(tuple(range(7)), 7)
-    assert _row_table.cache_info().currsize == 0  # no 118,974-row table was built
+    assert _enumerate_chains.cache_info() == before  # no 118,974-chain list was read
 
 
 def test_vertex_point_refuses_n_above_the_cap(monkeypatch):
     monkeypatch.delenv("PA_MAX_N", raising=False)
-    _row_table.cache_clear()
+    before = _enumerate_chains.cache_info()
     with pytest.raises(ResourceCapError):  # refused before the key is read
         vertex_point((0,) * 7, 7)
-    assert _row_table.cache_info().currsize == 0  # no 118,974-row table was built
+    assert _enumerate_chains.cache_info() == before  # no 118,974-chain list was read
 
 
 def test_verify_vertex_refuses_a_malformed_key():
@@ -345,6 +366,7 @@ def test_verify_vertex_refuses_a_malformed_key():
         (-1, *v[1:]),  # a negative rank would index from the end
         (*v[:-1], last + 1),  # a rank past the table
         crossing,  # (0, 1) and (1, 2) cross
+        (3, 34, 59),  # one tree's spans, but the chains of three permutations
     ]:
         with pytest.raises(ValueError, match=re.escape(repr(key))):
             verify_vertex(key, n)
@@ -357,8 +379,9 @@ def test_verify_vertex_refuses_a_malformed_key():
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_back_substitution_takes_exactly_the_spans_of_a_tree(n):
-    # every multiset of n spans inside 0..n: a tree's (Catalan(n) of them)
-    # solve, and every other one returns None rather than a point
+    # every multiset of n spans inside 0..n, each holding its chain of the
+    # identity permutation: a tree's (Catalan(n) of them) solve, and every
+    # other one returns None rather than a point
     spans = [(lo, hi) for lo in range(n) for hi in range(lo + 1, n + 1)]
     perm = tuple(range(n + 1))
     trees = 0
@@ -369,15 +392,57 @@ def test_back_substitution_takes_exactly_the_spans_of_a_tree(n):
             tree = False
         else:
             tree = True
-        rows = [(lo, hi, 1, 1, perm, ()) for lo, hi in family]
-        assert (geometry._back_substitute(rows, n) is not None) == tree, family
+        chains = [Chain(perm[hi:], perm[lo + 1 : hi]) for lo, hi in family]
+        assert (geometry._back_substitute(range(n), chains, n) is not None) == tree, family
         trees += tree
     assert trees == comb(2 * n, n) // (n + 1)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_a_key_is_accepted_exactly_when_it_is_a_vertex(n):
+    # every n ranks: 37,820 keys at n = 3, of which 120 are vertices
+    accepted = set()
+    for key in itertools.combinations(range(len(enumerate_chains(n))), n):
+        try:
+            vertex_point(key, n)
+        except ValueError:
+            continue
+        accepted.add(key)
+    assert accepted == set(enumerate_vertices(n))
+
+
+def test_a_vertex_with_one_chain_swapped_is_accepted_exactly_when_a_vertex():
+    n = 4
+    chains = enumerate_chains(n)
+    vertices = enumerate_vertices(n)
+    known = set(vertices)
+    rng = random.Random(3704)
+    outcomes = Counter()
+    for _ in range(3000):
+        v = rng.choice(vertices)
+        i = rng.randrange(n)
+        r = rng.choice([r for r in range(len(chains)) if r not in v])
+        key = tuple(sorted((*v[:i], *v[i + 1 :], r)))
+        same_spans = sorted(chains[r].span(n) for r in key) == sorted(chains[r].span(n) for r in v)
+        outcomes[key in known, same_spans] += 1
+        if key in known:
+            assert verify_vertex(key, n).tight == frozenset(key)
+            assert sum(vertex_point(key, n)) == 3 ** (n + 1)
+        else:
+            with pytest.raises(ValueError, match=re.escape(repr(key))):
+                verify_vertex(key, n)
+            with pytest.raises(ValueError, match=re.escape(repr(key))):
+                vertex_point(key, n)
+    # the sample holds neighbours of both moves (a rotation moves one span, a
+    # sigma move keeps them), and keys on a vertex's own spans that mix
+    # other permutations' chains, which only the chain check refuses
+    assert outcomes[True, False] > 0 and outcomes[True, True] > 0
+    assert outcomes[False, True] > 100
+
+
 def test_verify_vertex_negative_control():
     # lowering one bound must surface as a strictness failure somewhere
-    target = len(_row_table(2)) - 1
+    target = len(enumerate_chains(2)) - 1
     bounds = {target: facet_table(2)[target].rhs - 1}
     reports = [verify_vertex(v, 2, bounds) for v in enumerate_vertices(2)]
     assert any(not r.strict_ok for r in reports)
@@ -462,22 +527,23 @@ def test_verify_vertex_flags_a_facet_moved_onto_an_outside_vertex():
 
 def test_class_check_agrees_with_the_facet_scan_on_every_vertex():
     for n in (1, 2, 3, 4):
-        rows = dict(enumerate(_row_table(n)))
+        ranks = range(len(enumerate_chains(n)))
         for v in enumerate_vertices(n):
             report = verify_vertex(v, n)
-            assert (report.tight, report.strict_ok) == geometry._facet_scan(v, report.scaled, rows)
+            scan = geometry._facet_scan(v, report.scaled, ranks, n, {})
+            assert (report.tight, report.strict_ok) == scan
 
 
 def test_class_check_never_falls_back_on_a_vertex(monkeypatch):
-    def no_scan(v, point, facets):
+    def no_scan(*args):
         raise AssertionError("the class check fell back to the facet scan")
 
     monkeypatch.setattr(geometry, "_facet_scan", no_scan)
-    for n in (1, 2, 3, 4):
+    for n in (1, 2, 3, 4, 5):
         for v in enumerate_vertices(n):
             report = verify_vertex(v, n)
             assert report.tight == frozenset(v) and report.strict_ok and report.multiplicity_ok
-    # rows with new bounds, here every row, are compared by the facet scan
+    # new bounds, here one for every rank, are compared by the facet scan
     with pytest.raises(AssertionError, match="fell back"):
         verify_vertex(enumerate_vertices(2)[0], 2, {r: f.rhs for r, f in facet_table(2).items()})
 
@@ -490,14 +556,14 @@ def test_the_perturb_control_runs_the_class_check(n, catalan, monkeypatch):
     scan = geometry._facet_scan
     full = []
 
-    def spy(v, point, facets):
-        if len(facets) > 1:
+    def spy(v, point, ranks, n, bounds):
+        if len(ranks) > 1:
             full.append(v)
-        return scan(v, point, facets)
+        return scan(v, point, ranks, n, bounds)
 
     monkeypatch.setattr(geometry, "_facet_scan", spy)
     assert not realization_report(n, perturb=True)["ok"]
-    target = len(_row_table(n)) - 1
+    target = len(enumerate_chains(n)) - 1
     assert len(full) == catalan
     assert set(full) == {v for v in enumerate_vertices(n) if target in v}
 
@@ -535,30 +601,34 @@ def _class_check_points(draw):
 def test_class_check_agrees_with_the_facet_scan_at_any_point(case):
     n, v, point = case
     scaled, d = point
-    tie = len(set(scaled)) < len(scaled)
-    below = any(
-        Fraction(sum(a * x for a, x in zip(h.coeffs, scaled)), d) < h.rhs
-        for h in facet_table(n).values()
-    )
-    verdict = geometry._class_scan(v, point, n)
-    # the class check decides exactly the points with distinct coordinates on
-    # or above every bound, and then as the scan over every facet does
-    assert (verdict is None) == (tie or below)
+    _, perm, tree = geometry._solve_key(v, n)
+    outside = any(scaled[i] <= scaled[j] for i, j in zip(perm, perm[1:]))
+    values = {r: Fraction(sum(a * x for a, x in zip(h.coeffs, scaled)), d) - h.rhs
+              for r, h in facet_table(n).items()}
+    below = any(slack < 0 for slack in values.values())
+    off_tree = any(slack == 0 for r, slack in values.items() if r not in v)
+    verdict = geometry._class_scan(point, perm, tree, n)
+    # the class check decides exactly the points in v's chamber, on or above
+    # every bound and tight on none outside v, and then as the scan over
+    # every facet does
+    assert (verdict is None) == (outside or below or off_tree)
     if verdict is not None:
-        assert verdict == geometry._facet_scan(v, point, dict(enumerate(_row_table(n))))
+        scan = geometry._facet_scan(v, point, range(len(enumerate_chains(n))), n, {})
+        assert (verdict, True) == scan
 
 
 def test_facet_classes_are_complete():
+    # class (k, l) is the span (n - l - k, n - l) of its chains
     for n in range(1, 7):
-        classes = geometry._facet_classes(n)
-        assert len(classes) == n * (n + 1) // 2
+        table = geometry._span_bounds(n)
+        assert sorted(table) == [(lo, hi) for lo in range(n) for hi in range(lo + 1, n + 1)]
         sizes = {
-            (k, l): comb(n + 1, l + 1) * factorial(n - l) // factorial(n - l - k + 1)
-            for k, l, _, _ in classes
+            (n - l - k, n - l): comb(n + 1, l + 1) * factorial(n - l) // factorial(n - l - k + 1)
+            for k in range(1, n + 1)
+            for l in range(n - k + 1)
         }
         chains = enumerate_chains(n)
         assert sum(sizes.values()) == len(chains)
-        bounds = {(k, l): Fraction(p, q) for k, l, q, p in classes}
         seen = Counter()
         for c in chains:
             h = facet_inequality(c, n)
@@ -573,8 +643,9 @@ def test_facet_classes_are_complete():
             assert sorted(h.coeffs, reverse=True) == [k] * (l + 1) + [*range(k - 1, 0, -1)] + [0] * (
                 n - l - k + 1
             )
-            assert h.rhs == bounds[k, l] == facet_rhs(k, l, n)
-            seen[k, l] += 1
+            assert c.span(n) == (n - l - k, n - l)
+            assert h.rhs == Fraction(*table[c.span(n)]) == facet_rhs(k, l, n)
+            seen[c.span(n)] += 1
         assert seen == sizes
 
 
@@ -949,7 +1020,7 @@ def test_realization_report_clean_and_perturbed():
     ("n", "max_n", "env"), [(5, None, None), (6, 6, None), (6, None, "6"), (6, 6, "2")]
 )
 def test_realization_report_caps_at_5_unless_asked(n, max_n, env, monkeypatch):
-    # reaching the row table means the cap let n through; nothing is built
+    # reaching the chain list means the cap let n through; nothing is built
     class Reached(Exception):
         pass
 
@@ -960,15 +1031,15 @@ def test_realization_report_caps_at_5_unless_asked(n, max_n, env, monkeypatch):
         monkeypatch.delenv("PA_MAX_N", raising=False)
     else:
         monkeypatch.setenv("PA_MAX_N", env)
-    monkeypatch.setattr(geometry, "_row_table", reached)
+    monkeypatch.setattr(geometry, "_enumerate_chains", reached)
     with pytest.raises(Reached):
         realization_report(n, max_n=max_n)
 
 
 def test_realization_report_refuses_n6_by_default(monkeypatch):
     monkeypatch.delenv("PA_MAX_N", raising=False)
-    monkeypatch.setattr(geometry, "_row_table", None)  # a call would fail with TypeError
-    with pytest.raises(ResourceCapError, match="cap 5 of the full check.*1,171 MB"):
+    monkeypatch.setattr(geometry, "_enumerate_chains", None)  # a call would fail with TypeError
+    with pytest.raises(ResourceCapError, match="cap 5 of the full check.*1,119 MB"):
         realization_report(6)
     monkeypatch.setenv("PA_MAX_N", "5")
     with pytest.raises(ResourceCapError, match="enumeration cap 5;"):
