@@ -27,6 +27,7 @@ import re
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from operator import or_
 
 from .limits import check_cap, check_n
 from .nestedsets import Chain, NestedSet
@@ -56,9 +57,11 @@ class Bracketing:
     perm: tuple[int, ...]
     spans: tuple[tuple[int, int], ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "perm", tuple(self.perm))
-        object.__setattr__(self, "spans", tuple(self.spans))
+    def __post_init__(self):  # lists are converted; tuples, the common case, are kept
+        if type(self.perm) is not tuple:
+            object.__setattr__(self, "perm", tuple(self.perm))
+        if type(self.spans) is not tuple:
+            object.__setattr__(self, "spans", tuple(self.spans))
 
     @property
     def n(self) -> int:
@@ -216,38 +219,55 @@ def to_nested(b: Bracketing) -> NestedSet:
 
 
 def from_nested(v: NestedSet) -> Bracketing:
-    """Inverse of :func:`to_nested`; rejects sets that are not maximal nested.
-
-    The complete chain gives the permutation, and each chain sits at its
-    :meth:`~simplepa.nestedsets.Chain.span` once its sets are checked to be
-    the suffixes of the permutation there."""
+    """Inverse of :func:`to_nested`; rejects sets that are not maximal
+    nested, as :func:`_decode` tests them."""
     chains = list(v)
-    n = len(chains)
+    perm, placed = _decode(chains, len(chains))
+    return Bracketing(perm, tuple(placed))
+
+
+def _decode(chains: Sequence[Chain], n: int) -> tuple[tuple[int, ...], dict[tuple[int, int], int]]:
+    """The bracketing of the vertex whose chains are ``chains``: its
+    permutation, and each of its spans, in preorder, to the index of its
+    chain in ``chains``.
+
+    Lemma (the vertex test).  n chains are one vertex exactly when one of
+    them is complete, its n labels and the one it leaves out read as a
+    permutation perm of 0..n, the chain at each
+    :meth:`~simplepa.nestedsets.Chain.span` (lo, hi) has top perm[lo+1:]
+    and ext perm[lo+1:hi], and the n spans are distinct and none crosses
+    another.  Then each chain is perm's at its span, as :func:`to_nested`
+    builds it, and the spans are one full binary tree's (:func:`_tree_spans`
+    says why).  Raises ValueError at the first test that fails, naming the
+    first chain in input order that fails its own."""
     if n < 1:
         raise ValueError("an empty set has no bracketing")
     full = [c for c in chains if len(c.ext) == n - 1]  # is_full_chain, with no call per chain
     if len(full) != 1:
         raise ValueError("not a maximal nested set: expected exactly one complete chain")
-    anchor = full[0]
-    (last,) = anchor.core
-    tail = (*anchor.ext, last)
-    missing = set(range(n + 1)) - set(tail)
-    if len(missing) != 1:
+    anchor, labels = full[0], (1 << (n + 1)) - 1
+    if anchor.mask | labels != labels or anchor.mask.bit_count() != n:
         raise ValueError(f"labels of {anchor} do not cover 0..{n} minus one")
-    perm = (missing.pop(), *tail)
-
-    suffix = [0] * (n + 2)  # suffix[j]: the labels perm[j:] as a bitmask
-    for j in range(n, -1, -1):
-        suffix[j] = suffix[j + 1] | 1 << perm[j]
-    spans = set()
-    for c in chains:
-        # its sets are those suffixes when its top is perm[lo+1:] and its
-        # ext, outermost first, leads that suffix
+    perm = ((labels ^ anchor.mask).bit_length() - 1, *anchor.ext, anchor.core_mask.bit_length() - 1)
+    heads = list(itertools.accumulate((1 << label for label in perm), or_))  # heads[j]: perm[:j+1]
+    nodes = []
+    for i, c in enumerate(chains):
         lo, hi = c.span(n)
-        if lo < 0 or c.mask != suffix[lo + 1] or c.ext != perm[lo + 1:hi]:
+        if lo < 0 or c.mask != labels ^ heads[lo] or c.ext != perm[lo + 1:hi]:
             raise ValueError(f"{c} is not derived from the complete chain of the set")
-        spans.add((lo, hi))
-    return Bracketing(perm, _tree_spans(spans, n))
+        nodes.append((lo, -hi, i))
+    nodes.sort()  # preorder: by lo, the widest first
+    placed = {(lo, -neg_hi): i for lo, neg_hi, i in nodes}
+    if len(placed) != n:
+        raise ValueError(f"expected {n} distinct bracket pairs")
+    ends: list[int] = []  # the hi of each span enclosing the current one
+    for lo, hi in placed:
+        while ends and ends[-1] < lo:
+            ends.pop()
+        if ends and ends[-1] < hi:
+            raise ValueError(f"bracket over positions {lo}..{hi} crosses another")
+        ends.append(hi)
+    return perm, placed
 
 
 def _tree_spans(spans, n: int) -> tuple[tuple[int, int], ...]:

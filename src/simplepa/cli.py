@@ -23,6 +23,7 @@ import sys
 import tempfile
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from contextlib import suppress
+from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 from typing import TextIO
@@ -41,12 +42,11 @@ from .classify import boundary_cycle, diagram_census
 from .geometry import (
     ScaledPoint,
     SingularSystemError,
-    _solve_key,
+    _back_substitute,
     h_representation,
     normalization_map,
     realization_report,
     vertex_coordinates,
-    vertex_point,
 )
 from .limits import CHECK_MAX_N, CHECK_WHY, DEFAULT_MAX_N, ResourceCapError, check_cap
 from .nestedsets import Chain, _enumerate_chains, faces, vertex_keys
@@ -267,12 +267,13 @@ def render_ine(n: int, max_n: int | None = None) -> str:
 
 def render_vrep(n: int, max_n: int | None = None) -> Iterator[str]:
     """The ``pa generate --vrep`` JSON text, in pieces.  Every vertex is
-    solved before this returns; only the joins are left to the pieces."""
+    solved from its own bracketing, with no key to check, before this
+    returns; only the joins are left to the pieces."""
     rows = []
     bracketings = all_bracketings(n, max_n=max_n)
     formats = _shape_formats(n)  # print_bracketing, one template per tree shape
     for b, v in zip(bracketings, vertex_keys(bracketings, n, max_n)):
-        coordinates = _coordinates(_scaled_texts(_solve_key(v, n)[0]), 3)
+        coordinates = _coordinates(_scaled_texts(_back_substitute(b.perm, b.spans, n)), 3)
         rows.append((
             v,
             f'      "bracketing": {json.dumps(formats[b.spans](*b.perm))},\n',
@@ -338,14 +339,15 @@ def render_off(n: int, max_n: int | None = None) -> str:
     if n != 3:
         raise ValueError("OFF export is only defined for n = 3")
     chart = normalization_map(n)
-    order = list(vertex_keys(all_bracketings(n, max_n=max_n), n, max_n))
-    index = {v: i for i, v in enumerate(order)}
+    bracketings = all_bracketings(n, max_n=max_n)
+    index = {v: i for i, v in enumerate(vertex_keys(bracketings, n, max_n))}
     facets = range(len(_enumerate_chains(n)))  # one facet per chain rank
     polygons = [boundary_cycle((rank,), n, max_n=max_n) for rank in facets]
     # the header counts what follows; each edge is a side of two polygons
-    lines = ["OFF", f"{len(order)} {len(polygons)} {sum(map(len, polygons)) // 2}"]
-    for v in order:
-        image = chart.apply(vertex_point(v, n))
+    lines = ["OFF", f"{len(index)} {len(polygons)} {sum(map(len, polygons)) // 2}"]
+    for b in bracketings:  # in the order of ``index``
+        scaled, d = _back_substitute(b.perm, b.spans, n)
+        image = chart.apply([Fraction(x, d) for x in scaled])
         lines.append(" ".join(f"{float(x):.17g}" for x in image))
     for cycle in polygons:
         lines.append(" ".join([str(len(cycle))] + [str(index[v]) for v in cycle]))

@@ -14,8 +14,9 @@ The check runs in integers: each vertex is solved as X/d over one common
 denominator d, and kept as (X, d) to rank the facet hulls.  Fractions
 appear only at input and output: facet right-hand sides, the coordinates a
 caller reads, the normalization chart.  The check takes each vertex as its
-key, the ranks of its chains in ``enumerate_chains(n)``, reads those n
-chains, and reports the tight facets as a set of ranks.
+key, the ranks of its chains in ``enumerate_chains(n)``, decodes those n
+chains to its bracketing (``brackets._decode``, whose lemma is the vertex
+test), and reports the tight facets as a set of ranks.
 
 The facets fall into n(n+1)/2 classes (k, l), 1 <= k and k+l <= n.  All
 facets of a class share one right-hand side, and their rows are the
@@ -43,11 +44,8 @@ Y_(j+1) are unimodular.  Hence the system is nonsingular, and one exact
 addition or subtraction per node solves it, where elimination takes
 O(n^3) steps.  This is the recursion over binary trees behind Loday's
 coordinates ("Realization of the Stasheff polytope", 2004).  The pass
-reads each chain's span, its span's bound (or a new one, as
-``--perturb`` sets) and, from the root chain, the permutation: the label
-it leaves out, its ext, its core.  It refuses a key whose spans are not
-one tree's, or whose chain at some (lo, hi) is not perm's, by its top
-mask and ext.  The solve gives the same lowest-terms (X, d) as
+reads only (perm, spans) and each span's bound, or a new one, as
+``--perturb`` sets.  It gives the same lowest-terms (X, d) as
 :func:`solve_exact`, the test oracle and :func:`vertex_coordinates`'s
 independent route, which eliminates on the chains' own coefficients,
 integers of at most n, and the ambient row of ones, with the bounds over
@@ -87,11 +85,11 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, combinations
 from math import gcd, lcm, prod
-from operator import mul, or_, sub
+from operator import mul, sub
 
 from .brackets import (
-    ALPHA, SIGMA, RewriteGraph, _position_index, all_bracketings, build_graph, from_nested,
-    print_bracketing,
+    ALPHA, SIGMA, RewriteGraph, _decode, _position_index, all_bracketings, build_graph,
+    from_nested, print_bracketing,
 )
 from .limits import CHECK_MAX_N, CHECK_WHY, check_cap, check_n
 from .nestedsets import (
@@ -233,48 +231,22 @@ def _span_bounds(n: int) -> dict[tuple[int, int], tuple[int, int]]:
 
 
 def _back_substitute(
-    v: Iterable[int], chains: Sequence[Chain], n: int, bounds: Mapping[int, Fraction] = {}
-) -> tuple[ScaledPoint, tuple[int, ...], Tree] | None:
-    """The point (X, d) where the facets of ``chains[r]``, r in ``v``, meet
-    the ambient plane, as :func:`solve_exact` gives it, by one preorder
-    pass over the prefix sums of their bracketing tree (the module
-    docstring's first lemma), with the permutation, read off the root
-    chain, and the tree.  Each chain's bound is its span's in
-    :func:`_span_bounds`, or its r's in ``bounds``.
-
-    None unless the chains are one vertex's: a span is the root's (0, n),
-    the chain at each (lo, hi) is perm's, and no node crosses one that
-    encloses it or finds both its ends set or neither.  The spans that pass
-    are n distinct pairs, none crossing, and so the nodes of one binary
-    tree over 0..n (``brackets._tree_spans``).
+    perm: Sequence[int], spans: Sequence[tuple[int, int]], n: int,
+    bounds: Mapping[tuple[int, int], Fraction] = {},
+) -> ScaledPoint:
+    """The point (X, d) of the bracketing (perm, spans), where the facets of
+    perm's chains at the spans meet the ambient plane, as
+    :func:`solve_exact` gives it, by one preorder pass over the prefix sums
+    of the tree (the module docstring's first lemma).  Each span's bound is
+    its own in ``bounds``, else its class's in :func:`_span_bounds`.  It
+    reads no chain and checks nothing: ``spans`` must be one binary tree's,
+    in preorder, as ``Bracketing.spans`` and ``brackets._decode`` give them.
     """
     table = _span_bounds(n)
-    nodes = []
-    for r in v:
-        lo, hi = chains[r].span(n)
-        p, q = (bounds[r].numerator, bounds[r].denominator) if r in bounds else table[lo, hi]
-        nodes.append((lo, -hi, p, q, r))
-    nodes.sort()  # preorder, as ``Bracketing.spans`` runs: by lo, the widest first
-    if nodes[0][:2] != (0, -n):
-        return None
-    root = chains[nodes[0][4]]  # perm: the one label it leaves out, its ext, its core
-    left_out = ((1 << (n + 1)) - 1 ^ root.mask).bit_length() - 1
-    perm = (left_out, *root.ext, root.core_mask.bit_length() - 1)
-    heads = list(accumulate((1 << label for label in perm), or_))  # heads[j]: perm[:j+1]
-    d = lcm(*[q for _, _, _, q, _ in nodes])
+    rows = [bounds[span].as_integer_ratio() if span in bounds else table[span] for span in spans]
+    d = lcm(*[q for _, q in rows])
     prefix = [0, *[None] * n]  # d·P(0), ..., d·P(n); P(0) = 0
-    ends = []  # the hi of each node that encloses this one
-    tree = {}
-    for lo, neg_hi, p, q, r in nodes:
-        hi = -neg_hi
-        while ends and ends[-1] < lo:
-            ends.pop()
-        c = chains[r]
-        if (ends and ends[-1] < hi or (prefix[lo] is None) == (prefix[hi] is None)
-                or c.mask != heads[n] ^ heads[lo] or c.ext != perm[lo + 1 : hi]):
-            return None
-        ends.append(hi)
-        tree[lo, hi] = r
+    for (lo, hi), (p, q) in zip(spans, rows):
         row = p * (d // q)  # d·(P(hi) - P(lo))
         if prefix[lo] is None:  # a right child: its parent fixed P(hi)
             prefix[lo] = prefix[hi] - row
@@ -286,7 +258,7 @@ def _back_substitute(
     for label, y, after in zip(perm, suffix, suffix[1:]):
         scaled[label] = y - after
     g = gcd(d, *scaled)
-    return (tuple(x // g for x in scaled), d // g), perm, tree
+    return tuple(x // g for x in scaled), d // g
 
 
 def _class_scan(
@@ -354,11 +326,10 @@ def vertex_coordinates(v: NestedSet, n: int) -> Point:
 
 def vertex_point(v: Key, n: int) -> Point:
     """The point of the vertex with key ``v``, as :func:`enumerate_vertices`
-    gives it, solved by back-substitution from its own chains in the cached
-    chain list, so n must be within the enumeration cap; ``v`` is checked
-    as :func:`verify_vertex` checks it.  ``pa generate --vrep`` and ``pa
-    export --off`` take this route, while :func:`vertex_coordinates`
-    checks a chain set and solves it by elimination, with no chain list."""
+    gives it, from its chains in the cached chain list, so n must be within
+    the enumeration cap; ``v`` is checked as :func:`verify_vertex` checks
+    it.  ``pa generate --vrep`` and ``pa export --off`` solve bracketings
+    with :func:`_back_substitute`; :func:`vertex_coordinates`, chain sets."""
     check_cap(n)
     (scaled, d), _, _ = _solve_key(v, n)
     return tuple(Fraction(x, d) for x in scaled)
@@ -367,18 +338,24 @@ def vertex_point(v: Key, n: int) -> Point:
 def _solve_key(
     v: Key, n: int, bounds: Mapping[int, Fraction] = {}
 ) -> tuple[ScaledPoint, tuple[int, ...], Tree]:
-    """:func:`_back_substitute` on the chains of ``v`` in
-    ``enumerate_chains(n)``.  Raises ValueError, naming ``v``, unless it
-    holds n ranks of one vertex's chains: the chains of one permutation at
-    the spans of one binary tree over 0..n."""
+    """The point, the permutation and the tree of the vertex with key ``v``:
+    its chains in ``enumerate_chains(n)``, decoded by
+    ``brackets._decode``, then :func:`_back_substitute` with the bound of
+    each rank in ``bounds`` on its span.  Raises ValueError, naming ``v``,
+    unless it holds n ranks of one vertex's chains: the chains of one
+    permutation at the spans of one binary tree over 0..n."""
     chains = _enumerate_chains(n)
-    if len(v) == n and 0 <= min(v) and max(v) < len(chains):
-        solved = _back_substitute(v, chains, n, bounds)
-        if solved is not None:
-            return solved
-    raise ValueError(f"{v!r} is not a vertex key at n = {n}: expected ranks in "
-                     f"0..{len(chains) - 1} of one permutation's chains at one bracketing "
-                     f"tree's spans")
+    try:
+        if len(v) != n or min(v) < 0 or max(v) >= len(chains):
+            raise ValueError
+        perm, placed = _decode([chains[r] for r in v], n)
+    except ValueError:
+        raise ValueError(f"{v!r} is not a vertex key at n = {n}: expected ranks in "
+                         f"0..{len(chains) - 1} of one permutation's chains at one bracketing "
+                         f"tree's spans") from None
+    tree = {span: v[i] for span, i in placed.items()}
+    overrides = {span: bounds[r] for span, r in tree.items() if r in bounds} if bounds else {}
+    return _back_substitute(perm, tuple(tree), n, overrides), perm, tree
 
 
 @dataclass(frozen=True)

@@ -46,8 +46,9 @@ different method, something the package computes on its production route:
   ``vertex_keys`` ranks the chains of a permutation once for all its
   shapes; ``back_substitute_by_chains`` takes each chain's bound from its
   own halfspace and the permutation from the root chain alone, where
-  ``verify_vertex`` reads each bound off a per-span table and checks every
-  chain against the permutation; ``facet_table`` keys the halfspaces of
+  ``verify_vertex`` decodes the chains to their bracketing, checking every
+  chain against the permutation, and reads each bound off a per-span
+  table; ``facet_table`` keys the halfspaces of
   ``h_representation`` by chain rank, where the package's scans build
   each rank's halfspace as they compare it.
 

@@ -342,6 +342,14 @@ def test_bracketing_check():
         parse_bracketing("0", 0)
 
 
+def test_a_bracketing_built_from_lists_equals_the_tuple_built_one():
+    b = parse_bracketing("((2*3)*(0*1))", 3)
+    listed = Bracketing(list(b.perm), [list(span) for span in b.spans])
+    assert type(listed.perm) is tuple and type(listed.spans) is tuple
+    listed = Bracketing(list(b.perm), list(b.spans))
+    assert listed == b and hash(listed) == hash(b)
+
+
 def test_combs_nested_beyond_the_stack_round_trip():
     # a left and a right comb over 0..n, nested twice as deep as Python's
     # recursion limit: valid input, read, printed and moved by loops

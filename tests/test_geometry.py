@@ -36,6 +36,7 @@ from simplepa import (
     SingularSystemError,
     affine_dimension,
     all_bracketings,
+    alpha_neighbors,
     ambient_plane,
     build_graph,
     enumerate_chains,
@@ -56,7 +57,7 @@ from simplepa import (
     vertex_keys,
 )
 from simplepa import geometry, nestedsets
-from simplepa.brackets import _tree_spans, from_nested, print_bracketing, to_nested
+from simplepa.brackets import _decode, _tree_spans, from_nested, print_bracketing, to_nested
 from simplepa.cli import render_bracketing_record
 from simplepa.geometry import VertexReport
 from simplepa.nestedsets import _enumerate_chains
@@ -208,7 +209,8 @@ def test_back_substitution_equals_solve_exact_at_n6_to_8(b):
     # the set's own chains, in its order: no chain ranks are involved
     n = b.n
     chains = list(to_nested(b))
-    point, _, _ = geometry._back_substitute(range(n), chains, n)
+    perm, placed = _decode(chains, n)
+    point = geometry._back_substitute(perm, tuple(placed), n)
     assert point == geometry._solve_vertex([facet_inequality(c, n) for c in chains], n)
 
 
@@ -222,6 +224,32 @@ def test_the_solve_reads_the_permutation_and_the_tree_off_the_chains():
             assert sorted(tree) == sorted(b.spans) and sorted(tree.values()) == list(v)
             for (lo, hi), r in tree.items():  # each node's chain: perm's suffixes lo+1..hi
                 assert suffix_interval(chains[r], perm) == (lo + 1, hi)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_a_bracketing_solves_to_its_keys_point(n):
+    # the --vrep route, from (perm, spans) with no key, against the check's
+    every = all_bracketings(n)
+    for b, v in zip(every, vertex_keys(every, n), strict=True):
+        assert geometry._back_substitute(b.perm, b.spans, n) == geometry._solve_key(v, n)[0]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_the_class_check_names_the_shared_spans_at_an_alpha_edges_midpoint(n):
+    # a vertex and an alpha neighbour share a permutation, so their midpoint
+    # lies in its chamber; with the vertex's tree, the tight spans there are
+    # the n - 1 the two share, and each must be named by its own rank
+    every = all_bracketings(n)
+    keys = dict(zip(every, vertex_keys(every, n), strict=True))
+    for b, v in keys.items():
+        (x, d), perm, tree = geometry._solve_key(v, n)
+        for other in alpha_neighbors(b):
+            w = keys[other]
+            (y, e), _, _ = geometry._solve_key(w, n)
+            midpoint = (tuple(a * e + c * d for a, c in zip(x, y)), 2 * d * e)
+            shared = set(v) & set(w)
+            assert len(shared) == n - 1
+            assert geometry._class_scan(midpoint, perm, tree, n) == shared, (v, w)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
@@ -239,8 +267,9 @@ def test_every_vertex_lies_in_its_permutations_chamber(n):
 def test_a_vertex_at_n6_to_10_lies_in_its_permutations_chamber(b):
     # solved from the set's own chains, with no key and no chain list
     n = b.n
-    (scaled, d), perm, tree = geometry._back_substitute(range(n), list(to_nested(b)), n)
-    assert perm == b.perm and sorted(tree) == sorted(b.spans)
+    perm, placed = _decode(list(to_nested(b)), n)
+    scaled, d = geometry._back_substitute(perm, tuple(placed), n)
+    assert perm == b.perm and sorted(placed) == sorted(b.spans)
     assert d > 0 and all(scaled[i] > scaled[j] for i, j in zip(perm, perm[1:]))
 
 
@@ -378,10 +407,10 @@ def test_verify_vertex_refuses_a_malformed_key():
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
-def test_back_substitution_takes_exactly_the_spans_of_a_tree(n):
+def test_the_decoder_accepts_exactly_the_spans_of_a_tree(n):
     # every multiset of n spans inside 0..n, each holding its chain of the
-    # identity permutation: a tree's (Catalan(n) of them) solve, and every
-    # other one returns None rather than a point
+    # identity permutation: a tree's (Catalan(n) of them) decode to its
+    # spans in preorder, and every other one is refused
     spans = [(lo, hi) for lo in range(n) for hi in range(lo + 1, n + 1)]
     perm = tuple(range(n + 1))
     trees = 0
@@ -393,7 +422,14 @@ def test_back_substitution_takes_exactly_the_spans_of_a_tree(n):
         else:
             tree = True
         chains = [Chain(perm[hi:], perm[lo + 1 : hi]) for lo, hi in family]
-        assert (geometry._back_substitute(range(n), chains, n) is not None) == tree, family
+        try:
+            decoded = _decode(chains, n)
+        except ValueError:
+            decoded = None
+        assert (decoded is not None) == tree, family
+        if tree:  # in preorder, each span with the index of its chain
+            order = [(span, family.index(span)) for span in _tree_spans(family, n)]
+            assert decoded[0] == perm and list(decoded[1].items()) == order
         trees += tree
     assert trees == comb(2 * n, n) // (n + 1)
 
