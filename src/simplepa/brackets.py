@@ -22,9 +22,10 @@ are loops over the spans, so no nesting depth is too deep for them.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import re
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Collection, Sequence
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from operator import or_
@@ -51,7 +52,7 @@ class Bracketing:
 
     ``spans`` holds the tree's n internal nodes as ``(lo, hi)`` pairs, the
     first and last position under the node, in preorder: sorted by
-    ``(lo, -hi)``, so the root ``(0, n)`` comes first.
+    :func:`_preorder`, ``(lo, -hi)``, so the root ``(0, n)`` comes first.
     """
 
     perm: tuple[int, ...]
@@ -235,10 +236,9 @@ def _decode(chains: Sequence[Chain], n: int) -> tuple[tuple[int, ...], dict[tupl
     them is complete, its n labels and the one it leaves out read as a
     permutation perm of 0..n, the chain at each
     :meth:`~simplepa.nestedsets.Chain.span` (lo, hi) has top perm[lo+1:]
-    and ext perm[lo+1:hi], and the n spans are distinct and none crosses
-    another.  Then each chain is perm's at its span, as :func:`to_nested`
-    builds it, and the spans are one full binary tree's (:func:`_tree_spans`
-    says why).  Raises ValueError at the first test that fails, naming the
+    and ext perm[lo+1:hi], and the n spans pass :func:`_tree_spans`, the
+    tree test.  Then each chain is perm's at its span, as :func:`to_nested`
+    builds it.  Raises ValueError at the first test that fails, naming the
     first chain in input order that fails its own."""
     if n < 1:
         raise ValueError("an empty set has no bracketing")
@@ -255,19 +255,15 @@ def _decode(chains: Sequence[Chain], n: int) -> tuple[tuple[int, ...], dict[tupl
         lo, hi = c.span(n)
         if lo < 0 or c.mask != labels ^ heads[lo] or c.ext != perm[lo + 1:hi]:
             raise ValueError(f"{c} is not derived from the complete chain of the set")
-        nodes.append((lo, -hi, i))
-    nodes.sort()  # preorder: by lo, the widest first
-    placed = {(lo, -neg_hi): i for lo, neg_hi, i in nodes}
-    if len(placed) != n:
-        raise ValueError(f"expected {n} distinct bracket pairs")
-    ends: list[int] = []  # the hi of each span enclosing the current one
-    for lo, hi in placed:
-        while ends and ends[-1] < lo:
-            ends.pop()
-        if ends and ends[-1] < hi:
-            raise ValueError(f"bracket over positions {lo}..{hi} crosses another")
-        ends.append(hi)
+        nodes.append((lo, -hi, i))  # these tuples sort by _preorder, with no call per span
+    placed = {(lo, -neg_hi): i for lo, neg_hi, i in sorted(nodes)}  # a repeated span is kept once
+    _check_tree(placed, n)
     return perm, placed
+
+
+def _preorder(span: tuple[int, int]) -> tuple[int, int]:
+    """The preorder key of a span (lo, hi): by lo, the widest first."""
+    return span[0], -span[1]
 
 
 def _tree_spans(spans, n: int) -> tuple[tuple[int, int], ...]:
@@ -276,8 +272,16 @@ def _tree_spans(spans, n: int) -> tuple[tuple[int, int], ...]:
     two crossing.  Such a family is one tree whose every node splits in two:
     a node with one part would equal that part, and a forest over n + 1
     leaves whose nodes have two or more parts has at most n nodes, with n
-    only for a single binary tree."""
-    ordered = sorted(spans, key=lambda span: (span[0], -span[1]))
+    only for a single binary tree.  The package's one tree test, called by
+    :meth:`Bracketing.check` and, on spans it sorts itself, :func:`_decode`;
+    :func:`_rotations` sorts its shapes by the same key, :func:`_preorder`."""
+    ordered = tuple(sorted(spans, key=_preorder))
+    _check_tree(ordered, n)
+    return ordered
+
+
+def _check_tree(ordered: Collection[tuple[int, int]], n: int) -> None:
+    """The test of :func:`_tree_spans` on spans already in preorder."""
     if len(ordered) != n or len(set(ordered)) != n:
         raise ValueError(f"expected {n} distinct bracket pairs")
     ends: list[int] = []  # the hi of each span enclosing the current one
@@ -289,7 +293,6 @@ def _tree_spans(spans, n: int) -> tuple[tuple[int, int], ...]:
         if ends and ends[-1] < hi:
             raise ValueError(f"bracket over positions {lo}..{hi} crosses another")
         ends.append(hi)
-    return tuple(ordered)
 
 
 # ---------------------------------------------------------------------------
@@ -313,11 +316,9 @@ def _rotations(spans: tuple[tuple[int, int], ...]) -> list[tuple[tuple[int, int]
     """The spans of the n-1 tree shapes one rotation away, in preorder.
 
     Each non-root node drops its bracket pair and closes the resulting triple
-    the other way: under a parent (plo, phi), a left child splitting at mid
-    becomes (mid+1, phi) and a right child becomes (plo, mid).  A subtree
-    over lo..hi has hi - lo nodes, so the new pair's place in preorder is
-    counted off the subtree it moves across.
-    """
+    the other way, and the new pair takes its place in preorder: under a
+    parent (plo, phi), a left child splitting at mid becomes (mid+1, phi),
+    ((A*B)*C) to (A*(B*C)), and a right child becomes (plo, mid)."""
     out = []
     ancestors = [spans[0]]
     for i in range(1, len(spans)):
@@ -326,12 +327,9 @@ def _rotations(spans: tuple[tuple[int, int], ...]) -> list[tuple[tuple[int, int]
             ancestors.pop()
         plo, phi = ancestors[-1]
         mid = _split(spans, i)
-        if lo == plo:  # ((A*B)*C) to (A*(B*C)): the new pair follows A's
-            k = i + 1 + mid - lo
-            out.append((*spans[:i], *spans[i + 1:k], (mid + 1, phi), *spans[k:]))
-        else:  # (A*(B*C)) to ((A*B)*C): the new pair precedes A's
-            k = i + 1 + plo - lo
-            out.append((*spans[:k], (plo, mid), *spans[k:i], *spans[i + 1:]))
+        rest = [*spans[:i], *spans[i + 1:]]
+        bisect.insort(rest, (mid + 1, phi) if lo == plo else (plo, mid), key=_preorder)
+        out.append(tuple(rest))
         ancestors.append((lo, hi))
     return out
 
@@ -418,9 +416,10 @@ def build_graph(n: int, max_n: int | None = None) -> RewriteGraph:
     shape (14 at n = 4, 42 at n = 5), and each neighbour is found by its
     permutation in the index ``spans -> perm -> vertex id``: no
     :class:`Bracketing` is built or hashed per edge.  Both moves undo
-    themselves, so each edge is met from both ends and is kept from its
-    lower id.  The route reads no nested set and no chain rank, so it
-    stays independent of :func:`~simplepa.geometry.polytope_graph`.
+    themselves (``test_rotations_undo_themselves_and_reach_every_shape``),
+    so each edge is met from both ends and is kept from its lower id.  The
+    route reads no nested set or chain rank, so it stays independent of
+    :func:`~simplepa.geometry.polytope_graph`.
     """
     vertices = all_bracketings(n, max_n=max_n)
     index = _position_index(vertices)

@@ -1,5 +1,6 @@
 import itertools
 import sys
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -25,7 +26,7 @@ from simplepa import (
     sigma_neighbor,
     to_nested,
 )
-from simplepa.brackets import _shape_template, _tree_shapes
+from simplepa.brackets import _rotations, _shape_template, _tree_shapes
 
 
 def test_parse_permuted_product():
@@ -184,6 +185,27 @@ def test_alpha_neighbors_preserve_permutation_and_count():
         for nb in neighbors:
             assert nb.perm == b.perm
             assert len(to_nested(b) & to_nested(nb)) == 2
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_rotations_undo_themselves_and_reach_every_shape(n):
+    # shape by shape, 429 of them at n = 7: n - 1 distinct rotated shapes,
+    # each in preorder and differing from its source in one span; t is a
+    # rotation of s exactly when s is one of t, which lets build_graph keep
+    # each edge from its lower id; and rotations reach all Catalan(n) shapes
+    shapes = _tree_shapes(n)
+    rotated = {s: _rotations(s) for s in shapes}
+    for s, moved in rotated.items():
+        assert len(set(moved)) == n - 1 and set(moved) <= rotated.keys()
+        for t in moved:
+            assert len(set(s) - set(t)) == 1 and s in rotated[t]
+    seen, stack = {shapes[0]}, [shapes[0]]
+    while stack:
+        for t in rotated[stack.pop()]:
+            if t not in seen:
+                seen.add(t)
+                stack.append(t)
+    assert len(seen) == len(shapes) == comb(2 * n, n) // (n + 1)
 
 
 def test_sigma_neighbor_examples():

@@ -57,7 +57,7 @@ from simplepa import (
     vertex_keys,
 )
 from simplepa import geometry, nestedsets
-from simplepa.brackets import _decode, _tree_spans, from_nested, print_bracketing, to_nested
+from simplepa.brackets import _decode, _tree_shapes, from_nested, print_bracketing, to_nested
 from simplepa.cli import render_bracketing_record
 from simplepa.geometry import VertexReport
 from simplepa.nestedsets import _enumerate_chains
@@ -409,18 +409,16 @@ def test_verify_vertex_refuses_a_malformed_key():
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_the_decoder_accepts_exactly_the_spans_of_a_tree(n):
     # every multiset of n spans inside 0..n, each holding its chain of the
-    # identity permutation: a tree's (Catalan(n) of them) decode to its
-    # spans in preorder, and every other one is refused
+    # identity permutation: a tree's (Catalan(n) of them, as _tree_shapes
+    # builds them) decode to its spans in preorder, and every other one is
+    # refused
     spans = [(lo, hi) for lo in range(n) for hi in range(lo + 1, n + 1)]
     perm = tuple(range(n + 1))
+    shapes = set(_tree_shapes(n))
     trees = 0
     for family in itertools.combinations_with_replacement(spans, n):
-        try:
-            _tree_spans(family, n)
-        except ValueError:
-            tree = False
-        else:
-            tree = True
+        preorder = tuple(sorted(family, key=lambda span: (span[0], -span[1])))
+        tree = preorder in shapes
         chains = [Chain(perm[hi:], perm[lo + 1 : hi]) for lo, hi in family]
         try:
             decoded = _decode(chains, n)
@@ -428,7 +426,7 @@ def test_the_decoder_accepts_exactly_the_spans_of_a_tree(n):
             decoded = None
         assert (decoded is not None) == tree, family
         if tree:  # in preorder, each span with the index of its chain
-            order = [(span, family.index(span)) for span in _tree_spans(family, n)]
+            order = [(span, family.index(span)) for span in preorder]
             assert decoded[0] == perm and list(decoded[1].items()) == order
         trees += tree
     assert trees == comb(2 * n, n) // (n + 1)
